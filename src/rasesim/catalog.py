@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from importlib import resources
 
@@ -31,6 +32,21 @@ class UnknownVnfTypeError(CatalogError):
 
 class InvalidRequestError(CatalogError):
     """An SFC request or traffic pattern violates its constraints."""
+
+
+def finite_number(value, what: str, kind=float):
+    """kind(value) for a number read from a document; ValueError unless it is finite.
+
+    json.loads accepts NaN, Infinity and integers beyond the float range, and
+    none of them is a usable capacity, rate, size or duration.
+    """
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValueError(f"{what} is beyond the float range") from None
+    if not math.isfinite(number):
+        raise ValueError(f"{what} must be a finite number, got {number}")
+    return kind(value)
 
 
 @dataclass(frozen=True)
@@ -65,11 +81,13 @@ class Catalog:
     vnfs: tuple[VNFDescriptor, ...]
 
     def __post_init__(self):
-        seen = set()
+        by_name = {}
         for vnf in self.vnfs:
-            if vnf.name in seen:
+            if vnf.name in by_name:
                 raise DuplicateVnfTypeError(f"duplicate VNF type {vnf.name!r}")
-            seen.add(vnf.name)
+            by_name[vnf.name] = vnf
+        # a lookup table, not a field: equality, hashing and repr still see only vnfs
+        object.__setattr__(self, "_by_name", by_name)
 
     def __len__(self) -> int:
         return len(self.vnfs)
@@ -78,10 +96,10 @@ class Catalog:
         return iter(self.vnfs)
 
     def get(self, name: str) -> VNFDescriptor:
-        for vnf in self.vnfs:
-            if vnf.name == name:
-                return vnf
-        raise UnknownVnfTypeError(f"VNF type {name!r} is not in the catalog")
+        try:
+            return self._by_name[name]
+        except (KeyError, TypeError):  # TypeError: an unhashable name is in no catalog either
+            raise UnknownVnfTypeError(f"VNF type {name!r} is not in the catalog") from None
 
     def names(self) -> list[str]:
         return [v.name for v in self.vnfs]
@@ -167,10 +185,10 @@ def load_catalog(document) -> Catalog:
             vnfs.append(
                 VNFDescriptor(
                     name=entry["name"],
-                    cpu_per_request=float(entry["cpu_per_request"]),
-                    base_service_time_ms=float(entry["base_service_time_ms"]),
-                    memory_mb=float(entry["memory_mb"]),
-                    bandwidth_scale=float(entry.get("bandwidth_scale", 1.0)),
+                    cpu_per_request=finite_number(entry["cpu_per_request"], "cpu_per_request"),
+                    base_service_time_ms=finite_number(entry["base_service_time_ms"], "base_service_time_ms"),
+                    memory_mb=finite_number(entry["memory_mb"], "memory_mb"),
+                    bandwidth_scale=finite_number(entry.get("bandwidth_scale", 1.0), "bandwidth_scale"),
                 )
             )
         except KeyError as exc:
@@ -197,15 +215,16 @@ def parse_sfcr_templates(document) -> tuple[SFCRequest, ...]:
             raise InvalidRequestError(f"sfcrs[{i}]: unknown key(s): {', '.join(sorted(extra))}")
         try:
             segments = tuple(
-                TrafficSegment(float(seg["start_s"]), float(seg["end_s"]), float(seg["rps"]))
+                TrafficSegment(finite_number(seg["start_s"], "start_s"), finite_number(seg["end_s"], "end_s"),
+                               finite_number(seg["rps"], "rps"))
                 for seg in entry["traffic"]
             )
             templates.append(
                 SFCRequest(
                     sfcr_id=entry["id"],
                     chain=tuple(entry["chain"]),
-                    bandwidth_mbps=float(entry["bandwidth_mbps"]),
-                    request_size_bits=float(entry["request_size_bits"]),
+                    bandwidth_mbps=finite_number(entry["bandwidth_mbps"], "bandwidth_mbps"),
+                    request_size_bits=finite_number(entry["request_size_bits"], "request_size_bits"),
                     offered_load=TrafficPattern(segments),
                 )
             )

@@ -92,8 +92,9 @@ class EngineConfig:
             raise ValueError("need 0 < sample_interval_s <= duration_s")
         if not 0 < self.utilization_cap < 1:
             raise ValueError("utilization_cap must be in (0, 1)")
-        if self.jitter_sigma < 0:
-            raise ValueError("jitter_sigma must be >= 0")
+        # the jitter multiplier is truncated at 1 - 3 sigma, which must stay positive
+        if not 0 <= self.jitter_sigma < 1 / 3:
+            raise ValueError("jitter_sigma must be in [0, 1/3)")
         if not 0 <= self.idle_spike_prob <= 1:
             raise ValueError("idle_spike_prob must be in [0, 1]")
         low, high = self.idle_spike_range

@@ -24,6 +24,7 @@ from .catalog import (
     Catalog,
     CatalogError,
     SFCRequest,
+    finite_number,
     generate_sfcrs,
     load_catalog,
     parse_sfcr_templates,
@@ -126,7 +127,8 @@ def _parse_network(section) -> NetworkSpec:
         _check_keys(entry, {"id", "cpus", "memory_mb"}, {"id", "cpus", "memory_mb"}, f"network.hosts[{i}]")
         try:
             hosts.append(HostSpec(_node_id(entry["id"], f"network.hosts[{i}]"),
-                                  int(entry["cpus"]), float(entry["memory_mb"])))
+                                  finite_number(entry["cpus"], "cpus", int),
+                                  finite_number(entry["memory_mb"], "memory_mb")))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"network.hosts[{i}]: {exc}") from None
     links = []
@@ -137,7 +139,8 @@ def _parse_network(section) -> NetworkSpec:
         try:
             links.append(LinkSpec(_node_id(entry["endpoint_a"], f"network.links[{i}]"),
                                   _node_id(entry["endpoint_b"], f"network.links[{i}]"),
-                                  float(entry["bandwidth_mbps"]), float(entry["propagation_delay_ms"])))
+                                  finite_number(entry["bandwidth_mbps"], "bandwidth_mbps"),
+                                  finite_number(entry["propagation_delay_ms"], "propagation_delay_ms")))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"network.links[{i}]: {exc}") from None
     switches = tuple(_node_id(s, "network.switches") for s in _listed(section, "switches", "network"))
@@ -176,15 +179,19 @@ def _parse_solver(section) -> SolverSettings:
     _check_keys(ga_section, {"population", "generations", "tournament_k", "crossover_rate",
                              "mutation_rate", "elitism"}, set(), "solver.ga")
     defaults = GAParams()
+
+    def number(key, kind):
+        return finite_number(ga_section.get(key, getattr(defaults, key)), key, kind)
+
     try:
         params = GAParams(
-            population=int(ga_section.get("population", defaults.population)),
-            generations=int(ga_section.get("generations", defaults.generations)),
-            tournament_k=int(ga_section.get("tournament_k", defaults.tournament_k)),
-            crossover_rate=float(ga_section.get("crossover_rate", defaults.crossover_rate)),
+            population=number("population", int),
+            generations=number("generations", int),
+            tournament_k=number("tournament_k", int),
+            crossover_rate=number("crossover_rate", float),
             mutation_rate=(None if ga_section.get("mutation_rate") is None
-                           else float(ga_section["mutation_rate"])),
-            elitism=int(ga_section.get("elitism", defaults.elitism)),
+                           else number("mutation_rate", float)),
+            elitism=number("elitism", int),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"solver.ga: {exc}") from None
@@ -199,15 +206,20 @@ def _parse_engine(section) -> EngineConfig:
     _check_keys(section, {"duration_s", "sample_interval_s", "utilization_cap", "jitter_sigma",
                           "idle_spike_prob", "idle_spike_range"}, set(), "engine")
     defaults = EngineConfig()
+
+    def number(key):
+        return finite_number(section.get(key, getattr(defaults, key)), key)
+
     try:
         spike_range = section.get("idle_spike_range", list(defaults.idle_spike_range))
         return EngineConfig(
-            duration_s=float(section.get("duration_s", defaults.duration_s)),
-            sample_interval_s=float(section.get("sample_interval_s", defaults.sample_interval_s)),
-            utilization_cap=float(section.get("utilization_cap", defaults.utilization_cap)),
-            jitter_sigma=float(section.get("jitter_sigma", defaults.jitter_sigma)),
-            idle_spike_prob=float(section.get("idle_spike_prob", defaults.idle_spike_prob)),
-            idle_spike_range=(float(spike_range[0]), float(spike_range[1])),
+            duration_s=number("duration_s"),
+            sample_interval_s=number("sample_interval_s"),
+            utilization_cap=number("utilization_cap"),
+            jitter_sigma=number("jitter_sigma"),
+            idle_spike_prob=number("idle_spike_prob"),
+            idle_spike_range=(finite_number(spike_range[0], "idle_spike_range"),
+                              finite_number(spike_range[1], "idle_spike_range")),
         )
     except (TypeError, ValueError, IndexError, KeyError) as exc:
         raise ConfigError(f"engine: {exc}") from None

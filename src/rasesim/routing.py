@@ -9,10 +9,12 @@ invisible to the search.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import RaseSimError
-from .topology import SubstrateNetwork
+from .topology import SubstrateNetwork, exact_less
 
 
 class RoutingError(RaseSimError):
@@ -52,6 +54,10 @@ def shortest_path(net: SubstrateNetwork, src: str, dst: str, min_bandwidth_mbps:
     if src == dst:
         return Path((src,), (), 0.0)
 
+    floor = float(min_bandwidth_mbps)
+    # shadows are finite, so a non-finite floor never reaches the exact comparison
+    floor_exact = Fraction(min_bandwidth_mbps) if math.isfinite(floor) else floor
+    residual, residual_shadow = net.residual_bandwidth, net.shadow_bandwidth
     heap: list[tuple[float, int, tuple[str, ...], tuple[str, ...]]] = [(0.0, 0, (src,), ())]
     settled: set[str] = set()
     while heap:
@@ -65,7 +71,7 @@ def shortest_path(net: SubstrateNetwork, src: str, dst: str, min_bandwidth_mbps:
         for neighbor, link in net.neighbors(node):
             if neighbor in settled:
                 continue
-            if net.residual_bandwidth[link] < min_bandwidth_mbps:
+            if exact_less(residual_shadow[link], floor, residual[link], floor_exact):
                 continue
             heapq.heappush(
                 heap,

@@ -18,7 +18,7 @@ from .catalog import Catalog, SFCRequest
 from .errors import RaseSimError
 from .routing import NoPathError, Path, shortest_path
 from .seeding import derive_seed
-from .topology import NetworkSpec, SubstrateNetwork
+from .topology import NetworkSpec, SubstrateNetwork, exact_less, shadow
 
 Chromosome = tuple[str, ...]
 
@@ -144,7 +144,11 @@ def vnf_cpu_demand(catalog: Catalog, sfcr: SFCRequest, position: int) -> Fractio
 
 
 def _embed_sfcr(net, sfcr, catalog, choose_host) -> SfcPlacement:
-    """Place and route one SFCR, rolling back all its charges on failure."""
+    """Place and route one SFCR, rolling back all its charges on failure.
+
+    choose_host(position, cpu_demand, memory_demand, cpu_shadow, memory_shadow)
+    receives each demand exactly and as its float shadow.
+    """
     undo: list[tuple[str, str, Fraction]] = []
 
     def rollback():
@@ -162,7 +166,7 @@ def _embed_sfcr(net, sfcr, catalog, choose_host) -> SfcPlacement:
             vnf = catalog.get(sfcr.chain[position])
             cpu_demand = vnf_cpu_demand(catalog, sfcr, position)
             memory_demand = Fraction(vnf.memory_mb)
-            host = choose_host(position, cpu_demand, memory_demand)
+            host = choose_host(position, cpu_demand, memory_demand, shadow(cpu_demand), shadow(memory_demand))
             if host is None:
                 raise _EmbedFailure(f"NoFeasibleHost(position={position})")
             if cpu_demand > 0:
@@ -173,6 +177,7 @@ def _embed_sfcr(net, sfcr, catalog, choose_host) -> SfcPlacement:
                 undo.append(("mem", host, memory_demand))
             placed.append(host)
         waypoints = [net.spec.ingress_node, *placed, net.spec.egress_host]
+        bandwidth = Fraction(sfcr.bandwidth_mbps)
         segments: list[Path] = []
         for index in range(len(waypoints) - 1):
             try:
@@ -180,8 +185,8 @@ def _embed_sfcr(net, sfcr, catalog, choose_host) -> SfcPlacement:
             except NoPathError:
                 raise _EmbedFailure(f"NoPath(segment={index})") from None
             for link in path.links:
-                net.allocate_bandwidth(link, sfcr.bandwidth_mbps)
-                undo.append(("bw", link, Fraction(sfcr.bandwidth_mbps)))
+                net.allocate_bandwidth(link, bandwidth)
+                undo.append(("bw", link, bandwidth))
             segments.append(path)
         return SfcPlacement(sfcr.sfcr_id, tuple(placed), tuple(segments))
     except _EmbedFailure:
@@ -191,16 +196,18 @@ def _embed_sfcr(net, sfcr, catalog, choose_host) -> SfcPlacement:
 
 def _greedy_chooser(net: SubstrateNetwork):
     hosts = sorted(net.host_ids())
+    cpu, cpu_shadows = net.residual_cpu, net.shadow_cpu
+    memory, memory_shadows = net.residual_memory, net.shadow_memory
 
-    def choose(position, cpu_demand, memory_demand):
-        best = None
-        best_residual = None
+    def choose(position, cpu_demand, memory_demand, cpu_shadow, memory_shadow):
+        best = best_left = None
         for host in hosts:
-            if net.residual_cpu[host] < cpu_demand or net.residual_memory[host] < memory_demand:
+            left = cpu_shadows[host]
+            if (exact_less(left, cpu_shadow, cpu[host], cpu_demand)
+                    or exact_less(memory_shadows[host], memory_shadow, memory[host], memory_demand)):
                 continue
-            residual = net.residual_cpu[host]
-            if best_residual is None or residual > best_residual:
-                best, best_residual = host, residual
+            if best is None or exact_less(best_left, left, cpu[best], cpu[host]):
+                best, best_left = host, left
         return best
 
     return choose
@@ -215,9 +222,10 @@ def solve_simple_dijkstra(net: SubstrateNetwork, sfcrs: Sequence[SFCRequest], ca
     is mutated in place with the accepted chains' charges.
     """
     outcomes: list[SfcPlacement | SfcRejection] = []
+    choose = _greedy_chooser(net)
     for sfcr in sfcrs:
         try:
-            outcomes.append(_embed_sfcr(net, sfcr, catalog, _greedy_chooser(net)))
+            outcomes.append(_embed_sfcr(net, sfcr, catalog, choose))
         except _EmbedFailure as failure:
             outcomes.append(SfcRejection(sfcr.sfcr_id, failure.reason))
     return EmbeddingScheme(tuple(outcomes))
@@ -239,11 +247,11 @@ def decode_chromosome(net: SubstrateNetwork, sfcrs: Sequence[SFCRequest], catalo
         genes = chromosome[offset:offset + len(sfcr.chain)]
         offset += len(sfcr.chain)
 
-        def choose(position, cpu_demand, memory_demand, genes=genes):
+        def choose(position, cpu_demand, memory_demand, cpu_shadow, memory_shadow, genes=genes):
             host = genes[position]
-            if host not in net.residual_cpu:
-                return None
-            if net.residual_cpu[host] < cpu_demand or net.residual_memory[host] < memory_demand:
+            if (host not in net.residual_cpu
+                    or exact_less(net.shadow_cpu[host], cpu_shadow, net.residual_cpu[host], cpu_demand)
+                    or exact_less(net.shadow_memory[host], memory_shadow, net.residual_memory[host], memory_demand)):
                 return None
             return host
 
@@ -283,9 +291,10 @@ def verify_scheme(spec: NetworkSpec, sfcrs: Sequence[SFCRequest], catalog: Catal
             if host not in host_ids:
                 raise InconsistentSchemeError(f"{outcome.sfcr_id!r}: unknown host {host!r}")
             vnf = catalog.get(request.chain[position])
-            cpu_used[host] = cpu_used.get(host, Fraction(0)) + vnf_cpu_demand(catalog, request, position)
-            mem_used[host] = mem_used.get(host, Fraction(0)) + Fraction(vnf.memory_mb)
+            cpu_used[host] = cpu_used.get(host, 0) + vnf_cpu_demand(catalog, request, position)
+            mem_used[host] = mem_used.get(host, 0) + Fraction(vnf.memory_mb)
         waypoints = [spec.ingress_node, *outcome.hosts, spec.egress_host]
+        bandwidth = Fraction(request.bandwidth_mbps)
         if len(outcome.segments) != len(waypoints) - 1:
             raise InconsistentSchemeError(f"{outcome.sfcr_id!r}: expected {len(waypoints) - 1} segments")
         for index, segment in enumerate(outcome.segments):
@@ -302,11 +311,11 @@ def verify_scheme(spec: NetworkSpec, sfcrs: Sequence[SFCRequest], catalog: Catal
                     raise InconsistentSchemeError(
                         f"{outcome.sfcr_id!r}: segment {index} hop {hop} does not follow {link_name!r}"
                     )
-                bw_used[link_name] = bw_used.get(link_name, Fraction(0)) + Fraction(request.bandwidth_mbps)
+                bw_used[link_name] = bw_used.get(link_name, 0) + bandwidth
     for host_spec in spec.hosts:
-        if cpu_used.get(host_spec.id, Fraction(0)) > Fraction(host_spec.cpus):
+        if cpu_used.get(host_spec.id, 0) > Fraction(host_spec.cpus):
             raise InconsistentSchemeError(f"host {host_spec.id!r}: CPU over capacity")
-        if mem_used.get(host_spec.id, Fraction(0)) > Fraction(host_spec.memory_mb):
+        if mem_used.get(host_spec.id, 0) > Fraction(host_spec.memory_mb):
             raise InconsistentSchemeError(f"host {host_spec.id!r}: memory over capacity")
     for link_name, used in bw_used.items():
         if used > Fraction(links[link_name].bandwidth_mbps):

@@ -4,10 +4,16 @@ Residuals are kept as exact rationals (fractions.Fraction) so that every
 release of a previously allocated amount, and every rollback of a rejected
 chain, restores the network bit-identically. Floats in, exact arithmetic
 inside.
+
+Next to each exact residual the network keeps its float shadow, equal to
+float(residual). Capacity checks in routing and placement compare shadows
+and fall back to the exact values only when two shadows are equal (see
+exact_less), so they give the exact answer at float speed.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -62,6 +68,33 @@ class InsufficientBandwidthError(TopologyError):
 
 class OverReleaseError(TopologyError):
     """Release would push a residual above its capacity."""
+
+
+def exact_less(a: float, b: float, a_exact: Quantity, b_exact: Quantity) -> bool:
+    """Whether a_exact < b_exact, where a == float(a_exact) and b == float(b_exact).
+
+    CPython's int/int true division is correctly rounded, so float(Fraction)
+    is the correctly rounded value of the fraction. Correct rounding is
+    monotone: a_exact <= b_exact implies a <= b. So a < b implies
+    a_exact < b_exact, and a > b implies a_exact > b_exact. Only when the
+    two floats are equal can the exact values still differ either way, and
+    only then are they compared exactly.
+    """
+    if a != b:
+        return a < b
+    return a_exact < b_exact
+
+
+def shadow(value: Quantity) -> float:
+    """float(value), correctly rounded; infinity where value exceeds the float range.
+
+    Rounding past the largest float to infinity is still monotone, so the
+    result is a valid shadow for exact_less.
+    """
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def link_id(endpoint_a: str, endpoint_b: str) -> str:
@@ -164,15 +197,21 @@ class SubstrateNetwork:
         self.spec = spec
         self.cpu_capacity = {h.id: Fraction(h.cpus) for h in spec.hosts}
         self.memory_capacity = {h.id: Fraction(h.memory_mb) for h in spec.hosts}
-        self.bandwidth_capacity = {l.link_id: Fraction(l.bandwidth_mbps) for l in spec.links}
+        links = [(l.link_id, l) for l in spec.links]
+        self.bandwidth_capacity = {key: Fraction(l.bandwidth_mbps) for key, l in links}
         self.residual_cpu = dict(self.cpu_capacity)
         self.residual_memory = dict(self.memory_capacity)
         self.residual_bandwidth = dict(self.bandwidth_capacity)
-        self._delay_ms = {l.link_id: l.propagation_delay_ms for l in spec.links}
+        # float(Fraction(x)) == float(x), so the spec's own numbers are the initial shadows
+        self.shadow_cpu = {h.id: float(h.cpus) for h in spec.hosts}
+        self.shadow_memory = {h.id: float(h.memory_mb) for h in spec.hosts}
+        self.shadow_bandwidth = {key: float(l.bandwidth_mbps) for key, l in links}
+        self._bandwidth_mbps = dict(self.shadow_bandwidth)
+        self._delay_ms = {key: l.propagation_delay_ms for key, l in links}
         adjacency: dict[str, list[tuple[str, str]]] = {n: [] for n in self.node_ids()}
-        for link in spec.links:
-            adjacency[link.endpoint_a].append((link.endpoint_b, link.link_id))
-            adjacency[link.endpoint_b].append((link.endpoint_a, link.link_id))
+        for key, link in links:
+            adjacency[link.endpoint_a].append((link.endpoint_b, key))
+            adjacency[link.endpoint_b].append((link.endpoint_a, key))
         # sorted neighbor order keeps traversals deterministic
         self._adjacency = {n: tuple(sorted(nbrs)) for n, nbrs in adjacency.items()}
 
@@ -185,6 +224,10 @@ class SubstrateNetwork:
         clone.residual_cpu = dict(self.residual_cpu)
         clone.residual_memory = dict(self.residual_memory)
         clone.residual_bandwidth = dict(self.residual_bandwidth)
+        clone.shadow_cpu = dict(self.shadow_cpu)
+        clone.shadow_memory = dict(self.shadow_memory)
+        clone.shadow_bandwidth = dict(self.shadow_bandwidth)
+        clone._bandwidth_mbps = self._bandwidth_mbps
         clone._delay_ms = self._delay_ms
         clone._adjacency = self._adjacency
         return clone
@@ -206,33 +249,39 @@ class SubstrateNetwork:
         return self._delay_ms[link]
 
     def link_bandwidth_mbps(self, link: str) -> float:
-        return float(self.bandwidth_capacity[link])
+        return self._bandwidth_mbps[link]
 
     # -- allocation / release ------------------------------------------------
 
     def allocate_cpu(self, host: str, demand: Quantity) -> None:
-        self._allocate(self.residual_cpu, host, demand, InsufficientCpuError, UnknownHostError, "CPU")
+        self._allocate(self.residual_cpu, self.shadow_cpu, host, demand,
+                       InsufficientCpuError, UnknownHostError, "CPU")
 
     def release_cpu(self, host: str, amount: Quantity) -> None:
-        self._release(self.residual_cpu, self.cpu_capacity, host, amount, UnknownHostError, "CPU")
+        self._release(self.residual_cpu, self.shadow_cpu, self.cpu_capacity, host, amount,
+                      UnknownHostError, "CPU")
 
     def allocate_memory(self, host: str, demand: Quantity) -> None:
-        self._allocate(self.residual_memory, host, demand, InsufficientMemoryError, UnknownHostError, "memory")
+        self._allocate(self.residual_memory, self.shadow_memory, host, demand,
+                       InsufficientMemoryError, UnknownHostError, "memory")
 
     def release_memory(self, host: str, amount: Quantity) -> None:
-        self._release(self.residual_memory, self.memory_capacity, host, amount, UnknownHostError, "memory")
+        self._release(self.residual_memory, self.shadow_memory, self.memory_capacity, host, amount,
+                      UnknownHostError, "memory")
 
     def allocate_bandwidth(self, link: str, demand: Quantity) -> None:
-        self._allocate(self.residual_bandwidth, link, demand, InsufficientBandwidthError, UnknownLinkError, "bandwidth")
+        self._allocate(self.residual_bandwidth, self.shadow_bandwidth, link, demand,
+                       InsufficientBandwidthError, UnknownLinkError, "bandwidth")
 
     def release_bandwidth(self, link: str, amount: Quantity) -> None:
-        self._release(self.residual_bandwidth, self.bandwidth_capacity, link, amount, UnknownLinkError, "bandwidth")
+        self._release(self.residual_bandwidth, self.shadow_bandwidth, self.bandwidth_capacity, link, amount,
+                      UnknownLinkError, "bandwidth")
 
     @staticmethod
-    def _allocate(residuals, key, demand, insufficient_error, unknown_error, what):
+    def _allocate(residuals, shadows, key, demand, insufficient_error, unknown_error, what):
         if key not in residuals:
             raise unknown_error(f"unknown {what} target {key!r}")
-        amount = Fraction(demand)
+        amount = demand if type(demand) is Fraction else Fraction(demand)
         if amount <= 0:
             raise ValueError(f"{what} demand must be positive, got {demand}")
         if residuals[key] < amount:
@@ -240,12 +289,13 @@ class SubstrateNetwork:
                 f"{key!r}: requested {float(amount):g} {what}, residual {float(residuals[key]):g}"
             )
         residuals[key] -= amount
+        shadows[key] = float(residuals[key])
 
     @staticmethod
-    def _release(residuals, capacities, key, amount, unknown_error, what):
+    def _release(residuals, shadows, capacities, key, amount, unknown_error, what):
         if key not in residuals:
             raise unknown_error(f"unknown {what} target {key!r}")
-        quantity = Fraction(amount)
+        quantity = amount if type(amount) is Fraction else Fraction(amount)
         if quantity <= 0:
             raise ValueError(f"{what} release must be positive, got {amount}")
         if residuals[key] + quantity > capacities[key]:
@@ -254,6 +304,7 @@ class SubstrateNetwork:
                 f"{float(capacities[key]):g}"
             )
         residuals[key] += quantity
+        shadows[key] = float(residuals[key])
 
     def residual_snapshot(self) -> tuple[dict, dict, dict]:
         """Copies of all three residual maps, for exact state comparisons."""

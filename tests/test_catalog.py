@@ -87,6 +87,19 @@ def test_catalog_lookup_and_default_scale():
     assert vnf.cpu_per_request == 0.05
 
 
+def test_catalog_lookup_table_leaves_equality_unchanged():
+    def build():
+        return Catalog((VNFDescriptor("a", 0.05, 2.0, 16.0), VNFDescriptor("b", 0.1, 1.0, 8.0)))
+
+    first, second = build(), build()
+    assert first == second and hash(first) == hash(second)
+    assert repr(first) == "Catalog(vnfs=" + repr(first.vnfs) + ")"
+    assert first != Catalog(tuple(reversed(first.vnfs)))
+    assert first.get("b") is first.vnfs[1]
+    with pytest.raises(UnknownVnfTypeError):
+        first.get("c")
+
+
 @pytest.mark.parametrize(
     "segments",
     [

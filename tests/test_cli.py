@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -192,3 +193,48 @@ def test_ga_solve_with_parallel_flag(scenario_dir, tmp_path, capsys):
     code = run_cli("solve", "--config", str(scenario_dir / "ga_small.json"), "--parallel", "4", "--quiet")
     assert code == 0
     assert "acceptance_ratio=1.0" in capsys.readouterr().out
+
+
+def _edited_exp1(scenario_dir, tmp_path, edit):
+    data = json.loads((scenario_dir / "exp1.json").read_text())
+    edit(data)
+    for companion in ("catalog.json", "sfcrs.json"):
+        (tmp_path / companion).write_text((scenario_dir / companion).read_text())
+    target = tmp_path / "edited.json"
+    target.write_text(json.dumps(data))  # writes NaN and Infinity as json.loads reads them
+    return str(target)
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize(
+    "edit,needle",
+    [
+        (lambda d: d["network"]["hosts"][0].update(memory_mb=float("nan")), "memory_mb must be a finite number"),
+        (lambda d: d["network"]["hosts"][0].update(cpus=float("inf")), "cpus must be a finite number"),
+        (lambda d: d["network"]["hosts"][0].update(memory_mb=10**400), "memory_mb is beyond the float range"),
+        (lambda d: d["network"]["links"][0].update(bandwidth_mbps=float("inf")), "bandwidth_mbps must be a finite"),
+        (lambda d: d["engine"].update(duration_s=float("inf")), "duration_s must be a finite number"),
+        (lambda d: d["engine"].update(jitter_sigma=0.6), r"jitter_sigma must be in \[0, 1/3\)"),
+        (lambda d: d["solver"].update(ga={"population": float("inf")}), "population must be a finite number"),
+        (lambda d: d.update(catalog={"vnfs": [{"name": "firewall", "cpu_per_request": float("nan"),
+                                               "base_service_time_ms": 1, "memory_mb": 1}]}),
+         "cpu_per_request must be a finite number"),
+    ],
+)
+def test_unusable_numbers_are_one_line_config_errors(scenario_dir, tmp_path, capsys, command, edit, needle):
+    config = _edited_exp1(scenario_dir, tmp_path, edit)
+    extra = ["--output-dir", str(tmp_path / "out")] if command == "run" else []
+    assert run_cli(command, "--config", config, *extra) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: ") and err.count("\n") == 1
+    assert re.search(needle, err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_nonfinite_rate_in_sfcr_templates_is_config_error(scenario_dir, tmp_path, capsys):
+    sfcrs = json.loads((scenario_dir / "sfcrs.json").read_text())
+    sfcrs["sfcrs"][0]["traffic"] = [{"start_s": 0, "end_s": 1, "rps": float("inf")}]
+    config = _edited_exp1(scenario_dir, tmp_path, lambda d: d.update(sfcrs=sfcrs))
+    assert run_cli("validate", "--config", config) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: sfcrs: ") and "rps must be a finite number" in err

@@ -68,6 +68,8 @@ def test_header_construction_validates(sfc_id, chain):
         {"idle_spike_prob": 1.5},
         {"idle_spike_range": (0.2, 0.1)},
         {"idle_spike_range": (-0.1, 0.1)},
+        {"jitter_sigma": 1 / 3},  # truncation at 1 - 3 sigma would allow a zero or negative latency
+        {"jitter_sigma": 0.6},
     ],
 )
 def test_engine_config_validation(overrides):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -119,3 +120,18 @@ def test_returned_path_never_uses_filtered_links():
 def test_path_shape_validated():
     with pytest.raises(ValueError):
         Path(("A", "B"), (), 0.0)
+
+
+def test_link_a_hair_below_the_floor_is_invisible():
+    """A residual of 10 - 2^-80 Mbps is 10.0 as a float but still below a 10 Mbps floor."""
+    net = build_network(spec_of(
+        [("A", 1, 64), ("B", 1, 64), ("C", 1, 64)],
+        [("A", "B", 10, 1.0), ("A", "C", 10, 1.0), ("C", "B", 10, 1.0)],
+    ))
+    net.allocate_bandwidth("A--B", Fraction(1, 2**80))
+    assert net.shadow_bandwidth["A--B"] == 10.0
+    assert shortest_path(net, "A", "B", 10.0).nodes == ("A", "C", "B")
+    net.allocate_bandwidth("A--C", Fraction(1, 2**80))
+    with pytest.raises(NoPathError):
+        shortest_path(net, "A", "B", 10.0)
+    assert shortest_path(net, "A", "B", 9.0).nodes == ("A", "B")

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from rasesim.catalog import Catalog, VNFDescriptor
 from rasesim.solver import (
     EmbeddingScheme,
     EmptyInputError,
@@ -258,3 +259,44 @@ def test_rejection_outcomes_are_recorded_not_raised():
     assert [o.sfcr_id for o in scheme.outcomes] == ["impossible", "fine"]
     assert isinstance(scheme.outcomes[0], SfcRejection)
     assert isinstance(scheme.outcomes[1], SfcPlacement)
+
+
+# -- exact ties between float shadows ------------------------------------------
+
+
+def one_cpu_host_spec():
+    return spec_of([("h1", 1, 64)], [("sw", "h1", 10, 0.1)], switches=("sw",), ingress="sw", egress="h1")
+
+
+@pytest.mark.parametrize("cpu_per_request,rps,accepted", [(0.01, 100.0, False), (0.25, 4.0, True)])
+def test_cpu_demand_a_hair_over_capacity_is_rejected(cpu_per_request, rps, accepted):
+    """0.01 CPU-s at 100 rps is 1 + ~2e-17 CPUs exactly but 1.0 as a float; 0.25 at 4 rps is exactly 1."""
+    catalog = Catalog((VNFDescriptor("v", cpu_per_request, 1.0, 0.0),))
+    request = sfcr("r1", ["v"], rps=rps)
+    demand = vnf_cpu_demand(catalog, request, 0)
+    assert float(demand) == 1.0 and (demand > 1) != accepted
+    greedy = solve_simple_dijkstra(build_network(one_cpu_host_spec()), [request], catalog)
+    decoded = decode_chromosome(build_network(one_cpu_host_spec()), [request], catalog, ("h1",))
+    for scheme in (greedy, decoded):
+        if accepted:
+            assert scheme.accept_flags() == [True]
+        else:
+            assert scheme.outcomes == (SfcRejection("r1", "NoFeasibleHost(position=0)"),)
+
+
+def test_greedy_max_residual_tie_is_broken_exactly():
+    """h1's residual CPU is 2^-80 below h2's: the floats tie, the exact values do not."""
+    net = build_network(star_net(host_count=2, cpus=2))
+    net.allocate_cpu("h1", Fraction(1, 2**80))
+    assert net.shadow_cpu["h1"] == net.shadow_cpu["h2"]
+    scheme = solve_simple_dijkstra(net, [sfcr("r1", ["alpha"], rps=1.0)], small_catalog())
+    assert scheme.accepted()[0].hosts == ("h2",)
+
+
+def test_cpu_demand_beyond_the_float_range_is_rejected_not_raised():
+    """1e200 CPU-s at 1e200 rps has no float value; its shadow is infinity."""
+    catalog = Catalog((VNFDescriptor("v", 1e200, 1.0, 0.0),))
+    request = sfcr("r1", ["v"], rps=1e200)
+    for scheme in (solve_simple_dijkstra(build_network(one_cpu_host_spec()), [request], catalog),
+                   decode_chromosome(build_network(one_cpu_host_spec()), [request], catalog, ("h1",))):
+        assert scheme.outcomes == (SfcRejection("r1", "NoFeasibleHost(position=0)"),)

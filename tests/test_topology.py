@@ -15,6 +15,7 @@ from rasesim.topology import (
     UnknownHostError,
     UnknownLinkError,
     build_network,
+    exact_less,
 )
 
 from helpers import spec_of
@@ -152,16 +153,52 @@ def test_nonpositive_amounts_rejected(two_host_net):
         two_host_net.release_cpu("h1", -1)
 
 
+def assert_shadows_exact(net):
+    for residuals, shadows in ((net.residual_cpu, net.shadow_cpu),
+                               (net.residual_memory, net.shadow_memory),
+                               (net.residual_bandwidth, net.shadow_bandwidth)):
+        assert shadows.keys() == residuals.keys()
+        for key, value in residuals.items():
+            assert type(shadows[key]) is float and shadows[key] == float(value)
+
+
+def test_exact_less_agrees_with_fraction_order():
+    """Near-equal pairs, many a fraction of an ulp apart, order exactly as Fractions do."""
+    rng = random.Random(11)
+    for _ in range(2000):
+        a = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+        b = a + Fraction(rng.randint(-3, 3), 2 ** rng.randint(40, 90))
+        assert exact_less(float(a), float(b), a, b) == (a < b)
+        assert exact_less(float(b), float(a), b, a) == (b < a)
+
+
+def test_shadow_ties_are_resolved_exactly(two_host_net):
+    two_host_net.allocate_bandwidth("h1--h2", Fraction(1, 2**80))
+    residual = two_host_net.residual_bandwidth["h1--h2"]
+    assert two_host_net.shadow_bandwidth["h1--h2"] == 100.0
+    assert exact_less(two_host_net.shadow_bandwidth["h1--h2"], 100.0, residual, Fraction(100))
+    assert not exact_less(100.0, two_host_net.shadow_bandwidth["h1--h2"], Fraction(100), residual)
+
+
+def test_link_bandwidth_is_the_spec_capacity(two_host_net):
+    two_host_net.allocate_bandwidth("h1--h2", 30)
+    assert two_host_net.link_bandwidth_mbps("h1--h2") == 100.0
+    assert type(two_host_net.link_bandwidth_mbps("h1--h2")) is float
+
+
 def test_copy_is_independent(two_host_net):
     clone = two_host_net.copy()
     clone.allocate_cpu("h1", 1.5)
     assert two_host_net.residual_cpu["h1"] == Fraction(2)
     assert clone.residual_cpu["h1"] == Fraction(1, 2)
+    assert two_host_net.shadow_cpu["h1"] == 2.0
+    assert clone.shadow_cpu["h1"] == 0.5
 
 
 def test_random_interleavings_respect_bounds_and_restore():
     """Any allocate/release interleaving with matched releases keeps residuals
-    in [0, capacity] and ends exactly where it started."""
+    in [0, capacity], keeps every float shadow equal to float(residual), also
+    in copies, and ends exactly where it started."""
     rng = random.Random(20240917)
     for _ in range(300):
         net = build_network(spec_of([("h1", 3, 256), ("h2", 2, 128)], [("h1", "h2", 50, 0.5)]))
@@ -188,6 +225,11 @@ def test_random_interleavings_respect_bounds_and_restore():
             ):
                 for key, value in residuals.items():
                     assert 0 <= value <= capacities[key]
+            assert_shadows_exact(net)
+        clone = net.copy()
+        assert_shadows_exact(clone)
         for kind, key, amount in outstanding:
             getattr(net, f"release_{kind}")(key, amount)
         assert net.residual_snapshot() == initial
+        assert_shadows_exact(net)
+        assert_shadows_exact(clone)
