@@ -19,10 +19,6 @@ from .catalog import (
 )
 from .engine import (
     EngineConfig,
-    SfcHeader,
-    decode_sfc_header,
-    encode_sfc_header,
-    host_utilization,
     sfc_latency,
     simulate,
 )

@@ -260,19 +260,17 @@ def default_sfcr_templates() -> tuple[SFCRequest, ...]:
     return parse_sfcr_templates(text)
 
 
-def generate_sfcrs(templates, duplicates: int, seed: int) -> list[SFCRequest]:
+def generate_sfcrs(templates, duplicates: int) -> list[SFCRequest]:
     """Expand templates into duplicates-many copies each.
 
     Copy i of template t is named "<t.sfcr_id>-<i>" (1-based); output order is
-    template-major, then copy index. Generation is currently deterministic;
-    the seed is carried only as provenance for future demand jitter.
+    template-major, then copy index. Generation is deterministic.
     """
     templates = list(templates)
     if not templates:
         raise ValueError("templates must be non-empty")
     if duplicates < 0:
         raise ValueError("duplicates must be >= 0")
-    del seed  # reserved; see docstring
     out = []
     for template in templates:
         for i in range(1, duplicates + 1):

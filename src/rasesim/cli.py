@@ -17,18 +17,16 @@ from pathlib import Path
 
 from .errors import ConfigError, RaseSimError
 from .experiment import (
-    cpu_csv,
+    csv_files,
     generate_requests,
     histogram_csv,
-    latency_csv,
     load_config,
-    outcomes_csv,
     read_report,
     resolve_output_dir,
     run_experiment,
     run_solver,
     template_to_dict,
-    trace_csv,
+    write_atomically,
     write_report,
 )
 from .seeding import derive_seed
@@ -145,33 +143,23 @@ def _cmd_generate(args) -> int:
     cfg = load_config(args.config, seed_override=args.seed)
     sfcrs = generate_requests(cfg)
     directory = resolve_output_dir(cfg, _pinned_output_dir(args))
-    directory.mkdir(parents=True, exist_ok=True)
-    target = directory / "sfcrs_generated.json"
     payload = {
         "seed": derive_seed(cfg.seed, "sfcrs"),
         "sfcrs": [template_to_dict(s) for s in sfcrs],
     }
-    target.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", "utf-8")
-    _say(args, f"wrote {target}")
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    for target in write_atomically(directory, {"sfcrs_generated.json": text}):
+        _say(args, f"wrote {target}")
     return 0
 
 
 def _cmd_report(args) -> int:
     report_path = Path(args.report)
     report = read_report(report_path)
-    directory = Path(_pinned_output_dir(args) or report_path.parent)
-    directory.mkdir(parents=True, exist_ok=True)
-    files = {
-        "outcomes.csv": outcomes_csv(report),
-        "latency.csv": latency_csv(report),
-        "cpu.csv": cpu_csv(report),
-        "histogram.csv": histogram_csv(report, args.bin_width),
-    }
-    if report.trace is not None:
-        files["trace.csv"] = trace_csv(report)
-    for name, content in files.items():
-        target = directory / name
-        target.write_text(content, "utf-8")
+    directory = _pinned_output_dir(args) or report_path.parent
+    files = csv_files(report)
+    files["histogram.csv"] = histogram_csv(report, args.bin_width)
+    for target in write_atomically(directory, files):
         _say(args, f"wrote {target}")
     return 0
 

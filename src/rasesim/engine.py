@@ -10,9 +10,10 @@ in reverse; VNFs process the forward direction only.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .catalog import Catalog, SFCRequest
 from .errors import RaseSimError
@@ -22,14 +23,10 @@ from .topology import SubstrateNetwork
 
 __all__ = [
     "EngineError",
-    "MalformedHeaderError",
     "NotAcceptedError",
     "InconsistentSchemeError",
-    "SfcHeader",
     "EngineConfig",
-    "encode_sfc_header",
-    "decode_sfc_header",
-    "host_utilization",
+    "MAX_FRAMES",
     "sfc_latency",
     "simulate",
 ]
@@ -39,42 +36,12 @@ class EngineError(RaseSimError):
     stage = "engine"
 
 
-class MalformedHeaderError(EngineError):
-    """Wire string does not parse as an SFC header."""
-
-
 class NotAcceptedError(EngineError):
     """Latency requested for an SFC that was not embedded."""
 
 
-@dataclass(frozen=True)
-class SfcHeader:
-    """SFC id plus the VNF sequence, as carried in the HTTP header."""
-
-    sfc_id: str
-    chain: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.sfc_id or ";" in self.sfc_id or "," in self.sfc_id:
-            raise MalformedHeaderError(f"invalid sfc_id {self.sfc_id!r}")
-        if not self.chain:
-            raise MalformedHeaderError("chain must not be empty")
-        for entry in self.chain:
-            if not entry or "," in entry:
-                raise MalformedHeaderError(f"invalid chain entry {entry!r}")
-
-
-def encode_sfc_header(header: SfcHeader) -> str:
-    """Wire format: `<sfc_id>;<vnf1>,<vnf2>,...` (ASCII)."""
-    return f"{header.sfc_id};{','.join(header.chain)}"
-
-
-def decode_sfc_header(wire: str) -> SfcHeader:
-    """Inverse of encode_sfc_header; rejects anything the encoder cannot emit."""
-    sfc_id, separator, rest = wire.partition(";")
-    if not separator:
-        raise MalformedHeaderError(f"missing ';' in header {wire!r}")
-    return SfcHeader(sfc_id, tuple(rest.split(",")))
+# a frame per tick is kept in memory and in the report, so the tick count is bounded
+MAX_FRAMES = 100_000
 
 
 @dataclass(frozen=True)
@@ -88,8 +55,18 @@ class EngineConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # NaN fails every comparison below quietly, so finiteness is checked first
+        for name in ("duration_s", "sample_interval_s", "utilization_cap", "jitter_sigma",
+                     "idle_spike_prob"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)}")
+        if not all(math.isfinite(bound) for bound in self.idle_spike_range):
+            raise ValueError(f"idle_spike_range must be finite, got {self.idle_spike_range}")
         if self.sample_interval_s <= 0 or self.sample_interval_s > self.duration_s:
             raise ValueError("need 0 < sample_interval_s <= duration_s")
+        if self.ticks > MAX_FRAMES:
+            raise ValueError(f"duration_s / sample_interval_s gives {self.ticks} frames; "
+                             f"at most {MAX_FRAMES} are allowed")
         if not 0 < self.utilization_cap < 1:
             raise ValueError("utilization_cap must be in (0, 1)")
         # the jitter multiplier is truncated at 1 - 3 sigma, which must stay positive
@@ -101,21 +78,10 @@ class EngineConfig:
         if not 0 <= low <= high <= 1:
             raise ValueError("idle_spike_range must satisfy 0 <= low <= high <= 1")
 
-
-def host_utilization(placements: Iterable[tuple[str, float]], catalog: Catalog, cpus: float,
-                     cap: float = 0.99) -> tuple[float, bool]:
-    """Utilization of one host from (vnf type, request rate) pairs.
-
-    Returns (utilization capped at `cap`, saturated flag); the flag is set
-    when the uncapped value reaches 1.
-    """
-    raw = 0.0
-    for vnf_name, rate in placements:
-        if rate < 0:
-            raise ValueError(f"negative request rate {rate} for {vnf_name!r}")
-        raw += rate * catalog.get(vnf_name).cpu_per_request
-    raw /= cpus
-    return min(cap, raw), raw >= 1.0
+    @property
+    def ticks(self) -> int:
+        """Number of sampling ticks, one telemetry frame each."""
+        return int(self.duration_s / self.sample_interval_s + 1e-9)
 
 
 def _segment_payload_bits(sfcr: SFCRequest, catalog: Catalog) -> list[float]:
@@ -194,9 +160,8 @@ def simulate(net: SubstrateNetwork, scheme: EmbeddingScheme, sfcrs: Sequence[SFC
 
     cpus = {h.id: float(h.cpus) for h in net.spec.hosts}
     frames: list[TelemetryFrame] = []
-    ticks = int(cfg.duration_s / cfg.sample_interval_s + 1e-9)
     low, high = cfg.idle_spike_range
-    for tick in range(ticks):
+    for tick in range(cfg.ticks):
         t = tick * cfg.sample_interval_s
         rates = {s.sfcr_id: s.offered_load.rate_at(t) for s in sfcrs}
         true_cpu: dict[str, float] = {}

@@ -11,11 +11,12 @@ stay reproducible.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from datetime import datetime
 from io import StringIO
 from pathlib import Path
@@ -43,7 +44,6 @@ from .solver import (
     decode_chromosome,
     ga_solve,
     solve_simple_dijkstra,
-    verify_scheme,
 )
 from .telemetry import TelemetryFrame, mean_latency
 from .topology import HostSpec, LinkSpec, NetworkSpec, SubstrateNetwork, TopologyError, build_network
@@ -258,7 +258,7 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
 
     network = _parse_network(data["network"])
     try:
-        build_network(network)
+        network.validate()
     except TopologyError as exc:
         raise ConfigError(f"network: {exc}") from None
 
@@ -287,44 +287,51 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
                             output, seed, digest)
 
 
+@functools.cache
+def _compared_fields(kind: type) -> tuple[str, ...]:
+    """Names of a dataclass's compare=True fields; TypeError for any other type.
+
+    A compare=False field (the report's solve_seconds) describes the run,
+    not its results, so it is neither serialized nor digested.
+    """
+    return tuple(f.name for f in fields(kind) if f.compare)
+
+
+def _field_dict(obj) -> dict:
+    """A dataclass instance's compared fields by name; the values are shared, not copied."""
+    return {name: getattr(obj, name) for name in _compared_fields(type(obj))}
+
+
+def _jsonable(value):
+    """Dataclasses as field dicts and tuples as lists, recursively; dicts and scalars are shared.
+
+    Unlike dataclasses.asdict nothing is deep-copied, which matters for a
+    report's frames.
+    """
+    if type(value) is tuple:
+        return [_jsonable(item) for item in value]
+    if not is_dataclass(value):
+        return value
+    return {name: _jsonable(item) for name, item in _field_dict(value).items()}
+
+
 def _config_digest(network, catalog, templates, duplicates, solver, engine, seed) -> str:
-    """Digest of everything that determines results; output settings excluded."""
+    """Digest of everything that determines results; output settings excluded.
+
+    The engine's own seed is left out: a run derives it from the config seed.
+    """
+    engine_fields = _field_dict(engine)
+    del engine_fields["seed"]
     payload = {
-        "network": {
-            "hosts": [{"id": h.id, "cpus": h.cpus, "memory_mb": h.memory_mb} for h in network.hosts],
-            "switches": list(network.switches),
-            "links": [
-                {"endpoint_a": l.endpoint_a, "endpoint_b": l.endpoint_b,
-                 "bandwidth_mbps": l.bandwidth_mbps, "propagation_delay_ms": l.propagation_delay_ms}
-                for l in network.links
-            ],
-            "ingress_node": network.ingress_node,
-            "egress_host": network.egress_host,
-        },
-        "catalog": [
-            {"name": v.name, "cpu_per_request": v.cpu_per_request,
-             "base_service_time_ms": v.base_service_time_ms, "memory_mb": v.memory_mb,
-             "bandwidth_scale": v.bandwidth_scale}
-            for v in catalog
-        ],
+        "network": network,
+        "catalog": catalog.vnfs,
         "sfcrs": [template_to_dict(t) for t in templates],
         "duplicates": duplicates,
-        "solver": {
-            "kind": solver.kind,
-            "ga": {
-                "population": solver.ga.population, "generations": solver.ga.generations,
-                "tournament_k": solver.ga.tournament_k, "crossover_rate": solver.ga.crossover_rate,
-                "mutation_rate": solver.ga.mutation_rate, "elitism": solver.ga.elitism,
-            },
-        },
-        "engine": {
-            "duration_s": engine.duration_s, "sample_interval_s": engine.sample_interval_s,
-            "utilization_cap": engine.utilization_cap, "jitter_sigma": engine.jitter_sigma,
-            "idle_spike_prob": engine.idle_spike_prob, "idle_spike_range": list(engine.idle_spike_range),
-        },
+        "solver": solver,
+        "engine": engine_fields,
         "seed": seed,
     }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=_field_dict)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -363,10 +370,10 @@ def build_ga_evaluator(base_net: SubstrateNetwork, sfcrs, catalog: Catalog, engi
 
 
 def generate_requests(cfg: ExperimentConfig) -> list[SFCRequest]:
-    """The run's SFCR list, expanded from templates with the derived seed."""
+    """The run's SFCR list, expanded from the templates."""
     if cfg.duplicates == 0:
         return []
-    return generate_sfcrs(cfg.templates, cfg.duplicates, derive_seed(cfg.seed, "sfcrs"))
+    return generate_sfcrs(cfg.templates, cfg.duplicates)
 
 
 def run_solver(cfg: ExperimentConfig, net: SubstrateNetwork, sfcrs, parallel: int = 1):
@@ -390,7 +397,7 @@ def run_experiment(cfg: ExperimentConfig, parallel: int = 1) -> ExperimentReport
     net = build_network(cfg.network)
     scheme, trace, solve_seconds = run_solver(cfg, net, sfcrs, parallel)
 
-    verify_scheme(cfg.network, sfcrs, cfg.catalog, scheme)
+    # simulate verifies the scheme against the spec before it runs
     engine_cfg = replace(cfg.engine, seed=derive_seed(cfg.seed, "engine"))
     frames = simulate(net, scheme, sfcrs, cfg.catalog, engine_cfg)
 
@@ -422,79 +429,25 @@ def resolve_output_dir(cfg: ExperimentConfig, pinned: str | None) -> Path:
 # -- report serialization ------------------------------------------------------
 
 
-def _fitness_to_dict(fitness: Fitness) -> dict:
-    return {"acceptance_ratio": fitness.acceptance_ratio, "mean_latency_ms": fitness.mean_latency_ms}
-
-
-def _fitness_from_dict(data: dict) -> Fitness:
-    return Fitness(data["acceptance_ratio"], data["mean_latency_ms"])
-
-
 def report_to_dict(report: ExperimentReport) -> dict:
     """JSON-ready form of a report; solve_seconds is deliberately omitted."""
-    return {
-        "config_digest": report.config_digest,
-        "acceptance_ratio": report.acceptance_ratio,
-        "mean_latency_ms": report.mean_latency_ms,
-        "outcomes": [
-            {"sfcr_id": o.sfcr_id, "accepted": o.accepted, "reason": o.reason}
-            for o in report.outcomes
-        ],
-        "frames": [
-            {"timestamp_s": f.timestamp_s, "host_cpu": f.host_cpu,
-             "link_bw_mbps": f.link_bw_mbps, "sfc_latency_ms": f.sfc_latency_ms}
-            for f in report.frames
-        ],
-        "trace": None if report.trace is None else [
-            {
-                "generation": g.generation,
-                "fitnesses": [_fitness_to_dict(f) for f in g.fitnesses],
-                "mean_acceptance": g.mean_acceptance,
-                "min_acceptance": g.min_acceptance,
-                "max_acceptance": g.max_acceptance,
-                "mean_latency_ms": g.mean_latency_ms,
-                "min_latency_ms": g.min_latency_ms,
-                "max_latency_ms": g.max_latency_ms,
-                "best": list(g.best),
-                "best_fitness": _fitness_to_dict(g.best_fitness),
-            }
-            for g in report.trace
-        ],
-    }
+    return _jsonable(report)
 
 
 def report_from_dict(data: dict) -> ExperimentReport:
-    outcomes = tuple(SfcOutcome(o["sfcr_id"], o["accepted"], o["reason"]) for o in data["outcomes"])
-    frames = tuple(
-        TelemetryFrame(f["timestamp_s"], dict(f["host_cpu"]), dict(f["link_bw_mbps"]),
-                       dict(f["sfc_latency_ms"]))
-        for f in data["frames"]
-    )
-    trace = None
-    if data["trace"] is not None:
+    trace = data["trace"]
+    if trace is not None:
         trace = tuple(
-            GenerationStats(
-                generation=g["generation"],
-                fitnesses=tuple(_fitness_from_dict(f) for f in g["fitnesses"]),
-                mean_acceptance=g["mean_acceptance"],
-                min_acceptance=g["min_acceptance"],
-                max_acceptance=g["max_acceptance"],
-                mean_latency_ms=g["mean_latency_ms"],
-                min_latency_ms=g["min_latency_ms"],
-                max_latency_ms=g["max_latency_ms"],
-                best=tuple(g["best"]),
-                best_fitness=_fitness_from_dict(g["best_fitness"]),
-            )
-            for g in data["trace"]
+            GenerationStats(**{**g, "fitnesses": tuple(Fitness(**f) for f in g["fitnesses"]),
+                               "best": tuple(g["best"]), "best_fitness": Fitness(**g["best_fitness"])})
+            for g in trace
         )
-    return ExperimentReport(
-        config_digest=data["config_digest"],
-        outcomes=outcomes,
-        acceptance_ratio=data["acceptance_ratio"],
-        mean_latency_ms=data["mean_latency_ms"],
-        frames=frames,
-        trace=trace,
-    )
+    return ExperimentReport(**{
+        **data,
+        "outcomes": tuple(SfcOutcome(**o) for o in data["outcomes"]),
+        "frames": tuple(TelemetryFrame(**f) for f in data["frames"]),
+        "trace": trace,
+    })
 
 
 def read_report(path) -> ExperimentReport:
@@ -505,7 +458,10 @@ def read_report(path) -> ExperimentReport:
         raise IoError(f"cannot read report {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise IoError(f"{path}: invalid report JSON: {exc}") from None
-    return report_from_dict(data)
+    try:
+        return report_from_dict(data)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise IoError(f"{path}: malformed report: {type(exc).__name__}: {exc}") from None
 
 
 def _csv_text(header: list[str], rows) -> str:
@@ -569,18 +525,24 @@ def histogram_csv(report: ExperimentReport, bin_width_ms: float) -> str:
     return _csv_text(["sfc_id", "bin_lower_ms", "count"], rows)
 
 
-def write_report(report: ExperimentReport, directory, formats=("json", "csv")) -> list[Path]:
-    """Write report files; every file lands atomically or not at all."""
+def csv_files(report: ExperimentReport) -> dict[str, str]:
+    """A report's CSV files by name; trace.csv only for a GA run."""
+    files = {
+        "outcomes.csv": outcomes_csv(report),
+        "latency.csv": latency_csv(report),
+        "cpu.csv": cpu_csv(report),
+    }
+    if report.trace is not None:
+        files["trace.csv"] = trace_csv(report)
+    return files
+
+
+def write_atomically(directory, files: dict[str, str]) -> list[Path]:
+    """Write name -> text files into directory, each through a temporary file and os.replace.
+
+    A file lands whole or not at all; a reader never sees a partial one.
+    """
     directory = Path(directory)
-    files: dict[str, str] = {}
-    if "json" in formats:
-        files[REPORT_FILENAME] = json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n"
-    if "csv" in formats:
-        files["outcomes.csv"] = outcomes_csv(report)
-        files["latency.csv"] = latency_csv(report)
-        files["cpu.csv"] = cpu_csv(report)
-        if report.trace is not None:
-            files["trace.csv"] = trace_csv(report)
     try:
         directory.mkdir(parents=True, exist_ok=True)
         written = []
@@ -591,5 +553,15 @@ def write_report(report: ExperimentReport, directory, formats=("json", "csv")) -
             os.replace(temp, target)
             written.append(target)
     except OSError as exc:
-        raise IoError(f"cannot write report into {directory}: {exc}") from None
+        raise IoError(f"cannot write into {directory}: {exc}") from None
     return sorted(written)
+
+
+def write_report(report: ExperimentReport, directory, formats=("json", "csv")) -> list[Path]:
+    """Write report files; every file lands atomically or not at all."""
+    files: dict[str, str] = {}
+    if "json" in formats:
+        files[REPORT_FILENAME] = json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n"
+    if "csv" in formats:
+        files.update(csv_files(report))
+    return write_atomically(directory, files)

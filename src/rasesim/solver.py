@@ -105,18 +105,6 @@ class Fitness:
         latency = -self.mean_latency_ms if self.mean_latency_ms is not None else float("-inf")
         return (self.acceptance_ratio, latency)
 
-    def __lt__(self, other: "Fitness") -> bool:
-        return self.sort_key() < other.sort_key()
-
-    def __le__(self, other: "Fitness") -> bool:
-        return self.sort_key() <= other.sort_key()
-
-    def __gt__(self, other: "Fitness") -> bool:
-        return self.sort_key() > other.sort_key()
-
-    def __ge__(self, other: "Fitness") -> bool:
-        return self.sort_key() >= other.sort_key()
-
 
 def compare_fitness(a: Fitness, b: Fitness) -> int:
     """-1, 0, or 1 as a is worse than, equal to, or better than b."""

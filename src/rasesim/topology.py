@@ -286,7 +286,7 @@ class SubstrateNetwork:
             raise ValueError(f"{what} demand must be positive, got {demand}")
         if residuals[key] < amount:
             raise insufficient_error(
-                f"{key!r}: requested {float(amount):g} {what}, residual {float(residuals[key]):g}"
+                f"{key!r}: requested {shadow(amount):g} {what}, residual {shadow(residuals[key]):g}"
             )
         residuals[key] -= amount
         shadows[key] = float(residuals[key])
@@ -300,8 +300,8 @@ class SubstrateNetwork:
             raise ValueError(f"{what} release must be positive, got {amount}")
         if residuals[key] + quantity > capacities[key]:
             raise OverReleaseError(
-                f"{key!r}: releasing {float(quantity):g} {what} would exceed capacity "
-                f"{float(capacities[key]):g}"
+                f"{key!r}: releasing {shadow(quantity):g} {what} would exceed capacity "
+                f"{shadow(capacities[key]):g}"
             )
         residuals[key] += quantity
         shadows[key] = float(residuals[key])

@@ -163,21 +163,21 @@ def test_parse_sfcr_templates_errors():
 
 def test_generate_counts_match_duplication_table():
     templates = [sfcr(f"t{i}", ["x"]) for i in range(4)]
-    assert len(generate_sfcrs(templates, 1, seed=0)) == 4
-    assert len(generate_sfcrs(templates, 8, seed=0)) == 32
-    assert generate_sfcrs(templates, 0, seed=0) == []
+    assert len(generate_sfcrs(templates, 1)) == 4
+    assert len(generate_sfcrs(templates, 8)) == 32
+    assert generate_sfcrs(templates, 0) == []
 
 
 def test_generate_ordering_is_template_major():
     templates = [sfcr("a", ["x"]), sfcr("b", ["x"])]
-    ids = [s.sfcr_id for s in generate_sfcrs(templates, 3, seed=1)]
+    ids = [s.sfcr_id for s in generate_sfcrs(templates, 3)]
     assert ids == ["a-1", "a-2", "a-3", "b-1", "b-2", "b-3"]
 
 
 def test_generate_is_deterministic_and_ids_unique():
     templates = [sfcr("a", ["x", "y"]), sfcr("b", ["z"])]
-    first = generate_sfcrs(templates, 5, seed=123)
-    second = generate_sfcrs(templates, 5, seed=123)
+    first = generate_sfcrs(templates, 5)
+    second = generate_sfcrs(templates, 5)
     assert first == second
     ids = [s.sfcr_id for s in first]
     assert len(set(ids)) == len(ids)
@@ -189,15 +189,15 @@ def test_generate_size_property():
         template_count = rng.randint(1, 6)
         duplicates = rng.randint(0, 9)
         templates = [sfcr(f"t{i}", ["x"]) for i in range(template_count)]
-        generated = generate_sfcrs(templates, duplicates, seed=rng.randrange(2**30))
+        generated = generate_sfcrs(templates, duplicates)
         assert len(generated) == template_count * duplicates
 
 
 def test_generate_rejects_empty_templates():
     with pytest.raises(ValueError):
-        generate_sfcrs([], 1, seed=0)
+        generate_sfcrs([], 1)
     with pytest.raises(ValueError):
-        generate_sfcrs([sfcr("a", ["x"])], -1, seed=0)
+        generate_sfcrs([sfcr("a", ["x"])], -1)
 
 
 def test_direct_catalog_construction_checks_duplicates():

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -177,6 +178,46 @@ def test_report_missing_file_exits_2(tmp_path, capsys):
     assert "error: io:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [{"config_digest": "x"}, [1, 2]])
+def test_malformed_report_is_one_line_io_error(tmp_path, capsys, content):
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(content))
+    assert run_cli("report", "--report", str(report), "--output-dir", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: io: ") and err.count("\n") == 1
+    assert "malformed report" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_generate_and_report_replace_each_file_atomically(exp1, tmp_path, monkeypatch):
+    assert run_cli("run", "--config", exp1, "--output-dir", str(tmp_path), "--quiet") == 0
+    replaced = []
+    real_replace = os.replace
+
+    def recording(source, target):
+        replaced.append(os.path.basename(target))
+        real_replace(source, target)
+
+    monkeypatch.setattr(os, "replace", recording)
+    assert run_cli("report", "--report", str(tmp_path / "report.json"), "--quiet") == 0
+    assert run_cli("generate", "--config", exp1, "--output-dir", str(tmp_path), "--quiet") == 0
+    assert sorted(replaced) == ["cpu.csv", "histogram.csv", "latency.csv", "outcomes.csv",
+                                "sfcrs_generated.json"]
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("command", ["generate", "report"])
+def test_generate_and_report_unwritable_output_dir_exit_2(exp1, tmp_path, capsys, command):
+    assert run_cli("run", "--config", exp1, "--output-dir", str(tmp_path / "run"), "--quiet") == 0
+    blocker = tmp_path / "blocked"
+    blocker.write_text("a file where a directory must go")
+    source = (["--config", exp1] if command == "generate"
+              else ["--report", str(tmp_path / "run" / "report.json")])
+    assert run_cli(command, *source, "--output-dir", str(blocker), "--quiet") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: io: ") and err.count("\n") == 1
+
+
 def test_unwritable_output_dir_exits_2(exp1, tmp_path, capsys):
     blocker = tmp_path / "blocked"
     blocker.write_text("a file where a directory must go")
@@ -219,6 +260,7 @@ def _edited_exp1(scenario_dir, tmp_path, edit):
         (lambda d: d.update(catalog={"vnfs": [{"name": "firewall", "cpu_per_request": float("nan"),
                                                "base_service_time_ms": 1, "memory_mb": 1}]}),
          "cpu_per_request must be a finite number"),
+        (lambda d: d["engine"].update(sample_interval_s=1e-7), "at most 100000 are allowed"),
     ],
 )
 def test_unusable_numbers_are_one_line_config_errors(scenario_dir, tmp_path, capsys, command, edit, needle):

@@ -2,15 +2,12 @@ import random
 
 import pytest
 
+from rasesim.catalog import Catalog, VNFDescriptor
 from rasesim.engine import (
+    MAX_FRAMES,
     EngineConfig,
     InconsistentSchemeError,
-    MalformedHeaderError,
     NotAcceptedError,
-    SfcHeader,
-    decode_sfc_header,
-    encode_sfc_header,
-    host_utilization,
     sfc_latency,
     simulate,
 )
@@ -25,33 +22,6 @@ def quiet_engine(**overrides) -> EngineConfig:
                     idle_spike_prob=0.0, seed=1)
     settings.update(overrides)
     return EngineConfig(**settings)
-
-
-# -- SFC header codec ----------------------------------------------------------
-
-
-def test_header_wire_format_exact():
-    assert encode_sfc_header(SfcHeader("sfc1", ("firewall", "nat"))) == "sfc1;firewall,nat"
-
-
-def test_header_round_trip():
-    header = SfcHeader("sfc1", ("firewall", "nat"))
-    assert decode_sfc_header(encode_sfc_header(header)) == header
-
-
-@pytest.mark.parametrize("wire", ["nodelimiter", ";firewall", "sfc1;", "sfc1;a,,b", "a,b;x"])
-def test_header_decode_rejects_malformed(wire):
-    with pytest.raises(MalformedHeaderError):
-        decode_sfc_header(wire)
-
-
-@pytest.mark.parametrize(
-    "sfc_id,chain",
-    [("", ("a",)), ("x;y", ("a",)), ("x,y", ("a",)), ("x", ()), ("x", ("a,b",)), ("x", ("",))],
-)
-def test_header_construction_validates(sfc_id, chain):
-    with pytest.raises(MalformedHeaderError):
-        SfcHeader(sfc_id, chain)
 
 
 # -- engine config --------------------------------------------------------------
@@ -70,6 +40,17 @@ def test_header_construction_validates(sfc_id, chain):
         {"idle_spike_range": (-0.1, 0.1)},
         {"jitter_sigma": 1 / 3},  # truncation at 1 - 3 sigma would allow a zero or negative latency
         {"jitter_sigma": 0.6},
+        # NaN fails every range comparison, so each float field is checked for finiteness
+        {"duration_s": float("nan")},
+        {"duration_s": float("inf")},
+        {"sample_interval_s": float("nan")},
+        {"utilization_cap": float("nan")},
+        {"jitter_sigma": float("nan")},
+        {"idle_spike_prob": float("nan")},
+        {"idle_spike_range": (float("nan"), 0.1)},
+        {"idle_spike_range": (0.05, float("inf"))},
+        {"sample_interval_s": 1e-7},  # 6e8 frames at the default 60 s
+        {"duration_s": MAX_FRAMES + 1.0},
     ],
 )
 def test_engine_config_validation(overrides):
@@ -77,29 +58,44 @@ def test_engine_config_validation(overrides):
         quiet_engine(**overrides)
 
 
+def test_engine_config_tick_ceiling_is_inclusive():
+    assert quiet_engine(duration_s=float(MAX_FRAMES)).ticks == MAX_FRAMES
+
+
 # -- host utilization ------------------------------------------------------------
 
 
-def test_utilization_empty_host_is_zero(catalog):
-    assert host_utilization([], catalog, cpus=2.0) == (0.0, False)
+def _host_cpu(catalog, vnf: str, rps: float, cpus: int, cap: float = 0.99) -> float:
+    """Utilization of the only host in the first frame, idle spikes off."""
+    net = build_network(star_net(host_count=1, cpus=cpus))
+    requests = [sfcr("r1", [vnf], rps=rps)]
+    scheme = solve_simple_dijkstra(net, requests, catalog)
+    assert scheme.accept_flags() == [True]
+    return simulate(net, scheme, requests, catalog, quiet_engine(utilization_cap=cap))[0].host_cpu["h1"]
 
 
 def test_utilization_direct_arithmetic():
-    rho, saturated = host_utilization([("alpha", 10.0)], small_catalog(), cpus=2.0)
-    assert rho == 0.25  # 10 rps * 0.05 CPU-s / 2 CPUs
-    assert not saturated
+    assert _host_cpu(small_catalog(), "alpha", rps=10.0, cpus=2) == 0.25  # 10 rps * 0.05 CPU-s / 2 CPUs
 
 
-def test_utilization_cap_and_saturation_flag():
-    # 30 rps * 0.1 = 3.0 demand on 2.5 CPUs -> 1.2 uncapped
-    rho, saturated = host_utilization([("beta", 30.0)], small_catalog(), cpus=2.5, cap=0.99)
-    assert rho == 0.99
-    assert saturated
+def test_utilization_exact_fit_reads_the_cap():
+    # 4 rps * 0.25 CPU-s fills one CPU exactly (both are binary fractions): raw rho = 1
+    catalog = Catalog((VNFDescriptor("quarter", 0.25, 1.0, 64.0),))
+    assert _host_cpu(catalog, "quarter", rps=4.0, cpus=1) == 0.99
+    assert _host_cpu(catalog, "quarter", rps=4.0, cpus=1, cap=0.9) == 0.9
 
 
-def test_utilization_rejects_negative_rate():
-    with pytest.raises(ValueError):
-        host_utilization([("alpha", -1.0)], small_catalog(), cpus=1.0)
+def test_utilization_idle_host_is_zero():
+    spec = star_net(host_count=2, cpus=2)
+    net = build_network(spec)
+    catalog = small_catalog()
+    requests = [sfcr("r1", ["alpha"], rps=10.0)]
+    scheme = solve_simple_dijkstra(net, requests, catalog)
+    busy = scheme.accepted()[0].hosts[0]
+    idle = next(h for h in net.host_ids() if h != busy)
+    for frame in simulate(net, scheme, requests, catalog, quiet_engine()):
+        assert frame.host_cpu[idle] == 0.0
+        assert frame.host_cpu[busy] == 0.25
 
 
 # -- latency model ----------------------------------------------------------------
@@ -292,11 +288,6 @@ def test_simulate_link_use_matches_hand_arithmetic():
     expected_h2 = 1 * (10.0 * 8000.0 / 1e6) * 2
     assert frames[0].link_bw_mbps["h1--sw"] == pytest.approx(expected_h1, rel=1e-12)
     assert frames[0].link_bw_mbps["h2--sw"] == pytest.approx(expected_h2, rel=1e-12)
-
-
-def test_header_wire_format_is_ascii():
-    wire = encode_sfc_header(SfcHeader("chain-7", ("load-balancer", "ids")))
-    assert wire.encode("ascii").decode("ascii") == wire
 
 
 def test_simulate_idle_spikes_land_in_range():

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+import rasesim.engine
+import rasesim.experiment
 from rasesim.errors import ConfigError
 from rasesim.experiment import (
     cpu_csv,
@@ -135,6 +137,23 @@ def test_report_acceptance_ratio_consistent_with_outcomes(scenario_dir):
     report = run_experiment(load_scenario(scenario_dir, "exp4.json"))
     recomputed = acceptance_ratio([o.accepted for o in report.outcomes])
     assert report.acceptance_ratio == recomputed == 0.75
+
+
+def test_run_experiment_verifies_the_scheme_once(scenario_dir, monkeypatch):
+    """simulate verifies; run_experiment must not verify the same scheme again."""
+    calls = []
+    original = rasesim.engine.verify_scheme
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(rasesim.engine, "verify_scheme", counting)
+    # a second call through a name bound in the experiment module counts too
+    monkeypatch.setattr(rasesim.experiment, "verify_scheme", counting, raising=False)
+    report = run_experiment(load_scenario(scenario_dir, "exp4.json"))
+    assert report.acceptance_ratio == 0.75
+    assert len(calls) == 1
 
 
 def test_two_runs_produce_equal_reports(scenario_dir):

@@ -39,7 +39,6 @@ def test_acceptance_ratio_values():
 
 def test_fitness_prefers_full_acceptance_despite_latency():
     assert compare_fitness(Fitness(1.0, 381.38), Fitness(0.75, 100.0)) == 1
-    assert Fitness(1.0, 381.38) > Fitness(0.75, 100.0)
 
 
 def test_fitness_second_key_and_equality():

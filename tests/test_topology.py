@@ -121,6 +121,15 @@ def test_release_on_untouched_host_over_release(two_host_net):
         two_host_net.release_cpu("h1", 0.5)
 
 
+def test_demand_beyond_the_float_range_is_an_insufficiency_not_an_overflow(two_host_net):
+    before = two_host_net.residual_snapshot()
+    with pytest.raises(InsufficientCpuError, match="requested inf CPU"):
+        two_host_net.allocate_cpu("h1", 10**400)
+    with pytest.raises(OverReleaseError, match="releasing inf CPU"):
+        two_host_net.release_cpu("h1", 10**400)
+    assert two_host_net.residual_snapshot() == before
+
+
 def test_bandwidth_allocate_release(two_host_net):
     two_host_net.allocate_bandwidth("h1--h2", 10)
     assert two_host_net.residual_bandwidth["h1--h2"] == Fraction(90)
