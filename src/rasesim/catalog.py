@@ -38,14 +38,19 @@ def finite_number(value, what: str, kind=float):
     """kind(value) for a number read from a document; ValueError unless it is finite.
 
     json.loads accepts NaN, Infinity and integers beyond the float range, and
-    none of them is a usable capacity, rate, size or duration.
+    none of them is a usable capacity, rate, size or duration. A bool or a
+    string is not a number, and kind=int takes only a whole number (4.0 is 4).
     """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
     try:
         number = float(value)
     except OverflowError:
         raise ValueError(f"{what} is beyond the float range") from None
     if not math.isfinite(number):
         raise ValueError(f"{what} must be a finite number, got {number}")
+    if kind is int and not number.is_integer():
+        raise ValueError(f"{what} must be a whole number, got {value}")
     return kind(value)
 
 

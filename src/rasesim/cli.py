@@ -170,29 +170,30 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+def _fail(stage: str, message, code: int) -> int:
+    # a message may quote input text; line breaks in it must not split the one error line
+    print(f"error: {stage}: {' '.join(str(message).splitlines())}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:
-        print(f"error: cli: {exc}", file=sys.stderr)
-        return 1
+        return _fail("cli", exc, 1)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
         return args.handler(args)
     except ConfigError as exc:
-        print(f"error: {exc.stage}: {exc}", file=sys.stderr)
-        return 1
+        return _fail(exc.stage, exc, 1)
     except RaseSimError as exc:
-        print(f"error: {exc.stage}: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc.stage, exc, 2)
     except OSError as exc:
-        print(f"error: io: {exc}", file=sys.stderr)
-        return 2
+        return _fail("io", exc, 2)
     except ValueError as exc:
-        print(f"error: run: {exc}", file=sys.stderr)
-        return 2
+        return _fail("run", exc, 2)
 
 
 if __name__ == "__main__":

@@ -84,22 +84,33 @@ class EngineConfig:
         return int(self.duration_s / self.sample_interval_s + 1e-9)
 
 
-def _segment_payload_bits(sfcr: SFCRequest, catalog: Catalog) -> list[float]:
-    """Payload size entering each segment; VNF bandwidth_scale compounds."""
-    sizes = [float(sfcr.request_size_bits)]
-    for vnf_name in sfcr.chain:
-        sizes.append(sizes[-1] * catalog.get(vnf_name).bandwidth_scale)
-    return sizes
-
-
-def _forward_link_cost_ms(placement: SfcPlacement, sfcr: SFCRequest, net: SubstrateNetwork,
-                          catalog: Catalog) -> float:
-    sizes = _segment_payload_bits(sfcr, catalog)
-    total = 0.0
+def _walk(placement: SfcPlacement, sfcr: SFCRequest, net: SubstrateNetwork, catalog: Catalog):
+    """An embedded chain's fixed terms: (round-trip link ms, [(host, VNF)], [(link, forward bits)])."""
+    positions = [(host, catalog.get(name)) for host, name in zip(placement.hosts, sfcr.chain, strict=True)]
+    traversals: list[tuple[str, float]] = []
+    forward = 0.0
+    bits = float(sfcr.request_size_bits)
     for index, segment in enumerate(placement.segments):
         for link in segment.links:
+            traversals.append((link, bits))
             # transmission at the link's full rate: bits / (Mbps * 1000) = ms
-            total += net.link_delay_ms(link) + sizes[index] / (net.link_bandwidth_mbps(link) * 1000.0)
+            forward += net.link_delay_ms(link) + bits / (net.link_bandwidth_mbps(link) * 1000.0)
+        if index < len(positions):  # a VNF's bandwidth_scale applies to every segment after it
+            bits *= positions[index][1].bandwidth_scale
+    return 2.0 * forward, positions, traversals
+
+
+def _latency(link_term: float, positions, utilization: Mapping[str, float], jitter_sigma: float, rng) -> float:
+    total = link_term
+    for host, vnf in positions:
+        rho = utilization[host]
+        if rho >= 1.0:
+            raise ValueError(f"utilization {rho} on host {host!r} must be capped below 1")
+        total += vnf.base_service_time_ms / (1.0 - rho)
+    if jitter_sigma > 0 and rng is not None:
+        noise = rng.gauss(0.0, jitter_sigma)
+        noise = max(-3.0 * jitter_sigma, min(3.0 * jitter_sigma, noise))
+        total *= 1.0 + noise
     return total
 
 
@@ -114,17 +125,8 @@ def sfc_latency(placement, sfcr: SFCRequest, net: SubstrateNetwork, catalog: Cat
     """
     if not isinstance(placement, SfcPlacement):
         raise NotAcceptedError(f"SFC {getattr(placement, 'sfcr_id', placement)!r} was not accepted")
-    total = 2.0 * _forward_link_cost_ms(placement, sfcr, net, catalog)
-    for position, host in enumerate(placement.hosts):
-        rho = utilization[host]
-        if rho >= 1.0:
-            raise ValueError(f"utilization {rho} on host {host!r} must be capped below 1")
-        total += catalog.get(sfcr.chain[position]).base_service_time_ms / (1.0 - rho)
-    if jitter_sigma > 0 and rng is not None:
-        noise = rng.gauss(0.0, jitter_sigma)
-        noise = max(-3.0 * jitter_sigma, min(3.0 * jitter_sigma, noise))
-        total *= 1.0 + noise
-    return total
+    link_term, positions, _ = _walk(placement, sfcr, net, catalog)
+    return _latency(link_term, positions, utilization, jitter_sigma, rng)
 
 
 def simulate(net: SubstrateNetwork, scheme: EmbeddingScheme, sfcrs: Sequence[SFCRequest],
@@ -136,37 +138,35 @@ def simulate(net: SubstrateNetwork, scheme: EmbeddingScheme, sfcrs: Sequence[SFC
     order), per-link bandwidth use counting both directions, then one latency
     sample per accepted SFC in submission order. Deterministic given cfg.seed.
     """
+    # verify_scheme also guarantees that the outcomes line up with sfcrs
     verify_scheme(net.spec, sfcrs, catalog, scheme)
-    by_id = {s.sfcr_id: s for s in sfcrs}
     rng = random.Random(cfg.seed)
 
-    accepted = scheme.accepted()
     host_ids = net.host_ids()
-    # host -> [(sfcr, cpu_per_request)] for utilization sums
-    host_loads: dict[str, list[tuple[SFCRequest, float]]] = {h: [] for h in host_ids}
-    for placement in accepted:
-        sfcr = by_id[placement.sfcr_id]
-        for position, host in enumerate(placement.hosts):
-            host_loads[host].append((sfcr, catalog.get(sfcr.chain[position]).cpu_per_request))
-    # link -> [(sfcr, payload bits per request)] per forward traversal
     link_ids = [l.link_id for l in net.spec.links]
-    link_traversals: dict[str, list[tuple[SFCRequest, float]]] = {l: [] for l in link_ids}
-    for placement in accepted:
-        sfcr = by_id[placement.sfcr_id]
-        sizes = _segment_payload_bits(sfcr, catalog)
-        for index, segment in enumerate(placement.segments):
-            for link in segment.links:
-                link_traversals[link].append((sfcr, sizes[index]))
+    # accepted chains in submission order: (sfcr, link term, positions); host and link
+    # entries: (chain index, cpu_per_request or forward payload bits per request)
+    chains = []
+    host_loads: dict[str, list[tuple[int, float]]] = {h: [] for h in host_ids}
+    link_traversals: dict[str, list[tuple[int, float]]] = {l: [] for l in link_ids}
+    for outcome, sfcr in zip(scheme.outcomes, sfcrs):
+        if isinstance(outcome, SfcPlacement):
+            link_term, positions, traversals = _walk(outcome, sfcr, net, catalog)
+            for host, vnf in positions:
+                host_loads[host].append((len(chains), vnf.cpu_per_request))
+            for link, bits in traversals:
+                link_traversals[link].append((len(chains), bits))
+            chains.append((sfcr, link_term, positions))
 
     cpus = {h.id: float(h.cpus) for h in net.spec.hosts}
     frames: list[TelemetryFrame] = []
     low, high = cfg.idle_spike_range
     for tick in range(cfg.ticks):
         t = tick * cfg.sample_interval_s
-        rates = {s.sfcr_id: s.offered_load.rate_at(t) for s in sfcrs}
+        rates = [sfcr.offered_load.rate_at(t) for sfcr, _, _ in chains]
         true_cpu: dict[str, float] = {}
         for host in host_ids:
-            raw = sum(rates[sfcr.sfcr_id] * cost for sfcr, cost in host_loads[host]) / cpus[host]
+            raw = sum(rates[index] * cost for index, cost in host_loads[host]) / cpus[host]
             true_cpu[host] = min(cfg.utilization_cap, raw)
         # spikes are observation noise only; latency below uses true_cpu
         observed_cpu = dict(true_cpu)
@@ -174,14 +174,12 @@ def simulate(net: SubstrateNetwork, scheme: EmbeddingScheme, sfcrs: Sequence[SFC
             if true_cpu[host] == 0.0 and rng.random() < cfg.idle_spike_prob:
                 observed_cpu[host] = rng.uniform(low, high)
         link_bw = {
-            link: 2.0 * sum(rates[sfcr.sfcr_id] * bits for sfcr, bits in link_traversals[link]) / 1e6
+            link: 2.0 * sum(rates[index] * bits for index, bits in link_traversals[link]) / 1e6
             for link in link_ids
         }
-        latencies: dict[str, float] = {}
-        for placement in accepted:
-            latencies[placement.sfcr_id] = sfc_latency(
-                placement, by_id[placement.sfcr_id], net, catalog, true_cpu,
-                cfg.jitter_sigma, rng,
-            )
+        latencies = {
+            sfcr.sfcr_id: _latency(link_term, positions, true_cpu, cfg.jitter_sigma, rng)
+            for sfcr, link_term, positions in chains
+        }
         frames.append(TelemetryFrame(t, observed_cpu, link_bw, latencies))
     return frames

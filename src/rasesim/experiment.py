@@ -434,7 +434,26 @@ def report_to_dict(report: ExperimentReport) -> dict:
     return _jsonable(report)
 
 
+def _check_amount(value, what: str) -> None:
+    """ValueError unless value is a finite, non-negative number (a bool is not one)."""
+    if finite_number(value, what) < 0:
+        raise ValueError(f"{what} must be non-negative, got {value}")
+
+
+def _check_samples(samples, what: str) -> None:
+    if not isinstance(samples, dict):
+        raise ValueError(f"{what} must be an object")
+    for key, value in samples.items():
+        if not isinstance(key, str):
+            raise ValueError(f"{what} keys must be strings, got {key!r}")
+        _check_amount(value, f"{what}[{key!r}]")
+
+
 def report_from_dict(data: dict) -> ExperimentReport:
+    """Rebuild a report, checking every value the CSV and histogram writers read.
+
+    KeyError, TypeError or ValueError for a document of another shape.
+    """
     trace = data["trace"]
     if trace is not None:
         trace = tuple(
@@ -442,12 +461,27 @@ def report_from_dict(data: dict) -> ExperimentReport:
                                "best": tuple(g["best"]), "best_fitness": Fitness(**g["best_fitness"])})
             for g in trace
         )
-    return ExperimentReport(**{
+    report = ExperimentReport(**{
         **data,
         "outcomes": tuple(SfcOutcome(**o) for o in data["outcomes"]),
         "frames": tuple(TelemetryFrame(**f) for f in data["frames"]),
         "trace": trace,
     })
+    for i, o in enumerate(report.outcomes):
+        if not (isinstance(o.sfcr_id, str) and isinstance(o.accepted, bool) and isinstance(o.reason, str)):
+            raise ValueError(f"outcomes[{i}] must hold a string sfcr_id, a bool accepted and a string reason")
+    for name in ("acceptance_ratio", "mean_latency_ms"):
+        if getattr(report, name) is not None:
+            _check_amount(getattr(report, name), name)
+    accepted = [o.sfcr_id for o in report.outcomes if o.accepted]
+    for i, frame in enumerate(report.frames):
+        _check_amount(frame.timestamp_s, f"frames[{i}].timestamp_s")
+        for name in ("host_cpu", "link_bw_mbps", "sfc_latency_ms"):
+            _check_samples(getattr(frame, name), f"frames[{i}].{name}")
+        missing = [sfcr_id for sfcr_id in accepted if sfcr_id not in frame.sfc_latency_ms]
+        if missing:
+            raise ValueError(f"frames[{i}] has no latency for accepted SFC {missing[0]!r}")
+    return report
 
 
 def read_report(path) -> ExperimentReport:

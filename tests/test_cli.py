@@ -3,9 +3,11 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import rasesim
 from rasesim.cli import main
 
 
@@ -43,11 +45,14 @@ def test_separate_processes_and_parallelism_are_byte_identical(scenario_dir, tmp
     """Fresh interpreters (fresh hash randomization) and GA concurrency must
     not perturb report bytes."""
     config = str(scenario_dir / "ga_small.json")
+    # the child imports the same rasesim as this process, installed or not
+    source = str(Path(rasesim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH"))))}
     for tag, extra in (("a", []), ("b", ["--parallel", "4"])):
         proc = subprocess.run(
             [sys.executable, "-m", "rasesim.cli", "run", "--config", config,
              "--output-dir", str(tmp_path / tag), "--quiet", *extra],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0, proc.stderr
     names = sorted(p.name for p in (tmp_path / "a").iterdir())
@@ -178,7 +183,33 @@ def test_report_missing_file_exits_2(tmp_path, capsys):
     assert "error: io:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("content", [{"config_digest": "x"}, [1, 2]])
+def _small_report(outcome=(), frame=()) -> dict:
+    """A well-formed one-SFC, one-frame report.json document, with outcome and frame keys replaced."""
+    return {
+        "config_digest": "x", "acceptance_ratio": 1.0, "mean_latency_ms": 3.5, "trace": None,
+        "outcomes": [{"sfcr_id": "r1", "accepted": True, "reason": "", **dict(outcome)}],
+        "frames": [{"timestamp_s": 0.0, "host_cpu": {"h1": 0.25}, "link_bw_mbps": {"h1--sw": 0.16},
+                    "sfc_latency_ms": {"r1": 3.5}, **dict(frame)}],
+    }
+
+
+def test_small_report_is_well_formed(tmp_path):
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(_small_report()))
+    assert run_cli("report", "--report", str(report), "--quiet") == 0
+    assert (tmp_path / "latency.csv").read_text() == "timestamp_s,sfc_id,latency_ms\n0.0,r1,3.5\n"
+
+
+@pytest.mark.parametrize("content", [
+    {"config_digest": "x"},
+    [1, 2],
+    _small_report(frame={"host_cpu": 5}),
+    _small_report(frame={"sfc_latency_ms": {"r1": "x"}}),
+    _small_report(frame={"sfc_latency_ms": {}}),  # an accepted SFC without a sample
+    _small_report(frame={"sfc_latency_ms": {"r1": float("nan")}}),
+    _small_report(outcome={"accepted": "yes"}),
+    _small_report(frame={"sfc_latency_ms": {"r1": -5}}),
+])
 def test_malformed_report_is_one_line_io_error(tmp_path, capsys, content):
     report = tmp_path / "report.json"
     report.write_text(json.dumps(content))
@@ -261,6 +292,11 @@ def _edited_exp1(scenario_dir, tmp_path, edit):
                                                "base_service_time_ms": 1, "memory_mb": 1}]}),
          "cpu_per_request must be a finite number"),
         (lambda d: d["engine"].update(sample_interval_s=1e-7), "at most 100000 are allowed"),
+        # integer fields are not truncated, and a string or a bool is not a number
+        (lambda d: d["network"]["hosts"][0].update(cpus=2.5), "cpus must be a whole number, got 2.5"),
+        (lambda d: d["solver"].update(ga={"population": 20.9}), "population must be a whole number"),
+        (lambda d: d["network"]["hosts"][0].update(cpus="4"), "cpus must be a number, got '4'"),
+        (lambda d: d["network"]["hosts"][0].update(cpus=True), "cpus must be a number, got True"),
     ],
 )
 def test_unusable_numbers_are_one_line_config_errors(scenario_dir, tmp_path, capsys, command, edit, needle):

@@ -11,7 +11,8 @@ from rasesim.engine import (
     sfc_latency,
     simulate,
 )
-from rasesim.solver import EmbeddingScheme, SfcRejection, solve_simple_dijkstra
+from rasesim.routing import Path
+from rasesim.solver import EmbeddingScheme, SfcPlacement, SfcRejection, solve_simple_dijkstra
 from rasesim.topology import build_network
 
 from helpers import sfcr, small_catalog, spec_of, star_net
@@ -288,6 +289,40 @@ def test_simulate_link_use_matches_hand_arithmetic():
     expected_h2 = 1 * (10.0 * 8000.0 / 1e6) * 2
     assert frames[0].link_bw_mbps["h1--sw"] == pytest.approx(expected_h1, rel=1e-12)
     assert frames[0].link_bw_mbps["h2--sw"] == pytest.approx(expected_h2, rel=1e-12)
+
+
+def test_payload_compounds_through_bandwidth_scales():
+    """Each segment carries the payload scaled by every VNF before it: 8000, 4000, 12000 bits."""
+    spec = spec_of(
+        [("h1", 2, 1024), ("h2", 4, 1024), ("eg", 1, 1024)],
+        [("in", "s1", 100, 0.5), ("s1", "h1", 200, 0.25), ("h1", "s2", 50, 1.0),
+         ("s2", "h2", 400, 0.125), ("h2", "s3", 25, 2.0), ("s3", "eg", 800, 0.75)],
+        switches=("in", "s1", "s2", "s3"), ingress="in", egress="eg",
+    )
+    net = build_network(spec)
+    catalog = Catalog((VNFDescriptor("halve", 0.05, 2.0, 64.0, 0.5),
+                       VNFDescriptor("triple", 0.1, 4.0, 64.0, 3.0)))
+    request = sfcr("r1", ["halve", "triple"], rps=10.0, size_bits=8000.0)
+    placement = SfcPlacement("r1", ("h1", "h2"), (
+        Path(("in", "s1", "h1"), ("in--s1", "h1--s1"), 0.75),
+        Path(("h1", "s2", "h2"), ("h1--s2", "h2--s2"), 1.125),
+        Path(("h2", "s3", "eg"), ("h2--s3", "eg--s3"), 2.75),
+    ))
+    # (link, delay ms, Mbps, forward payload bits)
+    hops = [("in--s1", 0.5, 100, 8000.0), ("h1--s1", 0.25, 200, 8000.0),
+            ("h1--s2", 1.0, 50, 4000.0), ("h2--s2", 0.125, 400, 4000.0),
+            ("h2--s3", 2.0, 25, 12000.0), ("eg--s3", 0.75, 800, 12000.0)]
+    links = 2.0 * sum(delay + bits / (mbps * 1000.0) for _, delay, mbps, bits in hops)
+
+    zero_load = sfc_latency(placement, request, net, catalog, {"h1": 0.0, "h2": 0.0, "eg": 0.0})
+    assert zero_load == pytest.approx(links + 2.0 + 4.0, rel=1e-12)
+
+    frame = simulate(net, EmbeddingScheme((placement,)), [request], catalog, quiet_engine())[0]
+    # rho: 10 rps * 0.05 CPU-s / 2 CPUs on h1, 10 rps * 0.1 CPU-s / 4 CPUs on h2
+    assert frame.host_cpu == {"h1": 0.25, "h2": 0.25, "eg": 0.0}
+    assert frame.sfc_latency_ms["r1"] == pytest.approx(links + 2.0 / 0.75 + 4.0 / 0.75, rel=1e-12)
+    assert frame.link_bw_mbps == pytest.approx(
+        {link: 2.0 * 10.0 * bits / 1e6 for link, _, _, bits in hops}, rel=1e-12)
 
 
 def test_simulate_idle_spikes_land_in_range():
