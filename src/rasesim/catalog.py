@@ -212,6 +212,7 @@ def parse_sfcr_templates(document) -> tuple[SFCRequest, ...]:
     if "sfcrs" not in data or not isinstance(data["sfcrs"], list):
         raise ParseError("sfcrs: missing 'sfcrs' list")
     templates = []
+    first_index: dict[str, int] = {}
     for i, entry in enumerate(data["sfcrs"]):
         if not isinstance(entry, dict):
             raise ParseError(f"sfcrs[{i}] is not an object")
@@ -237,6 +238,12 @@ def parse_sfcr_templates(document) -> tuple[SFCRequest, ...]:
             raise InvalidRequestError(f"sfcrs[{i}]: missing key {exc.args[0]!r}") from None
         except (TypeError, ValueError) as exc:
             raise InvalidRequestError(f"sfcrs[{i}]: {exc}") from None
+        # generated ids "<id>-<i>" of distinct template ids never collide, so this check suffices
+        sfcr_id = templates[-1].sfcr_id
+        if sfcr_id in first_index:
+            raise InvalidRequestError(f"sfcrs[{i}]: id {sfcr_id!r} is already used by "
+                                      f"sfcrs[{first_index[sfcr_id]}]")
+        first_index[sfcr_id] = i
     return tuple(templates)
 
 

@@ -10,13 +10,14 @@ Errors print a single line `error: <stage>: <message>` to stderr.
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import os
 import sys
 from pathlib import Path
 
 from .errors import ConfigError, RaseSimError
 from .experiment import (
+    _json_text,
     csv_files,
     generate_requests,
     histogram_csv,
@@ -45,6 +46,16 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise _UsageError(message)
+
+
+def _bin_width(text: str) -> float:
+    try:
+        width = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0 < width < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return width
 
 
 def _add_common(parser, *, config=True, seed=False, output_dir=False, parallel=False):
@@ -82,7 +93,8 @@ def _build_parser() -> _Parser:
 
     report = commands.add_parser("report", help="re-aggregate an existing report.json into CSV files")
     report.add_argument("--report", required=True, help="path to an existing report.json")
-    report.add_argument("--bin-width", type=float, default=50.0, help="latency histogram bin width (ms)")
+    report.add_argument("--bin-width", type=_bin_width, default=50.0,
+                        help="latency histogram bin width (ms), finite and > 0")
     report.add_argument("--output-dir", default=None, help="where to write the CSV files")
     report.add_argument("--quiet", action="store_true", help="suppress informational output")
     report.set_defaults(handler=_cmd_report)
@@ -147,7 +159,7 @@ def _cmd_generate(args) -> int:
         "seed": derive_seed(cfg.seed, "sfcrs"),
         "sfcrs": [template_to_dict(s) for s in sfcrs],
     }
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = _json_text(payload) + "\n"
     for target in write_atomically(directory, {"sfcrs_generated.json": text}):
         _say(args, f"wrote {target}")
     return 0

@@ -100,18 +100,22 @@ def _walk(placement: SfcPlacement, sfcr: SFCRequest, net: SubstrateNetwork, cata
     return 2.0 * forward, positions, traversals
 
 
-def _latency(link_term: float, positions, utilization: Mapping[str, float], jitter_sigma: float, rng) -> float:
+def _latency(link_term: float, positions, utilization: Mapping[str, float]) -> float:
+    """Deterministic round-trip ms: the link term plus each VNF's service time at its host's load."""
     total = link_term
     for host, vnf in positions:
         rho = utilization[host]
         if rho >= 1.0:
             raise ValueError(f"utilization {rho} on host {host!r} must be capped below 1")
         total += vnf.base_service_time_ms / (1.0 - rho)
-    if jitter_sigma > 0 and rng is not None:
-        noise = rng.gauss(0.0, jitter_sigma)
-        noise = max(-3.0 * jitter_sigma, min(3.0 * jitter_sigma, noise))
-        total *= 1.0 + noise
     return total
+
+
+def _jittered(total: float, jitter_sigma: float, rng: random.Random) -> float:
+    """total times 1 + N(0, sigma), the noise truncated at three sigmas; one gauss draw."""
+    noise = rng.gauss(0.0, jitter_sigma)
+    noise = max(-3.0 * jitter_sigma, min(3.0 * jitter_sigma, noise))
+    return total * (1.0 + noise)
 
 
 def sfc_latency(placement, sfcr: SFCRequest, net: SubstrateNetwork, catalog: Catalog,
@@ -126,17 +130,23 @@ def sfc_latency(placement, sfcr: SFCRequest, net: SubstrateNetwork, catalog: Cat
     if not isinstance(placement, SfcPlacement):
         raise NotAcceptedError(f"SFC {getattr(placement, 'sfcr_id', placement)!r} was not accepted")
     link_term, positions, _ = _walk(placement, sfcr, net, catalog)
-    return _latency(link_term, positions, utilization, jitter_sigma, rng)
+    total = _latency(link_term, positions, utilization)
+    if jitter_sigma > 0 and rng is not None:
+        total = _jittered(total, jitter_sigma, rng)
+    return total
 
 
 def simulate(net: SubstrateNetwork, scheme: EmbeddingScheme, sfcrs: Sequence[SFCRequest],
              catalog: Catalog, cfg: EngineConfig) -> list[TelemetryFrame]:
     """Run the fluid model and emit one telemetry frame per sampling tick.
 
-    Per frame, in fixed order: true host utilizations from the offered rates,
-    idle-spike noise for hosts at exactly zero load (hosts in declaration
-    order), per-link bandwidth use counting both directions, then one latency
-    sample per accepted SFC in submission order. Deterministic given cfg.seed.
+    True host utilizations, per-link bandwidth use counting both directions
+    and each chain's latency before jitter depend on the offered rates alone,
+    so they are computed once per traffic epoch (a run of ticks whose rates
+    are all equal). The random draws stay per tick, in fixed order: idle-spike
+    noise for hosts at exactly zero load (hosts in declaration order), then
+    one jitter draw per accepted SFC in submission order. Every frame has its
+    own dicts. Deterministic given cfg.seed.
     """
     # verify_scheme also guarantees that the outcomes line up with sfcrs
     verify_scheme(net.spec, sfcrs, catalog, scheme)
@@ -159,27 +169,36 @@ def simulate(net: SubstrateNetwork, scheme: EmbeddingScheme, sfcrs: Sequence[SFC
             chains.append((sfcr, link_term, positions))
 
     cpus = {h.id: float(h.cpus) for h in net.spec.hosts}
-    frames: list[TelemetryFrame] = []
+    sfcr_ids = [sfcr.sfcr_id for sfcr, _, _ in chains]
+    patterns = [sfcr.offered_load for sfcr, _, _ in chains]
+    sigma = cfg.jitter_sigma
     low, high = cfg.idle_spike_range
+    frames: list[TelemetryFrame] = []
+    rates = None
     for tick in range(cfg.ticks):
         t = tick * cfg.sample_interval_s
-        rates = [sfcr.offered_load.rate_at(t) for sfcr, _, _ in chains]
-        true_cpu: dict[str, float] = {}
-        for host in host_ids:
-            raw = sum(rates[index] * cost for index, cost in host_loads[host]) / cpus[host]
-            true_cpu[host] = min(cfg.utilization_cap, raw)
-        # spikes are observation noise only; latency below uses true_cpu
+        tick_rates = [pattern.rate_at(t) for pattern in patterns]
+        if tick_rates != rates:
+            # a new traffic epoch: every term below is a pure function of the rates
+            rates = tick_rates
+            true_cpu: dict[str, float] = {}
+            for host in host_ids:
+                raw = sum(rates[index] * cost for index, cost in host_loads[host]) / cpus[host]
+                true_cpu[host] = min(cfg.utilization_cap, raw)
+            idle_hosts = [host for host in host_ids if true_cpu[host] == 0.0]
+            link_bw = {
+                link: 2.0 * sum(rates[index] * bits for index, bits in link_traversals[link]) / 1e6
+                for link in link_ids
+            }
+            totals = [_latency(link_term, positions, true_cpu) for _, link_term, positions in chains]
+        # spikes are observation noise only; latency uses true_cpu
         observed_cpu = dict(true_cpu)
-        for host in host_ids:
-            if true_cpu[host] == 0.0 and rng.random() < cfg.idle_spike_prob:
+        for host in idle_hosts:
+            if rng.random() < cfg.idle_spike_prob:
                 observed_cpu[host] = rng.uniform(low, high)
-        link_bw = {
-            link: 2.0 * sum(rates[index] * bits for index, bits in link_traversals[link]) / 1e6
-            for link in link_ids
-        }
-        latencies = {
-            sfcr.sfcr_id: _latency(link_term, positions, true_cpu, cfg.jitter_sigma, rng)
-            for sfcr, link_term, positions in chains
-        }
-        frames.append(TelemetryFrame(t, observed_cpu, link_bw, latencies))
+        if sigma > 0:
+            latencies = {sfcr_id: _jittered(total, sigma, rng) for sfcr_id, total in zip(sfcr_ids, totals)}
+        else:
+            latencies = dict(zip(sfcr_ids, totals))
+        frames.append(TelemetryFrame(t, observed_cpu, dict(link_bw), latencies))
     return frames

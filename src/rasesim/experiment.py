@@ -19,6 +19,7 @@ import time
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from datetime import datetime
 from io import StringIO
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .catalog import (
@@ -434,6 +435,60 @@ def report_to_dict(report: ExperimentReport) -> dict:
     return _jsonable(report)
 
 
+_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
+
+
+@functools.cache
+def _leaf_encoder(level: int) -> json.JSONEncoder:
+    """Writes a container of scalars whose items sit at `level`, as the indenting encoder would.
+
+    Without an indent the encoder runs in C; the line break and indent go
+    into its item separator instead.
+    """
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * level, ": "))
+
+
+def _json_text(value) -> str:
+    """Exactly what json.dumps writes with sort_keys=True and an indent of 2, for string keys.
+
+    A container whose values are all of exact scalar types is a leaf: the C
+    encoder writes its items. Every other container, including one holding a
+    tuple or a subclass of dict or list, is written here item by item.
+    """
+    out: list[str] = []
+    _write_json(value, 0, out)
+    return "".join(out)
+
+
+def _write_json(value, level: int, out: list[str]) -> None:
+    if isinstance(value, dict):
+        opening, closing, values = "{", "}", value.values()
+    elif isinstance(value, (list, tuple)):
+        opening, closing, values = "[", "]", value
+    else:
+        out.append(_leaf_encoder(level).encode(value))
+        return
+    if not value:
+        out.append(opening + closing)
+        return
+    inner = "\n" + "  " * (level + 1)
+    out += [opening, inner]
+    if set(map(type, values)) <= _SCALAR_TYPES:
+        out.append(_leaf_encoder(level + 1).encode(value)[1:-1])  # without the C encoder's brackets
+    elif opening == "{":
+        for index, (key, item) in enumerate(sorted(value.items())):
+            if index:
+                out += [",", inner]
+            out += [encode_basestring_ascii(key), ": "]
+            _write_json(item, level + 1, out)
+    else:
+        for index, item in enumerate(value):
+            if index:
+                out += [",", inner]
+            _write_json(item, level + 1, out)
+    out += ["\n", "  " * level, closing]
+
+
 def _check_amount(value, what: str) -> None:
     """ValueError unless value is a finite, non-negative number (a bool is not one)."""
     if finite_number(value, what) < 0:
@@ -511,23 +566,44 @@ def outcomes_csv(report: ExperimentReport) -> str:
     return _csv_text(["sfcr_id", "accepted", "reason"], rows)
 
 
+def _field_texts(values) -> dict[str, str]:
+    """Each value as csv.writer writes it as one field of a row, quoted only where needed.
+
+    latency_csv and cpu_csv write their lines directly: an id's field text
+    comes from here, and a number is written with repr, as csv.writer writes
+    a float.
+    """
+    buffer = StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    texts = {}
+    for value in values:
+        # after an empty first field, since a row of one empty field is written as ""
+        writer.writerow(("", value))
+        texts[value] = buffer.getvalue()[1:-1]
+        buffer.seek(0)
+        buffer.truncate()
+    return texts
+
+
 def latency_csv(report: ExperimentReport) -> str:
     accepted = [o.sfcr_id for o in report.outcomes if o.accepted]
-    rows = [
-        [frame.timestamp_s, sfc_id, frame.sfc_latency_ms[sfc_id]]
-        for frame in report.frames
-        for sfc_id in accepted
-    ]
-    return _csv_text(["timestamp_s", "sfc_id", "latency_ms"], rows)
+    texts = _field_texts(accepted)
+    lines = ["timestamp_s,sfc_id,latency_ms\n"]
+    for frame in report.frames:
+        timestamp = repr(frame.timestamp_s)
+        latency = frame.sfc_latency_ms
+        lines += [f"{timestamp},{texts[sfc_id]},{latency[sfc_id]!r}\n" for sfc_id in accepted]
+    return "".join(lines)
 
 
 def cpu_csv(report: ExperimentReport) -> str:
-    rows = [
-        [frame.timestamp_s, host, frame.host_cpu[host]]
-        for frame in report.frames
-        for host in sorted(frame.host_cpu)
-    ]
-    return _csv_text(["timestamp_s", "host_id", "utilization"], rows)
+    texts = _field_texts(set().union(*(frame.host_cpu for frame in report.frames)))
+    lines = ["timestamp_s,host_id,utilization\n"]
+    for frame in report.frames:
+        timestamp = repr(frame.timestamp_s)
+        cpu = frame.host_cpu
+        lines += [f"{timestamp},{texts[host]},{cpu[host]!r}\n" for host in sorted(cpu)]
+    return "".join(lines)
 
 
 def trace_csv(report: ExperimentReport) -> str:
@@ -595,7 +671,7 @@ def write_report(report: ExperimentReport, directory, formats=("json", "csv")) -
     """Write report files; every file lands atomically or not at all."""
     files: dict[str, str] = {}
     if "json" in formats:
-        files[REPORT_FILENAME] = json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n"
+        files[REPORT_FILENAME] = _json_text(report_to_dict(report)) + "\n"
     if "csv" in formats:
         files.update(csv_files(report))
     return write_atomically(directory, files)

@@ -49,14 +49,17 @@ class LatencyHistogram:
 
 def bin_latencies(frames: Sequence[TelemetryFrame], sfc_id: str, bin_width_ms: float) -> LatencyHistogram:
     """Histogram one SFC's latency samples across all frames."""
-    if bin_width_ms <= 0:
-        raise ValueError("bin_width_ms must be positive")
+    if not 0 < bin_width_ms < math.inf:
+        raise ValueError(f"bin_width_ms must be a finite number > 0, got {bin_width_ms}")
     samples = [f.sfc_latency_ms[sfc_id] for f in frames if sfc_id in f.sfc_latency_ms]
     if frames and not samples:
         raise UnknownSfcError(f"SFC {sfc_id!r} has no latency samples in these frames")
     counts: dict[int, int] = {}
     for value in samples:
-        index = int(math.floor(value / bin_width_ms))
+        scaled = value / bin_width_ms
+        if not math.isfinite(scaled):
+            raise ValueError(f"bin width {bin_width_ms} ms is too small for a latency of {value} ms")
+        index = int(math.floor(scaled))
         counts[index] = counts.get(index, 0) + 1
     bins = tuple((index * bin_width_ms, counts[index]) for index in sorted(counts))
     return LatencyHistogram(bin_width_ms, bins, len(samples))

@@ -2,8 +2,9 @@
 
 Nothing here may call into the code paths it checks: the path oracle
 enumerates simple paths exhaustively, the packing oracle does plain
-sorted-list arithmetic on CPU numbers alone, and the binomial bounds come
-from the exact CDF.
+sorted-list arithmetic on CPU numbers alone, the binomial bounds come
+from the exact CDF, and the engine oracle recomputes every term on every
+tick.
 """
 
 from __future__ import annotations
@@ -11,6 +12,9 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+
+from rasesim.solver import SfcPlacement
+from rasesim.telemetry import TelemetryFrame
 
 
 def brute_force_shortest_path(nodes, edges, src, dst, min_bandwidth):
@@ -122,3 +126,64 @@ def random_connected_graph(rng: random.Random, max_nodes: int = 12):
         seen.add(frozenset((a, b)))
         edges.append((a, b, rng.choice(delays), rng.choice(bandwidths)))
     return nodes, edges
+
+
+def per_tick_simulate(net, scheme, sfcrs, catalog, cfg):
+    """The engine's frames with every term recomputed on every tick, in simulate's float order.
+
+    Each chain's round-trip link term and forward payloads come from its own
+    walk; per tick come the rates, the utilizations, the idle-spike draws
+    (hosts in declaration order), the link use and one latency per accepted
+    chain, jittered with one gauss draw each. The scheme is taken as valid.
+    """
+    rng = random.Random(cfg.seed)
+    chains = []  # (sfcr, link term, [(host, VNF)], [(link, forward bits)])
+    for outcome, request in zip(scheme.outcomes, sfcrs):
+        if not isinstance(outcome, SfcPlacement):
+            continue
+        positions = [(host, catalog.get(name)) for host, name in zip(outcome.hosts, request.chain)]
+        traversals = []
+        forward = 0.0
+        bits = float(request.request_size_bits)
+        for index, segment in enumerate(outcome.segments):
+            for link in segment.links:
+                traversals.append((link, bits))
+                forward += net.link_delay_ms(link) + bits / (net.link_bandwidth_mbps(link) * 1000.0)
+            if index < len(positions):
+                bits *= positions[index][1].bandwidth_scale
+        chains.append((request, 2.0 * forward, positions, traversals))
+
+    host_ids = net.host_ids()
+    cpus = {h.id: float(h.cpus) for h in net.spec.hosts}
+    low, high = cfg.idle_spike_range
+    frames = []
+    for tick in range(cfg.ticks):
+        t = tick * cfg.sample_interval_s
+        rates = [request.offered_load.rate_at(t) for request, _, _, _ in chains]
+        true_cpu = {}
+        for host in host_ids:
+            raw = sum(rate * vnf.cpu_per_request
+                      for rate, (_, _, positions, _) in zip(rates, chains)
+                      for where, vnf in positions if where == host) / cpus[host]
+            true_cpu[host] = min(cfg.utilization_cap, raw)
+        observed_cpu = dict(true_cpu)
+        for host in host_ids:
+            if true_cpu[host] == 0.0 and rng.random() < cfg.idle_spike_prob:
+                observed_cpu[host] = rng.uniform(low, high)
+        link_bw = {
+            link.link_id: 2.0 * sum(rate * bits
+                                    for rate, (_, _, _, traversals) in zip(rates, chains)
+                                    for where, bits in traversals if where == link.link_id) / 1e6
+            for link in net.spec.links
+        }
+        latencies = {}
+        for request, link_term, positions, _ in chains:
+            total = link_term
+            for host, vnf in positions:
+                total += vnf.base_service_time_ms / (1.0 - true_cpu[host])
+            if cfg.jitter_sigma > 0:
+                noise = rng.gauss(0.0, cfg.jitter_sigma)
+                total *= 1.0 + max(-3.0 * cfg.jitter_sigma, min(3.0 * cfg.jitter_sigma, noise))
+            latencies[request.sfcr_id] = total
+        frames.append(TelemetryFrame(t, observed_cpu, link_bw, latencies))
+    return frames

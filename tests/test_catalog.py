@@ -161,6 +161,14 @@ def test_parse_sfcr_templates_errors():
         }]}))
 
 
+def test_parse_sfcr_templates_rejects_a_repeated_id():
+    entry = {"id": "a", "chain": ["x"], "bandwidth_mbps": 1, "request_size_bits": 1,
+             "traffic": [{"start_s": 0, "end_s": 1, "rps": 1}]}
+    document = {"sfcrs": [entry, {**entry, "id": "b"}, entry]}
+    with pytest.raises(InvalidRequestError, match=r"sfcrs\[2\]: id 'a' is already used by sfcrs\[0\]"):
+        parse_sfcr_templates(document)
+
+
 def test_generate_counts_match_duplication_table():
     templates = [sfcr(f"t{i}", ["x"]) for i in range(4)]
     assert len(generate_sfcrs(templates, 1)) == 4

@@ -61,6 +61,15 @@ def test_separate_processes_and_parallelism_are_byte_identical(scenario_dir, tmp
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_python_dash_m_runs_the_cli(scenario_dir):
+    source = str(Path(rasesim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-m", "rasesim", "validate", "--config", str(scenario_dir / "exp1.json")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "config ok\n"
+
+
 def test_solve_prints_acceptance_ratio(scenario_dir, capsys):
     code = run_cli("solve", "--config", str(scenario_dir / "exp4.json"), "--quiet")
     assert code == 0
@@ -316,3 +325,37 @@ def test_nonfinite_rate_in_sfcr_templates_is_config_error(scenario_dir, tmp_path
     assert run_cli("validate", "--config", config) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: config: sfcrs: ") and "rps must be a finite number" in err
+
+
+@pytest.mark.parametrize("width,code,stage", [
+    ("nan", 1, "cli"),
+    ("inf", 1, "cli"),
+    ("-1", 1, "cli"),
+    ("0", 1, "cli"),
+    ("wide", 1, "cli"),
+    # finite and positive, but 3.5 ms / 1e-320 ms overflows to infinity
+    ("1e-320", 2, "run"),
+])
+def test_unusable_bin_width_is_one_line_error(tmp_path, capsys, width, code, stage):
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(_small_report()))
+    assert run_cli("report", "--report", str(report), "--bin-width", width,
+                   "--output-dir", str(tmp_path / "out")) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {stage}: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_templates_sharing_an_id_are_one_line_config_error(scenario_dir, tmp_path, capsys, command):
+    data = json.loads((scenario_dir / "ga_small.json").read_text())
+    assert [t["id"] for t in data["sfcrs"]["sfcrs"]] == ["edge-web", "edge-cache", "edge-inspect"]
+    data["sfcrs"]["sfcrs"][1]["id"] = "edge-web"
+    (tmp_path / "catalog.json").write_text((scenario_dir / "catalog.json").read_text())
+    config = tmp_path / "shared.json"
+    config.write_text(json.dumps(data))
+    extra = ["--output-dir", str(tmp_path / "out")] if command == "run" else []
+    assert run_cli(command, "--config", str(config), *extra) == 1
+    err = capsys.readouterr().err
+    assert err == "error: config: sfcrs: sfcrs[1]: id 'edge-web' is already used by sfcrs[0]\n"
+    assert not (tmp_path / "out").exists()

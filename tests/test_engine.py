@@ -1,8 +1,10 @@
+import copy
 import random
+from dataclasses import replace
 
 import pytest
 
-from rasesim.catalog import Catalog, VNFDescriptor
+from rasesim.catalog import Catalog, TrafficPattern, TrafficSegment, VNFDescriptor
 from rasesim.engine import (
     MAX_FRAMES,
     EngineConfig,
@@ -15,7 +17,8 @@ from rasesim.routing import Path
 from rasesim.solver import EmbeddingScheme, SfcPlacement, SfcRejection, solve_simple_dijkstra
 from rasesim.topology import build_network
 
-from helpers import sfcr, small_catalog, spec_of, star_net
+from helpers import random_scenario, sfcr, small_catalog, spec_of, star_net
+from oracles import per_tick_simulate
 
 
 def quiet_engine(**overrides) -> EngineConfig:
@@ -340,3 +343,50 @@ def test_simulate_idle_spikes_land_in_range():
     assert spikes, "an idle host should spike occasionally"
     assert all(0.05 <= s <= 0.15 for s in spikes)
     assert all(f.host_cpu[busy_host] > 0 for f in frames)
+
+
+# -- per-epoch engine against the per-tick reference -------------------------------
+
+
+def _random_traffic(rng: random.Random, cfg: EngineConfig) -> TrafficPattern:
+    """Contiguous segments whose bounds fall on ticks, between ticks or past the run, some at rate 0."""
+    ticks = [tick * cfg.sample_interval_s for tick in range(cfg.ticks + 2)]
+    bounds = {rng.choice(ticks) + rng.choice((0.0, 0.0, 0.5 * cfg.sample_interval_s))
+              for _ in range(rng.randint(2, 6))}
+    bounds = sorted(bounds)
+    if len(bounds) < 2:
+        bounds.append(bounds[0] + cfg.sample_interval_s)
+    return TrafficPattern(tuple(TrafficSegment(start, end, rng.choice((0.0, 0.0, 1.0, 5.0, 20.0, 60.0)))
+                                for start, end in zip(bounds, bounds[1:])))
+
+
+def test_simulate_equals_the_per_tick_reference():
+    """Caching per traffic epoch changes no frame and no random draw."""
+    covered = {"spikes": 0, "jitter": 0, "three epochs": 0}
+    for seed in range(60):
+        rng = random.Random(seed)
+        spec, catalog, requests = random_scenario(rng)
+        cfg = EngineConfig(duration_s=rng.choice((5.0, 10.0)), sample_interval_s=rng.choice((0.1, 0.5, 1.0)),
+                           jitter_sigma=rng.choice((0.0, 0.05, 0.3)), idle_spike_prob=rng.choice((0.0, 0.3, 1.0)),
+                           seed=seed)
+        requests = [replace(r, offered_load=_random_traffic(rng, cfg)) for r in requests]
+        net = build_network(spec)
+        scheme = solve_simple_dijkstra(net, requests, catalog)
+        frames = simulate(net, scheme, requests, catalog, cfg)
+        assert frames == per_tick_simulate(net, scheme, requests, catalog, cfg), seed
+
+        calm = simulate(net, scheme, requests, catalog, replace(cfg, idle_spike_prob=0.0))
+        covered["spikes"] += any(f.host_cpu != c.host_cpu for f, c in zip(frames, calm))
+        covered["jitter"] += cfg.jitter_sigma > 0 and bool(scheme.accepted())
+        covered["three epochs"] += len({tuple(f.link_bw_mbps.values()) for f in frames}) >= 3
+    assert min(covered.values()) >= 5, covered
+
+
+def test_frames_do_not_share_dicts(sim_setup):
+    net, catalog, requests, scheme = sim_setup
+    frames = simulate(net, scheme, requests, catalog, quiet_engine(duration_s=20.0))
+    before = copy.deepcopy(frames)
+    frames[3].link_bw_mbps["h1--sw"] = -1.0
+    frames[3].host_cpu["h1"] = -1.0
+    frames[3].sfc_latency_ms["r1"] = -1.0
+    assert frames[:3] == before[:3] and frames[4:] == before[4:]

@@ -40,6 +40,17 @@ def test_bin_latencies_requires_positive_width():
         bin_latencies([], "s", 0.0)
 
 
+@pytest.mark.parametrize("width", [-1.0, float("nan"), float("inf")])
+def test_bin_latencies_requires_finite_width(width):
+    with pytest.raises(ValueError, match="bin_width_ms must be a finite number > 0"):
+        bin_latencies([], "s", width)
+
+
+def test_bin_latencies_rejects_a_width_that_overflows_the_bin_index():
+    with pytest.raises(ValueError, match="bin width 1e-320 ms is too small"):
+        bin_latencies([frame(0, latency={"s": 3.5})], "s", 1e-320)
+
+
 def test_bin_counts_are_conserved():
     rng = random.Random(8)
     for _ in range(50):
