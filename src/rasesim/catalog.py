@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import itertools
 import json
 import math
+import reprlib
+import sys
+import types
+import typing
 from dataclasses import dataclass, replace
 from importlib import resources
 
@@ -34,24 +41,176 @@ class InvalidRequestError(CatalogError):
     """An SFC request or traffic pattern violates its constraints."""
 
 
-def finite_number(value, what: str, kind=float):
-    """kind(value) for a number read from a document; ValueError unless it is finite.
+class _Shape(ValueError):
+    """A document value of the wrong shape, or one its dataclass rejects.
 
+    Each enclosing reader adds its step (".key", "[index]") to the path on the
+    way out; the detail reads on from the path (" must be ...", ": ...").
+    """
+
+    def __init__(self, detail: str):
+        super().__init__(detail)
+        self.path: list[str] = []  # innermost step first
+
+    def __str__(self) -> str:
+        return "".join(reversed(self.path)) + self.args[0]
+
+    def at(self, step: str) -> _Shape:
+        self.path.append(step)
+        return self
+
+
+_FLOAT_MAX = sys.float_info.max
+
+
+def finite_number(value, kind=float):
+    """kind(value) for a number read from a document; a ValueError unless it is finite.
+
+    The error's message reads on from the value's path (" must be ...").
     json.loads accepts NaN, Infinity and integers beyond the float range, and
     none of them is a usable capacity, rate, size or duration. A bool or a
     string is not a number, and kind=int takes only a whole number (4.0 is 4).
     """
+    if type(value) is kind and -_FLOAT_MAX <= value <= _FLOAT_MAX:  # the common case: finite, nothing to convert
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{what} must be a number, got {value!r}")
+        raise _Shape(f" must be a number, got {reprlib.repr(value)}")
     try:
         number = float(value)
     except OverflowError:
-        raise ValueError(f"{what} is beyond the float range") from None
+        raise _Shape(" is beyond the float range") from None
     if not math.isfinite(number):
-        raise ValueError(f"{what} must be a finite number, got {number}")
+        raise _Shape(f" must be a finite number, got {number}")
     if kind is int and not number.is_integer():
-        raise ValueError(f"{what} must be a whole number, got {value}")
+        raise _Shape(f" must be a whole number, got {value}")
     return kind(value)
+
+
+def check_keys(value, keys, required, where: str = "") -> None:
+    """A ValueError naming where unless value is an object with only these keys and every required one."""
+    if type(value) is not dict:
+        raise _Shape(f"{where} must be an object")
+    unknown = value.keys() - keys
+    if unknown:
+        raise _Shape(f"{where}: unknown key(s): {', '.join(sorted(unknown))}")
+    missing = required - value.keys()
+    if missing:
+        raise _Shape(f"{where}: missing key(s): {', '.join(sorted(missing))}")
+
+
+def from_json(kind, value, where: str):
+    """A parsed JSON value as an instance of kind; a ValueError whose message names the JSON path.
+
+    kind is a dataclass (an object keyed by json_fields; a field with a default
+    or a "json_default" in its metadata may be left out), tuple[X, ...] or
+    tuple[X, Y] (a list), dict[str, X], X | None, str, bool, int or float.
+    """
+    try:
+        return _reader(kind)(value)
+    except _Shape as exc:
+        raise exc.at(where)
+
+
+_SCALARS = {str: "a string", bool: "true or false"}
+
+
+@functools.cache
+def _reader(kind):
+    """The function that reads kind from a parsed JSON value, raising _Shape."""
+    if kind is float:
+        return finite_number
+    if kind is int:
+        return lambda value: finite_number(value, int)
+    if kind in _SCALARS:
+        def read_scalar(value):
+            if type(value) is not kind:
+                raise _Shape(f" must be {_SCALARS[kind]}, got {reprlib.repr(value)}")
+            return value
+        return read_scalar
+    if kind is TrafficPattern:  # a template's traffic is the segment list itself
+        read_segments = _reader(tuple[TrafficSegment, ...])
+        return lambda value: _built(TrafficPattern, {"segments": read_segments(value)})
+    if dataclasses.is_dataclass(kind):
+        return _object_reader(kind)
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin in (typing.Union, types.UnionType):
+        (inner,) = [arg for arg in args if arg is not type(None)]
+        read_inner = _reader(inner)
+        return lambda value: None if value is None else read_inner(value)
+    if origin is tuple:
+        count = None if args[-1] is Ellipsis else len(args)
+        readers = itertools.repeat(_reader(args[0])) if count is None else [_reader(arg) for arg in args]
+
+        def read_list(value):
+            if type(value) is not list or count not in (None, len(value)):
+                raise _Shape(f" must be a list{f' of {count} items' if count else ''}, got {reprlib.repr(value)}")
+            items = []
+            for index, (read, item) in enumerate(zip(readers, value)):
+                try:
+                    items.append(read(item))
+                except _Shape as exc:
+                    raise exc.at(f"[{index}]")
+            return tuple(items)
+        return read_list
+    if origin is dict and args[0] is str:
+        read_item = _reader(args[1])
+
+        def read_dict(value):
+            if type(value) is not dict:
+                raise _Shape(f" must be an object, got {reprlib.repr(value)}")
+            items = {}
+            for key, item in value.items():  # a parsed JSON object's keys are strings
+                try:
+                    items[key] = read_item(item)
+                except _Shape as exc:
+                    raise exc.at(f"[{key!r}]")
+            return items
+        return read_dict
+    raise TypeError(f"no JSON reader for {kind!r}")
+
+
+@functools.cache
+def json_fields(kind) -> dict[str, dataclasses.Field]:
+    """A dataclass's fields by document key, under TEMPLATE_KEYS for SFCRequest; TypeError for any other type.
+
+    Only the compared fields: a compare=False one (the report's solve_seconds,
+    the engine's seed) describes a run, not its input or results, so it is
+    neither read, written nor digested.
+    """
+    names = {name: key for key, name in TEMPLATE_KEYS.items()} if kind is SFCRequest else {}
+    return {names.get(f.name, f.name): f for f in dataclasses.fields(kind) if f.compare}
+
+
+def _object_reader(kind):
+    hints = typing.get_type_hints(kind)
+    keys, required, defaults = {}, set(), {}
+    for key, f in json_fields(kind).items():
+        keys[key] = (f.name, _reader(hints[f.name]))
+        if "json_default" in f.metadata:
+            defaults[f.name] = f.metadata["json_default"]
+        elif f.default is dataclasses.MISSING:
+            required.add(key)
+
+    def read_object(value):
+        if type(value) is not dict or not required <= value.keys() <= keys.keys():
+            check_keys(value, keys, required)  # raises
+        fields = dict(defaults)
+        for key, item in value.items():
+            name, read = keys[key]
+            try:
+                fields[name] = read(item)
+            except _Shape as exc:
+                raise exc.at("." + key)
+        return _built(kind, fields)
+    return read_object
+
+
+def _built(kind, fields: dict):
+    """kind(**fields), with a rejection by its __post_init__ as a _Shape."""
+    try:
+        return kind(**fields)
+    except (ValueError, RaseSimError) as exc:
+        raise _Shape(f": {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -71,14 +230,15 @@ class VNFDescriptor:
     def __post_init__(self):
         if not isinstance(self.name, str) or not self.name:
             raise InvalidProfileError(f"VNF name must be a non-empty string, got {self.name!r}")
-        if self.cpu_per_request < 0:
-            raise InvalidProfileError(f"{self.name!r}: cpu_per_request must be >= 0")
-        if self.base_service_time_ms <= 0:
-            raise InvalidProfileError(f"{self.name!r}: base_service_time_ms must be > 0")
-        if self.memory_mb < 0:
-            raise InvalidProfileError(f"{self.name!r}: memory_mb must be >= 0")
-        if self.bandwidth_scale <= 0:
-            raise InvalidProfileError(f"{self.name!r}: bandwidth_scale must be > 0")
+        # written so that NaN, which fails every comparison, fails each check too
+        if not 0 <= self.cpu_per_request < math.inf:
+            raise InvalidProfileError(f"{self.name!r}: cpu_per_request must be finite and >= 0")
+        if not 0 < self.base_service_time_ms < math.inf:
+            raise InvalidProfileError(f"{self.name!r}: base_service_time_ms must be finite and > 0")
+        if not 0 <= self.memory_mb < math.inf:
+            raise InvalidProfileError(f"{self.name!r}: memory_mb must be finite and >= 0")
+        if not 0 < self.bandwidth_scale < math.inf:
+            raise InvalidProfileError(f"{self.name!r}: bandwidth_scale must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -124,17 +284,16 @@ class TrafficPattern:
     segments: tuple[TrafficSegment, ...]
 
     def __post_init__(self):
-        previous_end = None
         for seg in self.segments:
-            if seg.start_s >= seg.end_s:
-                raise InvalidRequestError(f"traffic segment [{seg.start_s}, {seg.end_s}) is empty or reversed")
-            if seg.rps < 0:
-                raise InvalidRequestError(f"traffic segment at {seg.start_s}s: rate must be >= 0")
-            if previous_end is not None and seg.start_s != previous_end:
-                raise InvalidRequestError(
-                    f"traffic segments must be contiguous: gap or overlap at {seg.start_s}s"
-                )
-            previous_end = seg.end_s
+            # written so that NaN, which fails every comparison, fails each check too
+            if not -math.inf < seg.start_s < seg.end_s < math.inf:
+                raise InvalidRequestError(f"traffic segment [{seg.start_s}, {seg.end_s}) is not a finite, "
+                                          "non-empty interval")
+            if not 0 <= seg.rps < math.inf:
+                raise InvalidRequestError(f"traffic segment at {seg.start_s}s: rate must be finite and >= 0")
+        for before, after in zip(self.segments, self.segments[1:]):
+            if after.start_s != before.end_s:
+                raise InvalidRequestError(f"traffic segments must be contiguous: gap or overlap at {after.start_s}s")
 
     def rate_at(self, t: float) -> float:
         for seg in self.segments:
@@ -161,10 +320,14 @@ class SFCRequest:
             raise InvalidRequestError(f"{self.sfcr_id!r}: chain must not be empty")
         if not all(isinstance(name, str) and name for name in self.chain):
             raise InvalidRequestError(f"{self.sfcr_id!r}: chain entries must be non-empty strings")
-        if self.bandwidth_mbps <= 0:
-            raise InvalidRequestError(f"{self.sfcr_id!r}: bandwidth_mbps must be > 0")
-        if self.request_size_bits < 0:
-            raise InvalidRequestError(f"{self.sfcr_id!r}: request_size_bits must be >= 0")
+        if not 0 < self.bandwidth_mbps < math.inf:
+            raise InvalidRequestError(f"{self.sfcr_id!r}: bandwidth_mbps must be finite and > 0")
+        if not 0 <= self.request_size_bits < math.inf:
+            raise InvalidRequestError(f"{self.sfcr_id!r}: request_size_bits must be finite and >= 0")
+
+
+# SFCR template key -> SFCRequest field, where the two names differ
+TEMPLATE_KEYS = {"id": "sfcr_id", "traffic": "offered_load"}
 
 
 def load_catalog(document) -> Catalog:
@@ -172,92 +335,36 @@ def load_catalog(document) -> Catalog:
 
     The document's top level is {"vnfs": [...]} with optional "version".
     """
-    data = _parse_document(document, "catalog")
-    allowed = {"vnfs", "version"}
-    unknown = set(data) - allowed
-    if unknown:
-        raise ParseError(f"catalog: unknown top-level key(s): {', '.join(sorted(unknown))}")
-    if "vnfs" not in data or not isinstance(data["vnfs"], list):
-        raise ParseError("catalog: missing 'vnfs' list")
-    vnfs = []
-    for i, entry in enumerate(data["vnfs"]):
-        if not isinstance(entry, dict):
-            raise ParseError(f"catalog: vnfs[{i}] is not an object")
-        extra = set(entry) - {"name", "cpu_per_request", "base_service_time_ms", "memory_mb", "bandwidth_scale"}
-        if extra:
-            raise InvalidProfileError(f"catalog: vnfs[{i}]: unknown key(s): {', '.join(sorted(extra))}")
-        try:
-            vnfs.append(
-                VNFDescriptor(
-                    name=entry["name"],
-                    cpu_per_request=finite_number(entry["cpu_per_request"], "cpu_per_request"),
-                    base_service_time_ms=finite_number(entry["base_service_time_ms"], "base_service_time_ms"),
-                    memory_mb=finite_number(entry["memory_mb"], "memory_mb"),
-                    bandwidth_scale=finite_number(entry.get("bandwidth_scale", 1.0), "bandwidth_scale"),
-                )
-            )
-        except KeyError as exc:
-            raise InvalidProfileError(f"catalog: vnfs[{i}]: missing key {exc.args[0]!r}") from None
-        except (TypeError, ValueError) as exc:
-            raise InvalidProfileError(f"catalog: vnfs[{i}]: {exc}") from None
-    return Catalog(tuple(vnfs))
+    return Catalog(_read_list(document, "catalog", "vnfs", {"version"}, VNFDescriptor, InvalidProfileError))
 
 
 def parse_sfcr_templates(document) -> tuple[SFCRequest, ...]:
     """Parse SFCR templates from JSON text or an already-parsed mapping."""
-    data = _parse_document(document, "sfcrs")
-    unknown = set(data) - {"sfcrs", "version", "seed"}
-    if unknown:
-        raise ParseError(f"sfcrs: unknown top-level key(s): {', '.join(sorted(unknown))}")
-    if "sfcrs" not in data or not isinstance(data["sfcrs"], list):
-        raise ParseError("sfcrs: missing 'sfcrs' list")
-    templates = []
+    templates = _read_list(document, "sfcrs", "sfcrs", {"version", "seed"}, SFCRequest, InvalidRequestError)
+    # generated ids "<id>-<i>" of distinct template ids never collide, so this check suffices
     first_index: dict[str, int] = {}
-    for i, entry in enumerate(data["sfcrs"]):
-        if not isinstance(entry, dict):
-            raise ParseError(f"sfcrs[{i}] is not an object")
-        extra = set(entry) - {"id", "chain", "bandwidth_mbps", "request_size_bits", "traffic"}
-        if extra:
-            raise InvalidRequestError(f"sfcrs[{i}]: unknown key(s): {', '.join(sorted(extra))}")
-        try:
-            segments = tuple(
-                TrafficSegment(finite_number(seg["start_s"], "start_s"), finite_number(seg["end_s"], "end_s"),
-                               finite_number(seg["rps"], "rps"))
-                for seg in entry["traffic"]
-            )
-            templates.append(
-                SFCRequest(
-                    sfcr_id=entry["id"],
-                    chain=tuple(entry["chain"]),
-                    bandwidth_mbps=finite_number(entry["bandwidth_mbps"], "bandwidth_mbps"),
-                    request_size_bits=finite_number(entry["request_size_bits"], "request_size_bits"),
-                    offered_load=TrafficPattern(segments),
-                )
-            )
-        except KeyError as exc:
-            raise InvalidRequestError(f"sfcrs[{i}]: missing key {exc.args[0]!r}") from None
-        except (TypeError, ValueError) as exc:
-            raise InvalidRequestError(f"sfcrs[{i}]: {exc}") from None
-        # generated ids "<id>-<i>" of distinct template ids never collide, so this check suffices
-        sfcr_id = templates[-1].sfcr_id
-        if sfcr_id in first_index:
-            raise InvalidRequestError(f"sfcrs[{i}]: id {sfcr_id!r} is already used by "
-                                      f"sfcrs[{first_index[sfcr_id]}]")
-        first_index[sfcr_id] = i
-    return tuple(templates)
+    for i, template in enumerate(templates):
+        first = first_index.setdefault(template.sfcr_id, i)
+        if first != i:
+            raise InvalidRequestError(f"sfcrs[{i}]: id {template.sfcr_id!r} is already used by sfcrs[{first}]")
+    return templates
 
 
-def _parse_document(document, what: str) -> dict:
+def _read_list(document, what: str, key: str, optional: set[str], kind, error) -> tuple:
+    """document[key] as a tuple of kind; a ParseError for a malformed document, error for a bad entry."""
     if isinstance(document, (str, bytes)):
         try:
-            data = json.loads(document)
+            document = json.loads(document)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{what}: invalid JSON: {exc}") from None
-    else:
-        data = document
-    if not isinstance(data, dict):
-        raise ParseError(f"{what}: top level must be an object")
-    return data
+    try:
+        check_keys(document, {key, *optional}, {key}, what)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+    try:
+        return from_json(tuple[kind, ...], document[key], key)
+    except ValueError as exc:
+        raise error(str(exc)) from None
 
 
 def default_catalog() -> Catalog:

@@ -16,7 +16,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, is_dataclass, replace
 from datetime import datetime
 from io import StringIO
 from json.encoder import encode_basestring_ascii
@@ -26,8 +26,10 @@ from .catalog import (
     Catalog,
     CatalogError,
     SFCRequest,
-    finite_number,
+    check_keys,
+    from_json,
     generate_sfcrs,
+    json_fields,
     load_catalog,
     parse_sfcr_templates,
 )
@@ -39,30 +41,38 @@ from .solver import (
     EvolutionTrace,
     Fitness,
     GAParams,
-    GenerationStats,
-    InvalidParamsError,
     acceptance_ratio,
     decode_chromosome,
     ga_solve,
     solve_simple_dijkstra,
 )
 from .telemetry import TelemetryFrame, mean_latency
-from .topology import HostSpec, LinkSpec, NetworkSpec, SubstrateNetwork, TopologyError, build_network
+from .topology import NetworkSpec, SubstrateNetwork, TopologyError, build_network
 
-SOLVER_KINDS = ("simple-dijkstra", "ga")
 REPORT_FILENAME = "report.json"
 
 
 @dataclass(frozen=True)
 class SolverSettings:
     kind: str
-    ga: GAParams
+    ga: GAParams = GAParams()
+
+    def __post_init__(self):
+        if self.kind not in ("simple-dijkstra", "ga"):
+            raise ValueError(f"unknown solver kind {self.kind!r}; use simple-dijkstra or ga")
+        self.ga.validate()
 
 
 @dataclass(frozen=True)
 class OutputSettings:
-    directory: str
-    formats: tuple[str, ...]
+    directory: str = "results"
+    formats: tuple[str, ...] = ("json", "csv")
+
+    def __post_init__(self):
+        if not self.formats or not set(self.formats) <= {"json", "csv"}:
+            raise ValueError(f"formats must be a non-empty list of 'json' and 'csv', got {list(self.formats)}")
+        if not isinstance(self.directory, str) or not self.directory:
+            raise ValueError("directory must be a non-empty string")
 
 
 @dataclass(frozen=True)
@@ -96,64 +106,6 @@ class ExperimentReport:
     solve_seconds: float | None = field(default=None, compare=False)
 
 
-def _check_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: expected an object")
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ConfigError(f"{where}: unknown key(s): {', '.join(sorted(unknown))}")
-    missing = required - set(obj)
-    if missing:
-        raise ConfigError(f"{where}: missing key(s): {', '.join(sorted(missing))}")
-
-
-def _node_id(value, where: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{where}: node ids must be strings, got {value!r}")
-    return value
-
-
-def _listed(section, key: str, where: str) -> list:
-    value = section.get(key, [])
-    if not isinstance(value, list):
-        raise ConfigError(f"{where}.{key}: expected a list")
-    return value
-
-
-def _parse_network(section) -> NetworkSpec:
-    _check_keys(section, {"hosts", "switches", "links", "ingress_node", "egress_host"},
-                {"hosts", "links", "ingress_node", "egress_host"}, "network")
-    hosts = []
-    for i, entry in enumerate(_listed(section, "hosts", "network")):
-        _check_keys(entry, {"id", "cpus", "memory_mb"}, {"id", "cpus", "memory_mb"}, f"network.hosts[{i}]")
-        try:
-            hosts.append(HostSpec(_node_id(entry["id"], f"network.hosts[{i}]"),
-                                  finite_number(entry["cpus"], "cpus", int),
-                                  finite_number(entry["memory_mb"], "memory_mb")))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"network.hosts[{i}]: {exc}") from None
-    links = []
-    for i, entry in enumerate(_listed(section, "links", "network")):
-        _check_keys(entry, {"endpoint_a", "endpoint_b", "bandwidth_mbps", "propagation_delay_ms"},
-                    {"endpoint_a", "endpoint_b", "bandwidth_mbps", "propagation_delay_ms"},
-                    f"network.links[{i}]")
-        try:
-            links.append(LinkSpec(_node_id(entry["endpoint_a"], f"network.links[{i}]"),
-                                  _node_id(entry["endpoint_b"], f"network.links[{i}]"),
-                                  finite_number(entry["bandwidth_mbps"], "bandwidth_mbps"),
-                                  finite_number(entry["propagation_delay_ms"], "propagation_delay_ms")))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"network.links[{i}]: {exc}") from None
-    switches = tuple(_node_id(s, "network.switches") for s in _listed(section, "switches", "network"))
-    return NetworkSpec(
-        hosts=tuple(hosts),
-        switches=switches,
-        links=tuple(links),
-        ingress_node=_node_id(section["ingress_node"], "network.ingress_node"),
-        egress_host=_node_id(section["egress_host"], "network.egress_host"),
-    )
-
-
 def _resolve_section(value, base_dir: Path, parser, what: str):
     """A section given inline as an object, or as a path relative to the config."""
     if isinstance(value, str):
@@ -161,105 +113,34 @@ def _resolve_section(value, base_dir: Path, parser, what: str):
         if not target.is_file():
             raise ConfigError(f"{what}: referenced file {target} does not exist")
         try:
-            text = target.read_text("utf-8")
+            value = target.read_text("utf-8")
         except OSError as exc:
             raise ConfigError(f"{what}: cannot read {target}: {exc}") from None
-        value = text
     try:
         return parser(value)
     except CatalogError as exc:
         raise ConfigError(f"{what}: {exc}") from None
 
 
-def _parse_solver(section) -> SolverSettings:
-    _check_keys(section, {"kind", "ga"}, {"kind"}, "solver")
-    kind = section["kind"]
-    if kind not in SOLVER_KINDS:
-        raise ConfigError(f"solver.kind must be one of {', '.join(SOLVER_KINDS)}; got {kind!r}")
-    ga_section = section.get("ga", {})
-    _check_keys(ga_section, {"population", "generations", "tournament_k", "crossover_rate",
-                             "mutation_rate", "elitism"}, set(), "solver.ga")
-    defaults = GAParams()
-
-    def number(key, kind):
-        return finite_number(ga_section.get(key, getattr(defaults, key)), key, kind)
-
-    try:
-        params = GAParams(
-            population=number("population", int),
-            generations=number("generations", int),
-            tournament_k=number("tournament_k", int),
-            crossover_rate=number("crossover_rate", float),
-            mutation_rate=(None if ga_section.get("mutation_rate") is None
-                           else number("mutation_rate", float)),
-            elitism=number("elitism", int),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"solver.ga: {exc}") from None
-    try:
-        params.validate()
-    except InvalidParamsError as exc:
-        raise ConfigError(f"solver.ga: {exc}") from None
-    return SolverSettings(kind, params)
-
-
-def _parse_engine(section) -> EngineConfig:
-    _check_keys(section, {"duration_s", "sample_interval_s", "utilization_cap", "jitter_sigma",
-                          "idle_spike_prob", "idle_spike_range"}, set(), "engine")
-    defaults = EngineConfig()
-
-    def number(key):
-        return finite_number(section.get(key, getattr(defaults, key)), key)
-
-    try:
-        spike_range = section.get("idle_spike_range", list(defaults.idle_spike_range))
-        return EngineConfig(
-            duration_s=number("duration_s"),
-            sample_interval_s=number("sample_interval_s"),
-            utilization_cap=number("utilization_cap"),
-            jitter_sigma=number("jitter_sigma"),
-            idle_spike_prob=number("idle_spike_prob"),
-            idle_spike_range=(finite_number(spike_range[0], "idle_spike_range"),
-                              finite_number(spike_range[1], "idle_spike_range")),
-        )
-    except (TypeError, ValueError, IndexError, KeyError) as exc:
-        raise ConfigError(f"engine: {exc}") from None
-
-
-def _parse_output(section) -> OutputSettings:
-    _check_keys(section, {"directory", "formats"}, set(), "output")
-    raw_formats = section.get("formats", ["json", "csv"])
-    if not isinstance(raw_formats, list):
-        raise ConfigError("output.formats: expected a list")
-    formats = tuple(raw_formats)
-    for fmt in formats:
-        if fmt not in ("json", "csv"):
-            raise ConfigError(f"output.formats entries must be 'json' or 'csv'; got {fmt!r}")
-    if not formats:
-        raise ConfigError("output.formats must not be empty")
-    directory = section.get("directory", "results")
-    if not isinstance(directory, str) or not directory:
-        raise ConfigError("output.directory must be a non-empty string")
-    return OutputSettings(directory, formats)
-
-
 def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
     """Load and fully validate an experiment config file."""
     path = Path(path)
     try:
-        text = path.read_text("utf-8")
+        data = json.loads(path.read_text("utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    try:
-        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-    _check_keys(data, {"network", "catalog", "sfcrs", "duplicates", "solver", "engine", "output", "seed"},
-                {"network", "catalog", "sfcrs", "solver", "seed"}, "config")
-
-    network = _parse_network(data["network"])
     try:
+        check_keys(data, {"network", "catalog", "sfcrs", "duplicates", "solver", "engine", "output", "seed"},
+                   {"network", "catalog", "sfcrs", "solver", "seed"}, "config")
+        network = from_json(NetworkSpec, data["network"], "network")
+        solver = from_json(SolverSettings, data["solver"], "solver")
+        engine = from_json(EngineConfig, data.get("engine", {}), "engine")
+        output = from_json(OutputSettings, data.get("output", {}), "output")
         network.validate()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     except TopologyError as exc:
         raise ConfigError(f"network: {exc}") from None
 
@@ -275,61 +156,48 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
     if not isinstance(duplicates, int) or isinstance(duplicates, bool) or duplicates < 0:
         raise ConfigError("duplicates must be a non-negative integer")
 
-    solver = _parse_solver(data["solver"])
-    engine = _parse_engine(data.get("engine", {}))
-    output = _parse_output(data.get("output", {}))
-
     seed = data["seed"] if seed_override is None else seed_override
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ConfigError("seed must be an integer")
 
     digest = _config_digest(network, catalog, templates, duplicates, solver, engine, seed)
-    return ExperimentConfig(network, catalog, tuple(templates), duplicates, solver, engine,
-                            output, seed, digest)
-
-
-@functools.cache
-def _compared_fields(kind: type) -> tuple[str, ...]:
-    """Names of a dataclass's compare=True fields; TypeError for any other type.
-
-    A compare=False field (the report's solve_seconds) describes the run,
-    not its results, so it is neither serialized nor digested.
-    """
-    return tuple(f.name for f in fields(kind) if f.compare)
+    return ExperimentConfig(network, catalog, templates, duplicates, solver, engine, output, seed, digest)
 
 
 def _field_dict(obj) -> dict:
-    """A dataclass instance's compared fields by name; the values are shared, not copied."""
-    return {name: getattr(obj, name) for name in _compared_fields(type(obj))}
+    """A dataclass instance's fields by document key; the values are shared, not copied."""
+    return {key: getattr(obj, f.name) for key, f in json_fields(type(obj)).items()}
+
+
+_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
 
 
 def _jsonable(value):
-    """Dataclasses as field dicts and tuples as lists, recursively; dicts and scalars are shared.
+    """Dataclasses as _field_dict dicts and tuples as lists, recursively; dicts and scalars are shared.
 
     Unlike dataclasses.asdict nothing is deep-copied, which matters for a
     report's frames.
     """
-    if type(value) is tuple:
+    kind = type(value)
+    if kind is tuple:
         return [_jsonable(item) for item in value]
-    if not is_dataclass(value):
+    if kind in _SCALAR_TYPES or not is_dataclass(value):
         return value
-    return {name: _jsonable(item) for name, item in _field_dict(value).items()}
+    return {key: _jsonable(getattr(value, f.name)) for key, f in json_fields(kind).items()}
 
 
 def _config_digest(network, catalog, templates, duplicates, solver, engine, seed) -> str:
     """Digest of everything that determines results; output settings excluded.
 
-    The engine's own seed is left out: a run derives it from the config seed.
+    The engine's own seed is a compare=False field, so it is left out.
     """
-    engine_fields = _field_dict(engine)
-    del engine_fields["seed"]
     payload = {
         "network": network,
         "catalog": catalog.vnfs,
         "sfcrs": [template_to_dict(t) for t in templates],
         "duplicates": duplicates,
         "solver": solver,
-        "engine": engine_fields,
+        "engine": engine,
         "seed": seed,
     }
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=_field_dict)
@@ -337,16 +205,10 @@ def _config_digest(network, catalog, templates, duplicates, solver, engine, seed
 
 
 def template_to_dict(template: SFCRequest) -> dict:
-    return {
-        "id": template.sfcr_id,
-        "chain": list(template.chain),
-        "bandwidth_mbps": template.bandwidth_mbps,
-        "request_size_bits": template.request_size_bits,
-        "traffic": [
-            {"start_s": seg.start_s, "end_s": seg.end_s, "rps": seg.rps}
-            for seg in template.offered_load.segments
-        ],
-    }
+    """A template as an SFCR document holds it, the form from_json reads: traffic is the segment list."""
+    data = _jsonable(template)
+    data["traffic"] = data["traffic"]["segments"]
+    return data
 
 
 def build_ga_evaluator(base_net: SubstrateNetwork, sfcrs, catalog: Catalog, engine_cfg: EngineConfig):
@@ -435,9 +297,6 @@ def report_to_dict(report: ExperimentReport) -> dict:
     return _jsonable(report)
 
 
-_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
-
-
 @functools.cache
 def _leaf_encoder(level: int) -> json.JSONEncoder:
     """Writes a container of scalars whose items sit at `level`, as the indenting encoder would.
@@ -489,53 +348,22 @@ def _write_json(value, level: int, out: list[str]) -> None:
     out += ["\n", "  " * level, closing]
 
 
-def _check_amount(value, what: str) -> None:
-    """ValueError unless value is a finite, non-negative number (a bool is not one)."""
-    if finite_number(value, what) < 0:
-        raise ValueError(f"{what} must be non-negative, got {value}")
-
-
-def _check_samples(samples, what: str) -> None:
-    if not isinstance(samples, dict):
-        raise ValueError(f"{what} must be an object")
-    for key, value in samples.items():
-        if not isinstance(key, str):
-            raise ValueError(f"{what} keys must be strings, got {key!r}")
-        _check_amount(value, f"{what}[{key!r}]")
-
-
-def report_from_dict(data: dict) -> ExperimentReport:
+def report_from_dict(data) -> ExperimentReport:
     """Rebuild a report, checking every value the CSV and histogram writers read.
 
-    KeyError, TypeError or ValueError for a document of another shape.
+    A ValueError for a document of another shape.
     """
-    trace = data["trace"]
-    if trace is not None:
-        trace = tuple(
-            GenerationStats(**{**g, "fitnesses": tuple(Fitness(**f) for f in g["fitnesses"]),
-                               "best": tuple(g["best"]), "best_fitness": Fitness(**g["best_fitness"])})
-            for g in trace
-        )
-    report = ExperimentReport(**{
-        **data,
-        "outcomes": tuple(SfcOutcome(**o) for o in data["outcomes"]),
-        "frames": tuple(TelemetryFrame(**f) for f in data["frames"]),
-        "trace": trace,
-    })
-    for i, o in enumerate(report.outcomes):
-        if not (isinstance(o.sfcr_id, str) and isinstance(o.accepted, bool) and isinstance(o.reason, str)):
-            raise ValueError(f"outcomes[{i}] must hold a string sfcr_id, a bool accepted and a string reason")
-    for name in ("acceptance_ratio", "mean_latency_ms"):
-        if getattr(report, name) is not None:
-            _check_amount(getattr(report, name), name)
+    report = from_json(ExperimentReport, data, "report")
+    if min(report.acceptance_ratio or 0.0, report.mean_latency_ms or 0.0) < 0:
+        raise ValueError("report: acceptance_ratio and mean_latency_ms must be non-negative")
     accepted = [o.sfcr_id for o in report.outcomes if o.accepted]
     for i, frame in enumerate(report.frames):
-        _check_amount(frame.timestamp_s, f"frames[{i}].timestamp_s")
-        for name in ("host_cpu", "link_bw_mbps", "sfc_latency_ms"):
-            _check_samples(getattr(frame, name), f"frames[{i}].{name}")
+        if min(frame.timestamp_s, *frame.host_cpu.values(), *frame.link_bw_mbps.values(),
+               *frame.sfc_latency_ms.values()) < 0:
+            raise ValueError(f"report.frames[{i}] holds a negative number")
         missing = [sfcr_id for sfcr_id in accepted if sfcr_id not in frame.sfc_latency_ms]
         if missing:
-            raise ValueError(f"frames[{i}] has no latency for accepted SFC {missing[0]!r}")
+            raise ValueError(f"report.frames[{i}] has no latency for accepted SFC {missing[0]!r}")
     return report
 
 
@@ -549,8 +377,8 @@ def read_report(path) -> ExperimentReport:
         raise IoError(f"{path}: invalid report JSON: {exc}") from None
     try:
         return report_from_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise IoError(f"{path}: malformed report: {type(exc).__name__}: {exc}") from None
+    except ValueError as exc:
+        raise IoError(f"{path}: malformed report: {exc}") from None
 
 
 def _csv_text(header: list[str], rows) -> str:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -127,7 +127,7 @@ class NetworkSpec:
     """Declarative substrate description; validated by build_network."""
 
     hosts: tuple[HostSpec, ...]
-    switches: tuple[str, ...]
+    switches: tuple[str, ...] = field(metadata={"json_default": ()})
     links: tuple[LinkSpec, ...]
     ingress_node: str
     egress_host: str
@@ -138,11 +138,12 @@ class NetworkSpec:
             if node_id in seen:
                 raise DuplicateIdError(f"duplicate node id {node_id!r}")
             seen.add(node_id)
+        # each range check is written so that NaN, which fails every comparison, fails it too
         for host in self.hosts:
-            if host.cpus <= 0:
-                raise NonPositiveCapacityError(f"host {host.id!r}: cpus must be positive")
-            if host.memory_mb <= 0:
-                raise NonPositiveCapacityError(f"host {host.id!r}: memory_mb must be positive")
+            if not 0 < host.cpus < math.inf:
+                raise NonPositiveCapacityError(f"host {host.id!r}: cpus must be positive and finite")
+            if not 0 < host.memory_mb < math.inf:
+                raise NonPositiveCapacityError(f"host {host.id!r}: memory_mb must be positive and finite")
         link_ids: set[str] = set()
         for link in self.links:
             for endpoint in (link.endpoint_a, link.endpoint_b):
@@ -150,10 +151,10 @@ class NetworkSpec:
                     raise DanglingEndpointError(f"link endpoint {endpoint!r} is not a declared node")
             if link.endpoint_a == link.endpoint_b:
                 raise DanglingEndpointError(f"link {link.link_id!r} joins node {link.endpoint_a!r} to itself")
-            if link.bandwidth_mbps <= 0:
-                raise NonPositiveCapacityError(f"link {link.link_id!r}: bandwidth_mbps must be positive")
-            if link.propagation_delay_ms < 0:
-                raise NonPositiveCapacityError(f"link {link.link_id!r}: propagation_delay_ms must be >= 0")
+            if not 0 < link.bandwidth_mbps < math.inf:
+                raise NonPositiveCapacityError(f"link {link.link_id!r}: bandwidth_mbps must be positive and finite")
+            if not 0 <= link.propagation_delay_ms < math.inf:
+                raise NonPositiveCapacityError(f"link {link.link_id!r}: propagation_delay_ms must be finite, >= 0")
             if link.link_id in link_ids:
                 raise DuplicateIdError(f"duplicate link {link.link_id!r}")
             link_ids.add(link.link_id)

@@ -58,6 +58,9 @@ def test_duplicate_vnf_type():
         {"bandwidth_scale": 0},
         {"name": ""},
         {"surprise": 1},
+        {"cpu_per_request": float("nan")},
+        {"memory_mb": float("inf")},
+        {"bandwidth_scale": "wide"},
     ],
 )
 def test_invalid_profiles(patch):
@@ -65,6 +68,14 @@ def test_invalid_profiles(patch):
     entry.update(patch)
     with pytest.raises(InvalidProfileError):
         load_catalog({"vnfs": [entry]})
+
+
+@pytest.mark.parametrize("field", ["cpu_per_request", "base_service_time_ms", "memory_mb", "bandwidth_scale"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_vnf_descriptor_rejects_nonfinite_numbers(field, value):
+    numbers = {"cpu_per_request": 0.01, "base_service_time_ms": 1.0, "memory_mb": 8.0, "bandwidth_scale": 1.0}
+    with pytest.raises(InvalidProfileError, match=field):
+        VNFDescriptor("x", **{**numbers, field: value})
 
 
 def test_parse_errors():
@@ -108,6 +119,11 @@ def test_catalog_lookup_table_leaves_equality_unchanged():
         ((10.0, 10.0, 5.0),),                    # empty interval
         ((10.0, 5.0, 5.0),),                     # reversed
         ((0.0, 10.0, -1.0),),                    # negative rate
+        ((0.0, 10.0, float("nan")),),            # NaN fails every comparison
+        ((float("nan"), 10.0, 1.0),),
+        ((0.0, float("nan"), 1.0),),
+        ((0.0, float("inf"), 1.0),),
+        ((0.0, 10.0, float("inf")),),
     ],
 )
 def test_traffic_pattern_validation(segments):
@@ -135,6 +151,9 @@ def test_sfcr_validation():
         SFCRequest("r", ("a",), 0.0, 100.0, constant_pattern(1))
     with pytest.raises(InvalidRequestError):
         SFCRequest("r", ("a",), 1.0, -5.0, constant_pattern(1))
+    for bandwidth, size in [(float("nan"), 100.0), (float("inf"), 100.0), (1.0, float("nan")), (1.0, float("inf"))]:
+        with pytest.raises(InvalidRequestError):
+            SFCRequest("r", ("a",), bandwidth, size, constant_pattern(1))
 
 
 def test_default_templates_resolve_against_default_catalog():

@@ -306,6 +306,8 @@ def _edited_exp1(scenario_dir, tmp_path, edit):
         (lambda d: d["solver"].update(ga={"population": 20.9}), "population must be a whole number"),
         (lambda d: d["network"]["hosts"][0].update(cpus="4"), "cpus must be a number, got '4'"),
         (lambda d: d["network"]["hosts"][0].update(cpus=True), "cpus must be a number, got True"),
+        # the message names the JSON path, list index included
+        (lambda d: d["network"]["hosts"][3].update(cpus=2.5), r"network\.hosts\[3\]"),
     ],
 )
 def test_unusable_numbers_are_one_line_config_errors(scenario_dir, tmp_path, capsys, command, edit, needle):

@@ -55,6 +55,7 @@ def quiet_engine(**overrides) -> EngineConfig:
         {"idle_spike_range": (0.05, float("inf"))},
         {"sample_interval_s": 1e-7},  # 6e8 frames at the default 60 s
         {"duration_s": MAX_FRAMES + 1.0},
+        {"sample_interval_s": 5e-324},  # duration_s / sample_interval_s overflows to infinity
     ],
 )
 def test_engine_config_validation(overrides):

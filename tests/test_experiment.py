@@ -4,8 +4,12 @@ import pytest
 
 import rasesim.engine
 import rasesim.experiment
+from rasesim.catalog import Catalog, SFCRequest, TrafficSegment, VNFDescriptor, from_json, json_fields
+from rasesim.engine import EngineConfig
 from rasesim.errors import ConfigError
 from rasesim.experiment import (
+    OutputSettings,
+    SolverSettings,
     cpu_csv,
     latency_csv,
     load_config,
@@ -14,9 +18,11 @@ from rasesim.experiment import (
     report_from_dict,
     report_to_dict,
     run_experiment,
+    template_to_dict,
     write_report,
 )
-from rasesim.solver import acceptance_ratio
+from rasesim.solver import GAParams, acceptance_ratio
+from rasesim.topology import HostSpec, LinkSpec, NetworkSpec
 
 
 def load_scenario(scenario_dir, name, **overrides):
@@ -62,6 +68,8 @@ def test_missing_catalog_file_is_config_error(scenario_dir, tmp_path):
         (lambda d: d.update(seed="abc"), "seed"),
         (lambda d: d["network"]["hosts"].__setitem__(0, {**d["network"]["hosts"][0], "id": "h02"}), "h02"),
         (lambda d: d["solver"].update(ga={"population": 1}), "population"),
+        # a run derives the engine's seed, so the section may not set it
+        (lambda d: d["engine"].update(seed=3), r"engine: unknown key\(s\): seed"),
     ],
 )
 def test_config_validation_catches_typos_and_bad_values(scenario_dir, tmp_path, mutate, needle):
@@ -88,6 +96,20 @@ def test_invalid_json_is_config_error(tmp_path):
         load_config(broken)
 
 
+def _expecting(needle, mutate):
+    """mutate, carrying a pattern its config error must match."""
+    mutate.needle = needle
+    return mutate
+
+
+_SEGMENT = {"start_s": 0, "end_s": 1, "rps": 1}
+
+
+def _template(**changes):
+    return {"id": "a", "chain": ["nat"], "bandwidth_mbps": 1, "request_size_bits": 1, "traffic": [_SEGMENT],
+            **changes}
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -103,11 +125,18 @@ def test_invalid_json_is_config_error(tmp_path):
         lambda d: d.update(sfcrs={"sfcrs": [{"id": 1, "chain": ["firewall"], "bandwidth_mbps": 1,
                                              "request_size_bits": 1,
                                              "traffic": [{"start_s": 0, "end_s": 1, "rps": 1}]}]}),
+        # a list of the wrong length, a string for a list and an object for a list
+        _expecting(r"engine\.idle_spike_range must be a list of 2 items, got \[0\.05, 0\.1, 0\.9\]",
+                   lambda d: d["engine"].update(idle_spike_range=[0.05, 0.1, 0.9])),
+        _expecting(r"sfcrs\[0\]\.chain must be a list, got 'nat'",
+                   lambda d: d.update(sfcrs={"sfcrs": [_template(chain="nat")]})),
+        _expecting(r"sfcrs\[1\]\.traffic must be a list, got \{",
+                   lambda d: d.update(sfcrs={"sfcrs": [_template(), _template(id="b", traffic=_SEGMENT)]})),
     ],
 )
 def test_pathological_shapes_become_config_errors(scenario_dir, tmp_path, mutate):
     target = rewrite_config(scenario_dir, tmp_path, "exp1.json", mutate)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=getattr(mutate, "needle", None)):
         load_config(target)
 
 
@@ -260,3 +289,40 @@ def test_scenario_catalog_matches_packaged_default(scenario_dir, catalog):
     assert tuple(shipped) == tuple(catalog)
     shipped_templates = parse_sfcr_templates((scenario_dir / "sfcrs.json").read_text())
     assert shipped_templates == default_sfcr_templates()
+
+
+def test_config_dataclasses_round_trip_through_from_json(scenario_dir):
+    configs = [p for p in sorted(scenario_dir.glob("*.json")) if p.name not in ("catalog.json", "sfcrs.json")]
+    assert len(configs) == 9
+    for path in configs:
+        cfg = load_config(path)
+        sections = [(NetworkSpec, cfg.network), (Catalog, cfg.catalog), (SolverSettings, cfg.solver),
+                    (EngineConfig, cfg.engine), (OutputSettings, cfg.output)]
+        for kind, value in sections:
+            written = rasesim.experiment._jsonable(value)
+            read = from_json(kind, json.loads(json.dumps(written)), kind.__name__)
+            assert read == value
+            assert json.dumps(rasesim.experiment._jsonable(read)) == json.dumps(written)  # an int stays an int
+        for template in cfg.templates:
+            written = template_to_dict(template)
+            read = from_json(SFCRequest, json.loads(json.dumps(written)), "template")
+            assert read == template and template_to_dict(read) == written
+
+
+README_SECTIONS = {
+    "network": (NetworkSpec, HostSpec, LinkSpec),
+    "catalog": (VNFDescriptor,),
+    "sfcrs": (SFCRequest, TrafficSegment),
+    "solver": (SolverSettings, GAParams),
+    "engine": (EngineConfig,),
+    "output": (OutputSettings,),
+}
+
+
+def test_readme_configuration_names_every_key_the_reader_accepts(scenario_dir):
+    readme = (scenario_dir.parent / "README.md").read_text()
+    section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    for name, kinds in README_SECTIONS.items():
+        keys = [name] + [key for kind in kinds for key in json_fields(kind)]
+        missing = [key for key in keys if f"`{key}`" not in section]
+        assert not missing, f"README Configuration does not name {name} key(s) {missing}"

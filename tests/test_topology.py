@@ -73,6 +73,14 @@ def test_disconnected_names_unreachable_node():
         ([("h1", 2, 0), ("h2", 2, 512)], [("h1", "h2", 10, 0.0)]),
         ([("h1", 2, 512), ("h2", 2, 512)], [("h1", "h2", 0, 0.0)]),
         ([("h1", 2, 512), ("h2", 2, 512)], [("h1", "h2", 10, -1.0)]),
+        # NaN fails every comparison, and an infinite capacity has no exact value
+        ([("h1", 2, float("nan")), ("h2", 2, 512)], [("h1", "h2", 10, 0.0)]),
+        ([("h1", 2, float("inf")), ("h2", 2, 512)], [("h1", "h2", 10, 0.0)]),
+        ([("h1", float("nan"), 512), ("h2", 2, 512)], [("h1", "h2", 10, 0.0)]),
+        ([("h1", 2, 512), ("h2", 2, 512)], [("h1", "h2", float("nan"), 0.0)]),
+        ([("h1", 2, 512), ("h2", 2, 512)], [("h1", "h2", float("inf"), 0.0)]),
+        ([("h1", 2, 512), ("h2", 2, 512)], [("h1", "h2", 10, float("nan"))]),
+        ([("h1", 2, 512), ("h2", 2, 512)], [("h1", "h2", 10, float("inf"))]),
     ],
 )
 def test_nonpositive_capacities_rejected(hosts, links):
