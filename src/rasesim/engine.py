@@ -15,11 +15,12 @@ import random
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .catalog import Catalog, SFCRequest
+from .catalog import Catalog, SFCRequest, TrafficPattern, VNFDescriptor
 from .errors import RaseSimError
+from .seeding import plain_sum
 from .solver import EmbeddingScheme, InconsistentSchemeError, SfcPlacement, verify_scheme
-from .telemetry import TelemetryFrame
-from .topology import SubstrateNetwork
+from .telemetry import NoSamplesError, TelemetryFrame
+from .topology import NetworkSpec, SubstrateNetwork
 
 __all__ = [
     "EngineError",
@@ -27,6 +28,7 @@ __all__ = [
     "InconsistentSchemeError",
     "EngineConfig",
     "MAX_FRAMES",
+    "mean_chain_latency",
     "sfc_latency",
     "simulate",
 ]
@@ -78,6 +80,10 @@ class EngineConfig:
     def ticks(self) -> int:
         """Number of sampling ticks, one telemetry frame each."""
         return int(self.duration_s / self.sample_interval_s + 1e-9)
+
+
+# an accepted chain as the tick loop reads it: (offered load, round-trip link ms, [(host, VNF)])
+Chain = tuple[TrafficPattern, float, Sequence[tuple[str, VNFDescriptor]]]
 
 
 def _walk(placement: SfcPlacement, sfcr: SFCRequest, net: SubstrateNetwork, catalog: Catalog):
@@ -136,40 +142,82 @@ def simulate(net: SubstrateNetwork, scheme: EmbeddingScheme, sfcrs: Sequence[SFC
              catalog: Catalog, cfg: EngineConfig) -> list[TelemetryFrame]:
     """Run the fluid model and emit one telemetry frame per sampling tick.
 
-    True host utilizations, per-link bandwidth use counting both directions
-    and each chain's latency before jitter depend on the offered rates alone,
-    so they are computed once per traffic epoch (a run of ticks whose rates
-    are all equal). The random draws stay per tick, in fixed order: idle-spike
-    noise for hosts at exactly zero load (hosts in declaration order), then
-    one jitter draw per accepted SFC in submission order. Every frame has its
-    own dicts. Deterministic given cfg.seed.
+    The scheme is verified against the spec, each accepted chain is walked
+    once, and the tick loop (_ticks, which the GA's frame-free fitness runs
+    too) supplies every tick's utilizations, idle-spike draws and latencies.
+    Per-link bandwidth use, counting both directions, is recomputed only when
+    the offered rates change. Every frame has its own dicts. Deterministic
+    given cfg.seed.
     """
     # verify_scheme also guarantees that the outcomes line up with sfcrs
     verify_scheme(net.spec, sfcrs, catalog, scheme)
-    rng = random.Random(cfg.seed)
-
-    host_ids = net.host_ids()
     link_ids = [l.link_id for l in net.spec.links]
-    # accepted chains in submission order: (sfcr, link term, positions); host and link
-    # entries: (chain index, cpu_per_request or forward payload bits per request)
-    chains = []
-    host_loads: dict[str, list[tuple[int, float]]] = {h: [] for h in host_ids}
+    # accepted chains in submission order; link entries: (chain index, forward payload bits per request)
+    chains: list[Chain] = []
+    sfcr_ids = []
     link_traversals: dict[str, list[tuple[int, float]]] = {l: [] for l in link_ids}
     for outcome, sfcr in zip(scheme.outcomes, sfcrs):
         if isinstance(outcome, SfcPlacement):
             link_term, positions, traversals = _walk(outcome, sfcr, net, catalog)
-            for host, vnf in positions:
-                host_loads[host].append((len(chains), vnf.cpu_per_request))
             for link, bits in traversals:
                 link_traversals[link].append((len(chains), bits))
-            chains.append((sfcr, link_term, positions))
+            chains.append((sfcr.offered_load, link_term, positions))
+            sfcr_ids.append(sfcr.sfcr_id)
 
-    cpus = {h.id: float(h.cpus) for h in net.spec.hosts}
-    sfcr_ids = [sfcr.sfcr_id for sfcr, _, _ in chains]
-    patterns = [sfcr.offered_load for sfcr, _, _ in chains]
-    sigma = cfg.jitter_sigma
-    low, high = cfg.idle_spike_range
     frames: list[TelemetryFrame] = []
+    epoch = None
+    for t, rates, true_cpu, spikes, latencies in _ticks(net.spec, chains, cfg):
+        if rates is not epoch:
+            epoch = rates
+            link_bw = {
+                link: 2.0 * plain_sum(rates[index] * bits for index, bits in link_traversals[link]) / 1e6
+                for link in link_ids
+            }
+        # spikes are observation noise only; latency uses true_cpu
+        observed_cpu = dict(true_cpu)
+        observed_cpu.update(spikes)
+        frames.append(TelemetryFrame(t, observed_cpu, dict(link_bw), dict(zip(sfcr_ids, latencies))))
+    return frames
+
+
+def mean_chain_latency(spec: NetworkSpec, chains: Sequence[Chain], cfg: EngineConfig) -> float:
+    """The mean over every (tick, chain) latency of simulate's tick loop, without building frames.
+
+    chains are the accepted chains of a verified scheme, in submission order,
+    as (offered load, round-trip link ms, [(host, VNF)]). The random draws
+    are simulate's, so the result equals mean_latency over simulate's frames
+    bit for bit when the accepted ids are distinct.
+    """
+    if not chains:
+        raise NoSamplesError("no accepted chains to take a mean latency over")
+    samples = [latency for _, _, _, _, latencies in _ticks(spec, chains, cfg) for latency in latencies]
+    return math.fsum(samples) / len(samples)
+
+
+def _ticks(spec: NetworkSpec, chains: Sequence[Chain], cfg: EngineConfig):
+    """The tick loop: per tick (t, rates, true utilizations, idle spikes, latencies).
+
+    True host utilizations and each chain's latency before jitter depend on
+    the offered rates alone, so they are computed once per traffic epoch (a
+    run of ticks whose rates are all equal); the rates list and the
+    utilization dict are the same objects for every tick of an epoch, and
+    the caller must not change them. The random draws stay per tick, in
+    fixed order: idle-spike noise for hosts at exactly zero load (hosts in
+    declaration order) as [(host, observed utilization)], then one jitter
+    draw per chain.
+    """
+    rng = random.Random(cfg.seed)
+    host_ids = [h.id for h in spec.hosts]
+    cpus = {h.id: float(h.cpus) for h in spec.hosts}
+    # per host: (chain index, cpu_per_request) of every VNF placed on it
+    host_loads: dict[str, list[tuple[int, float]]] = {h: [] for h in host_ids}
+    for index, (_, _, positions) in enumerate(chains):
+        for host, vnf in positions:
+            host_loads[host].append((index, vnf.cpu_per_request))
+    patterns = [pattern for pattern, _, _ in chains]
+    sigma = cfg.jitter_sigma
+    spike_prob = cfg.idle_spike_prob
+    low, high = cfg.idle_spike_range
     rates = None
     for tick in range(cfg.ticks):
         t = tick * cfg.sample_interval_s
@@ -179,22 +227,10 @@ def simulate(net: SubstrateNetwork, scheme: EmbeddingScheme, sfcrs: Sequence[SFC
             rates = tick_rates
             true_cpu: dict[str, float] = {}
             for host in host_ids:
-                raw = sum(rates[index] * cost for index, cost in host_loads[host]) / cpus[host]
+                raw = plain_sum(rates[index] * cost for index, cost in host_loads[host]) / cpus[host]
                 true_cpu[host] = min(cfg.utilization_cap, raw)
             idle_hosts = [host for host in host_ids if true_cpu[host] == 0.0]
-            link_bw = {
-                link: 2.0 * sum(rates[index] * bits for index, bits in link_traversals[link]) / 1e6
-                for link in link_ids
-            }
             totals = [_latency(link_term, positions, true_cpu) for _, link_term, positions in chains]
-        # spikes are observation noise only; latency uses true_cpu
-        observed_cpu = dict(true_cpu)
-        for host in idle_hosts:
-            if rng.random() < cfg.idle_spike_prob:
-                observed_cpu[host] = rng.uniform(low, high)
-        if sigma > 0:
-            latencies = {sfcr_id: _jittered(total, sigma, rng) for sfcr_id, total in zip(sfcr_ids, totals)}
-        else:
-            latencies = dict(zip(sfcr_ids, totals))
-        frames.append(TelemetryFrame(t, observed_cpu, dict(link_bw), latencies))
-    return frames
+        spikes = [(host, rng.uniform(low, high)) for host in idle_hosts if rng.random() < spike_prob]
+        latencies = [_jittered(total, sigma, rng) for total in totals] if sigma > 0 else totals
+        yield t, rates, true_cpu, spikes, latencies

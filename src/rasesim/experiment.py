@@ -33,7 +33,7 @@ from .catalog import (
     load_catalog,
     parse_sfcr_templates,
 )
-from .engine import EngineConfig, simulate
+from .engine import EngineConfig, _walk, mean_chain_latency, simulate
 from .errors import ConfigError, IoError
 from .seeding import derive_seed
 from .solver import (
@@ -41,10 +41,13 @@ from .solver import (
     EvolutionTrace,
     Fitness,
     GAParams,
+    SfcPlacement,
+    _demand_table,
     acceptance_ratio,
     decode_chromosome,
     ga_solve,
     solve_simple_dijkstra,
+    verify_scheme,
 )
 from .telemetry import TelemetryFrame, mean_latency
 from .topology import NetworkSpec, SubstrateNetwork, TopologyError, build_network
@@ -114,7 +117,7 @@ def _resolve_section(value, base_dir: Path, parser, what: str):
             raise ConfigError(f"{what}: referenced file {target} does not exist")
         try:
             value = target.read_text("utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{what}: cannot read {target}: {exc}") from None
     try:
         return parser(value)
@@ -127,7 +130,7 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
     path = Path(path)
     try:
         data = json.loads(path.read_text("utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
@@ -212,22 +215,49 @@ def template_to_dict(template: SFCRequest) -> dict:
 
 
 def build_ga_evaluator(base_net: SubstrateNetwork, sfcrs, catalog: Catalog, engine_cfg: EngineConfig):
-    """Fitness from a full engine run on a private network copy.
+    """Fitness of a chromosome: its acceptance ratio and the mean latency of an engine run.
 
-    The eval_seed passed by the solver seeds the engine so repeated
-    evaluations of one chromosome in different generations see different
-    jitter, like re-measuring a live deployment.
+    Decoding is a pure function of the chromosome, so the first evaluation
+    of a chromosome decodes it on a private network copy, verifies the
+    scheme and walks each accepted chain; the evaluator keeps only the
+    acceptance ratio and, per request, its round-trip link ms if it was
+    accepted (None if not), and reads the hosts from the chromosome itself.
+    The demand table is built once for all decodes. Every evaluation then
+    runs the engine's tick loop without frames (engine.mean_chain_latency),
+    seeded with the eval_seed passed by the solver, so a chromosome
+    evaluated again in a later generation sees fresh jitter, like
+    re-measuring a live deployment. Fitness values equal those of
+    decode_chromosome, simulate and mean_latency bit for bit.
     """
+    demands = _demand_table(sfcrs, catalog)
+    # per request: its offered load, its first gene and its VNFs
+    layout = []
+    offset = 0
+    for sfcr in sfcrs:
+        vnfs = tuple(catalog.get(name) for name in sfcr.chain)
+        layout.append((sfcr.offered_load, offset, vnfs))
+        offset += len(vnfs)
+    decoded: dict[tuple, tuple[float, tuple[float | None, ...]]] = {}
+
+    def decode(chromosome: tuple):
+        work = base_net.copy()
+        scheme = decode_chromosome(work, sfcrs, catalog, chromosome, demands=demands)
+        verify_scheme(work.spec, sfcrs, catalog, scheme, demands=demands)
+        link_terms = tuple(_walk(outcome, sfcr, work, catalog)[0] if isinstance(outcome, SfcPlacement) else None
+                           for outcome, sfcr in zip(scheme.outcomes, sfcrs))
+        return acceptance_ratio(scheme.accept_flags()), link_terms
 
     def evaluate(chromosome, eval_seed: int) -> Fitness:
-        work = base_net.copy()
-        scheme = decode_chromosome(work, sfcrs, catalog, chromosome)
-        ratio = acceptance_ratio(scheme.accept_flags())
-        accepted_ids = [p.sfcr_id for p in scheme.accepted()]
-        if not accepted_ids:
+        key = tuple(chromosome)
+        entry = decoded.get(key)
+        if entry is None:
+            entry = decoded[key] = decode(key)
+        ratio, link_terms = entry
+        if ratio == 0:
             return Fitness(ratio, None)
-        frames = simulate(work, scheme, sfcrs, catalog, replace(engine_cfg, seed=eval_seed))
-        return Fitness(ratio, mean_latency(frames, accepted_ids))
+        chains = [(load, link_term, tuple(zip(key[first:first + len(vnfs)], vnfs)))
+                  for (load, first, vnfs), link_term in zip(layout, link_terms) if link_term is not None]
+        return Fitness(ratio, mean_chain_latency(base_net.spec, chains, replace(engine_cfg, seed=eval_seed)))
 
     return evaluate
 
@@ -371,7 +401,7 @@ def read_report(path) -> ExperimentReport:
     path = Path(path)
     try:
         data = json.loads(path.read_text("utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IoError(f"cannot read report {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise IoError(f"{path}: invalid report JSON: {exc}") from None

@@ -17,7 +17,7 @@ from typing import Callable, Mapping, Sequence
 from .catalog import Catalog, SFCRequest
 from .errors import RaseSimError
 from .routing import NoPathError, Path, shortest_path
-from .seeding import derive_seed
+from .seeding import derive_seed, plain_sum
 from .topology import NetworkSpec, SubstrateNetwork, exact_less, shadow
 
 Chromosome = tuple[str, ...]
@@ -131,11 +131,37 @@ def vnf_cpu_demand(catalog: Catalog, sfcr: SFCRequest, position: int) -> Fractio
     return Fraction(vnf.cpu_per_request) * Fraction(sfcr.offered_load.peak_rate())
 
 
-def _embed_sfcr(net, sfcr, catalog, choose_host) -> SfcPlacement:
+# Per SFCR: its exact bandwidth and, per chain position, (cpu, memory, cpu shadow, memory shadow).
+Demands = tuple[Fraction, tuple[tuple[Fraction, Fraction, float, float], ...]]
+
+
+def _demand_table(sfcrs: Sequence[SFCRequest], catalog: Catalog) -> list[Demands]:
+    """Each SFCR's demands, in request order, exactly and as float shadows.
+
+    A row depends only on the chain, the peak rate and the bandwidth, so
+    requests equal in those (the copies of one template) share one row.
+    """
+    rows: dict[tuple, Demands] = {}
+    table = []
+    for sfcr in sfcrs:
+        key = (sfcr.chain, sfcr.offered_load.peak_rate(), sfcr.bandwidth_mbps)
+        row = rows.get(key)
+        if row is None:
+            positions = []
+            for position, name in enumerate(sfcr.chain):
+                cpu = vnf_cpu_demand(catalog, sfcr, position)
+                memory = Fraction(catalog.get(name).memory_mb)
+                positions.append((cpu, memory, shadow(cpu), shadow(memory)))
+            row = rows[key] = (Fraction(sfcr.bandwidth_mbps), tuple(positions))
+        table.append(row)
+    return table
+
+
+def _embed_sfcr(net, sfcr, row: Demands, choose_host) -> SfcPlacement:
     """Place and route one SFCR, rolling back all its charges on failure.
 
     choose_host(position, cpu_demand, memory_demand, cpu_shadow, memory_shadow)
-    receives each demand exactly and as its float shadow.
+    receives each demand exactly and as its float shadow, from the SFCR's row.
     """
     undo: list[tuple[str, str, Fraction]] = []
 
@@ -148,15 +174,14 @@ def _embed_sfcr(net, sfcr, catalog, choose_host) -> SfcPlacement:
             else:
                 net.release_bandwidth(key, amount)
 
+    bandwidth, demands = row
     placed: list[str] = []
     try:
-        for position in range(len(sfcr.chain)):
-            vnf = catalog.get(sfcr.chain[position])
-            cpu_demand = vnf_cpu_demand(catalog, sfcr, position)
-            memory_demand = Fraction(vnf.memory_mb)
-            host = choose_host(position, cpu_demand, memory_demand, shadow(cpu_demand), shadow(memory_demand))
+        for position, demand in enumerate(demands):
+            host = choose_host(position, *demand)
             if host is None:
                 raise _EmbedFailure(f"NoFeasibleHost(position={position})")
+            cpu_demand, memory_demand = demand[0], demand[1]
             if cpu_demand > 0:
                 net.allocate_cpu(host, cpu_demand)
                 undo.append(("cpu", host, cpu_demand))
@@ -165,7 +190,6 @@ def _embed_sfcr(net, sfcr, catalog, choose_host) -> SfcPlacement:
                 undo.append(("mem", host, memory_demand))
             placed.append(host)
         waypoints = [net.spec.ingress_node, *placed, net.spec.egress_host]
-        bandwidth = Fraction(sfcr.bandwidth_mbps)
         segments: list[Path] = []
         for index in range(len(waypoints) - 1):
             try:
@@ -211,55 +235,60 @@ def solve_simple_dijkstra(net: SubstrateNetwork, sfcrs: Sequence[SFCRequest], ca
     """
     outcomes: list[SfcPlacement | SfcRejection] = []
     choose = _greedy_chooser(net)
-    for sfcr in sfcrs:
+    for sfcr, row in zip(sfcrs, _demand_table(sfcrs, catalog)):
         try:
-            outcomes.append(_embed_sfcr(net, sfcr, catalog, choose))
+            outcomes.append(_embed_sfcr(net, sfcr, row, choose))
         except _EmbedFailure as failure:
             outcomes.append(SfcRejection(sfcr.sfcr_id, failure.reason))
     return EmbeddingScheme(tuple(outcomes))
 
 
 def decode_chromosome(net: SubstrateNetwork, sfcrs: Sequence[SFCRequest], catalog: Catalog,
-                      chromosome: Chromosome) -> EmbeddingScheme:
+                      chromosome: Chromosome, *, demands: Sequence[Demands] | None = None) -> EmbeddingScheme:
     """Charge a chromosome's placements gene by gene in fixed order.
 
     An SFCR whose designated host lacks capacity, or whose segments cannot be
-    routed, is rejected and rolled back; later SFCRs still embed.
+    routed, is rejected and rolled back; later SFCRs still embed. demands is
+    the requests' _demand_table, built here when not given.
     """
     expected = sum(len(s.chain) for s in sfcrs)
     if len(chromosome) != expected:
         raise GeneCountMismatchError(f"chromosome has {len(chromosome)} genes, requests need {expected}")
+    if demands is None:
+        demands = _demand_table(sfcrs, catalog)
+    cpu, cpu_shadows = net.residual_cpu, net.shadow_cpu
+    memory, memory_shadows = net.residual_memory, net.shadow_memory
     outcomes: list[SfcPlacement | SfcRejection] = []
     offset = 0
-    for sfcr in sfcrs:
+    for sfcr, row in zip(sfcrs, demands, strict=True):
         genes = chromosome[offset:offset + len(sfcr.chain)]
         offset += len(sfcr.chain)
 
         def choose(position, cpu_demand, memory_demand, cpu_shadow, memory_shadow, genes=genes):
             host = genes[position]
-            if (host not in net.residual_cpu
-                    or exact_less(net.shadow_cpu[host], cpu_shadow, net.residual_cpu[host], cpu_demand)
-                    or exact_less(net.shadow_memory[host], memory_shadow, net.residual_memory[host], memory_demand)):
+            if (host not in cpu
+                    or exact_less(cpu_shadows[host], cpu_shadow, cpu[host], cpu_demand)
+                    or exact_less(memory_shadows[host], memory_shadow, memory[host], memory_demand)):
                 return None
             return host
 
         try:
-            outcomes.append(_embed_sfcr(net, sfcr, catalog, choose))
+            outcomes.append(_embed_sfcr(net, sfcr, row, choose))
         except _EmbedFailure as failure:
             outcomes.append(SfcRejection(sfcr.sfcr_id, failure.reason))
     return EmbeddingScheme(tuple(outcomes))
 
 
 def verify_scheme(spec: NetworkSpec, sfcrs: Sequence[SFCRequest], catalog: Catalog,
-                  scheme: EmbeddingScheme) -> None:
+                  scheme: EmbeddingScheme, *, demands: Sequence[Demands] | None = None) -> None:
     """Re-check a scheme against the spec by independent summation.
 
     Recomputes per-host CPU/memory and per-link bandwidth totals from the
     accepted placements and compares them against raw capacities, and checks
     that segments chain from ingress through every placement to the egress
     host over declared links. Raises InconsistentSchemeError on any violation.
+    demands is the requests' _demand_table, built here when not given.
     """
-    by_id = {s.sfcr_id: s for s in sfcrs}
     if len(scheme.outcomes) != len(sfcrs):
         raise InconsistentSchemeError("scheme and request list differ in length")
     host_ids = {h.id for h in spec.hosts}
@@ -267,22 +296,21 @@ def verify_scheme(spec: NetworkSpec, sfcrs: Sequence[SFCRequest], catalog: Catal
     cpu_used: dict[str, Fraction] = {}
     mem_used: dict[str, Fraction] = {}
     bw_used: dict[str, Fraction] = {}
-    for outcome, sfcr in zip(scheme.outcomes, sfcrs):
+    if demands is None:
+        demands = _demand_table(sfcrs, catalog)
+    for outcome, sfcr, (bandwidth, positions) in zip(scheme.outcomes, sfcrs, demands, strict=True):
         if outcome.sfcr_id != sfcr.sfcr_id:
             raise InconsistentSchemeError(f"outcome order mismatch at {outcome.sfcr_id!r}")
         if not isinstance(outcome, SfcPlacement):
             continue
-        request = by_id[outcome.sfcr_id]
-        if len(outcome.hosts) != len(request.chain):
+        if len(outcome.hosts) != len(sfcr.chain):
             raise InconsistentSchemeError(f"{outcome.sfcr_id!r}: placement length != chain length")
-        for position, host in enumerate(outcome.hosts):
+        for host, (cpu, memory, _, _) in zip(outcome.hosts, positions):
             if host not in host_ids:
                 raise InconsistentSchemeError(f"{outcome.sfcr_id!r}: unknown host {host!r}")
-            vnf = catalog.get(request.chain[position])
-            cpu_used[host] = cpu_used.get(host, 0) + vnf_cpu_demand(catalog, request, position)
-            mem_used[host] = mem_used.get(host, 0) + Fraction(vnf.memory_mb)
+            cpu_used[host] = cpu_used.get(host, 0) + cpu
+            mem_used[host] = mem_used.get(host, 0) + memory
         waypoints = [spec.ingress_node, *outcome.hosts, spec.egress_host]
-        bandwidth = Fraction(request.bandwidth_mbps)
         if len(outcome.segments) != len(waypoints) - 1:
             raise InconsistentSchemeError(f"{outcome.sfcr_id!r}: expected {len(waypoints) - 1} segments")
         for index, segment in enumerate(outcome.segments):
@@ -411,10 +439,10 @@ def _population_stats(generation: int, population: Sequence[Chromosome],
     return GenerationStats(
         generation=generation,
         fitnesses=tuple(fitnesses),
-        mean_acceptance=sum(ratios) / len(ratios),
+        mean_acceptance=plain_sum(ratios) / len(ratios),
         min_acceptance=min(ratios),
         max_acceptance=max(ratios),
-        mean_latency_ms=sum(latencies) / len(latencies) if latencies else None,
+        mean_latency_ms=plain_sum(latencies) / len(latencies) if latencies else None,
         min_latency_ms=min(latencies) if latencies else None,
         max_latency_ms=max(latencies) if latencies else None,
         best=population[best_index],

@@ -4,17 +4,21 @@ Nothing here may call into the code paths it checks: the path oracle
 enumerates simple paths exhaustively, the packing oracle does plain
 sorted-list arithmetic on CPU numbers alone, the binomial bounds come
 from the exact CDF, and the engine oracle recomputes every term on every
-tick.
+tick. The GA fitness oracle is the plain composition of the public
+decode_chromosome, simulate and mean_latency, which the evaluator's decode
+memo and frame-free pass replace.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
-from rasesim.solver import SfcPlacement
-from rasesim.telemetry import TelemetryFrame
+from rasesim.engine import simulate
+from rasesim.solver import Fitness, SfcPlacement, acceptance_ratio, decode_chromosome
+from rasesim.telemetry import TelemetryFrame, mean_latency
 
 
 def brute_force_shortest_path(nodes, edges, src, dst, min_bandwidth):
@@ -128,6 +132,14 @@ def random_connected_graph(rng: random.Random, max_nodes: int = 12):
     return nodes, edges
 
 
+def left_sum(values):
+    """Left to right with one rounding per addition, as sum() adds floats before Python 3.12."""
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 def per_tick_simulate(net, scheme, sfcrs, catalog, cfg):
     """The engine's frames with every term recomputed on every tick, in simulate's float order.
 
@@ -162,18 +174,18 @@ def per_tick_simulate(net, scheme, sfcrs, catalog, cfg):
         rates = [request.offered_load.rate_at(t) for request, _, _, _ in chains]
         true_cpu = {}
         for host in host_ids:
-            raw = sum(rate * vnf.cpu_per_request
-                      for rate, (_, _, positions, _) in zip(rates, chains)
-                      for where, vnf in positions if where == host) / cpus[host]
+            raw = left_sum(rate * vnf.cpu_per_request
+                           for rate, (_, _, positions, _) in zip(rates, chains)
+                           for where, vnf in positions if where == host) / cpus[host]
             true_cpu[host] = min(cfg.utilization_cap, raw)
         observed_cpu = dict(true_cpu)
         for host in host_ids:
             if true_cpu[host] == 0.0 and rng.random() < cfg.idle_spike_prob:
                 observed_cpu[host] = rng.uniform(low, high)
         link_bw = {
-            link.link_id: 2.0 * sum(rate * bits
-                                    for rate, (_, _, _, traversals) in zip(rates, chains)
-                                    for where, bits in traversals if where == link.link_id) / 1e6
+            link.link_id: 2.0 * left_sum(rate * bits
+                                         for rate, (_, _, _, traversals) in zip(rates, chains)
+                                         for where, bits in traversals if where == link.link_id) / 1e6
             for link in net.spec.links
         }
         latencies = {}
@@ -187,3 +199,24 @@ def per_tick_simulate(net, scheme, sfcrs, catalog, cfg):
             latencies[request.sfcr_id] = total
         frames.append(TelemetryFrame(t, observed_cpu, link_bw, latencies))
     return frames
+
+
+def reference_ga_evaluator(base_net, sfcrs, catalog, engine_cfg):
+    """A GA fitness from a full engine run per evaluation.
+
+    Every call decodes the chromosome on a fresh copy of base_net, simulates
+    the scheme's frames with the evaluation's seed and takes their mean
+    latency; nothing is kept between calls.
+    """
+
+    def evaluate(chromosome, eval_seed):
+        work = base_net.copy()
+        scheme = decode_chromosome(work, sfcrs, catalog, chromosome)
+        ratio = acceptance_ratio(scheme.accept_flags())
+        accepted_ids = [p.sfcr_id for p in scheme.accepted()]
+        if not accepted_ids:
+            return Fitness(ratio, None)
+        frames = simulate(work, scheme, sfcrs, catalog, replace(engine_cfg, seed=eval_seed))
+        return Fitness(ratio, mean_latency(frames, accepted_ids))
+
+    return evaluate

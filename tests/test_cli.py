@@ -192,6 +192,43 @@ def test_report_missing_file_exits_2(tmp_path, capsys):
     assert "error: io:" in capsys.readouterr().err
 
 
+NOT_UTF8 = b"\xff\xfe{}"
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_config_that_is_not_utf8_is_one_line_config_error(tmp_path, capsys, command):
+    config = tmp_path / "config.json"
+    config.write_bytes(NOT_UTF8)
+    extra = ["--output-dir", str(tmp_path / "out")] if command == "run" else []
+    assert run_cli(command, "--config", str(config), *extra) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: cannot read config ") and err.count("\n") == 1
+    assert "utf-8" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("section", ["catalog", "sfcrs"])
+def test_referenced_file_that_is_not_utf8_is_one_line_config_error(scenario_dir, tmp_path, capsys,
+                                                                   command, section):
+    config = _edited_exp1(scenario_dir, tmp_path, lambda data: None)
+    (tmp_path / f"{section}.json").write_bytes(NOT_UTF8)
+    extra = ["--output-dir", str(tmp_path / "out")] if command == "run" else []
+    assert run_cli(command, "--config", config, *extra) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config: {section}: cannot read ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_report_that_is_not_utf8_is_one_line_io_error(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    report.write_bytes(NOT_UTF8)
+    assert run_cli("report", "--report", str(report), "--output-dir", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: io: cannot read report ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def _small_report(outcome=(), frame=()) -> dict:
     """A well-formed one-SFC, one-frame report.json document, with outcome and frame keys replaced."""
     return {

@@ -1,9 +1,11 @@
 import json
+from collections import Counter
 
 import pytest
 
 import rasesim.engine
 import rasesim.experiment
+import rasesim.solver
 from rasesim.catalog import Catalog, SFCRequest, TrafficSegment, VNFDescriptor, from_json, json_fields
 from rasesim.engine import EngineConfig
 from rasesim.errors import ConfigError
@@ -22,7 +24,7 @@ from rasesim.experiment import (
     write_report,
 )
 from rasesim.solver import GAParams, acceptance_ratio
-from rasesim.topology import HostSpec, LinkSpec, NetworkSpec
+from rasesim.topology import HostSpec, LinkSpec, NetworkSpec, SubstrateNetwork
 
 
 def load_scenario(scenario_dir, name, **overrides):
@@ -183,6 +185,42 @@ def test_run_experiment_verifies_the_scheme_once(scenario_dir, monkeypatch):
     report = run_experiment(load_scenario(scenario_dir, "exp4.json"))
     assert report.acceptance_ratio == 0.75
     assert len(calls) == 1
+
+
+def test_ga_run_decodes_and_verifies_each_distinct_chromosome_once(scenario_dir, monkeypatch):
+    """The evaluator decodes, copies and verifies a chromosome at its first evaluation only;
+    the final scheme is decoded and verified once more, and the public simulate runs once."""
+    counts = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for module, name in [(rasesim.solver, "decode_chromosome"), (rasesim.experiment, "decode_chromosome"),
+                         (rasesim.engine, "verify_scheme"), (rasesim.experiment, "verify_scheme"),
+                         (rasesim.experiment, "simulate")]:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    monkeypatch.setattr(SubstrateNetwork, "copy", counting("copy", SubstrateNetwork.copy))
+    evaluated = []
+    build = rasesim.experiment.build_ga_evaluator
+
+    def recording_build(*args):
+        evaluate = build(*args)
+
+        def recording(chromosome, eval_seed):
+            evaluated.append(chromosome)
+            return evaluate(chromosome, eval_seed)
+        return recording
+
+    monkeypatch.setattr(rasesim.experiment, "build_ga_evaluator", recording_build)
+    report = run_experiment(load_scenario(scenario_dir, "ga_small.json"))
+    assert report.acceptance_ratio == 1.0
+    distinct = len(set(evaluated))
+    assert len(evaluated) > distinct  # some chromosomes were evaluated again
+    assert counts == {"decode_chromosome": distinct + 1, "copy": distinct, "verify_scheme": distinct + 1,
+                      "simulate": 1}
 
 
 def test_two_runs_produce_equal_reports(scenario_dir):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from rasesim.catalog import Catalog, VNFDescriptor
+from rasesim.catalog import Catalog, VNFDescriptor, generate_sfcrs
 from rasesim.solver import (
     EmbeddingScheme,
     EmptyInputError,
@@ -13,6 +13,7 @@ from rasesim.solver import (
     InvalidParamsError,
     SfcPlacement,
     SfcRejection,
+    _demand_table,
     acceptance_ratio,
     compare_fitness,
     crossover,
@@ -23,7 +24,7 @@ from rasesim.solver import (
     verify_scheme,
     vnf_cpu_demand,
 )
-from rasesim.topology import build_network
+from rasesim.topology import build_network, shadow
 
 from helpers import random_scenario, sfcr, small_catalog, spec_of, star_net
 from oracles import cpu_packing_outcomes
@@ -65,6 +66,54 @@ def test_greedy_rejection_restores_residuals_bit_identically():
     assert scheme.accept_flags() == [False]
     assert scheme.rejected()[0].reason == "NoFeasibleHost(position=0)"
     assert net.residual_snapshot() == before
+
+
+def test_demand_table_rows_are_the_exact_demands_and_their_shadows():
+    catalog = small_catalog()
+    templates = [sfcr("web", ["alpha", "gamma"], rps=30.0, bandwidth=2.5), sfcr("cache", ["beta"], rps=7.0)]
+    requests = generate_sfcrs(templates, 3) + [sfcr("faster", ["alpha", "gamma"], rps=31.0, bandwidth=2.5)]
+    table = _demand_table(requests, catalog)
+    assert len(table) == len(requests)
+    for request, (bandwidth, positions) in zip(requests, table):
+        assert type(bandwidth) is Fraction and bandwidth == Fraction(request.bandwidth_mbps)
+        assert len(positions) == len(request.chain)
+        for position, (cpu, memory, cpu_shadow, memory_shadow) in enumerate(positions):
+            assert type(cpu) is Fraction and cpu == vnf_cpu_demand(catalog, request, position)
+            assert type(memory) is Fraction and memory == Fraction(catalog.get(request.chain[position]).memory_mb)
+            assert (cpu_shadow, memory_shadow) == (shadow(cpu), shadow(memory))
+    # the copies of one template share one row; a request with another peak rate has its own
+    assert table[0] is table[1] is table[2]
+    assert table[3] is table[4] is table[5] and table[3] is not table[0]
+    assert table[6] is not table[0] and table[6] != table[0]
+
+
+def _partial_charge_spec():
+    """Two 2-CPU hosts, and a 1-CPU egress host h3 behind a 5 Mbps link."""
+    return spec_of([("h1", 2, 1024), ("h2", 2, 1024), ("h3", 1, 1024)],
+                   [("sw", "h1", 100, 0.5), ("sw", "h2", 100, 0.5), ("sw", "h3", 5, 0.5)],
+                   switches=("sw",), ingress="sw", egress="h3")
+
+
+@pytest.mark.parametrize("embed", [
+    lambda net, request: solve_simple_dijkstra(net, [request], small_catalog()),
+    lambda net, request: decode_chromosome(net, [request], small_catalog(), ("h1", "h2", "h1")[:len(request.chain)]),
+], ids=["greedy", "decode"])
+@pytest.mark.parametrize("request_, reason", [
+    # alpha at 30 rps needs 1.5 CPUs: h1 and h2 take one each, and the third fits nowhere
+    (sfcr("r1", ["alpha", "alpha", "alpha"], rps=30.0), "NoFeasibleHost(position=2)"),
+    # both VNFs and two segments are charged before the 10 Mbps chain meets the 5 Mbps egress link
+    (sfcr("r1", ["alpha", "alpha"], rps=30.0, bandwidth=10.0), "NoPath(segment=2)"),
+], ids=["host", "route"])
+def test_rejection_after_partial_charges_restores_every_residual(embed, request_, reason):
+    """Each reason implies that earlier positions, or segments, were charged before the failure."""
+    net = build_network(_partial_charge_spec())
+
+    def state():
+        return net.residual_snapshot(), (dict(net.shadow_cpu), dict(net.shadow_memory), dict(net.shadow_bandwidth))
+
+    before = state()
+    assert embed(net, request_).outcomes == (SfcRejection("r1", reason),)
+    assert state() == before
 
 
 def test_greedy_places_on_max_residual_host_with_lowest_id_ties():
