@@ -11,10 +11,9 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import RaseSimError
-from .topology import SubstrateNetwork, exact_less
+from .topology import SubstrateNetwork
 
 
 class RoutingError(RaseSimError):
@@ -54,10 +53,10 @@ def shortest_path(net: SubstrateNetwork, src: str, dst: str, min_bandwidth_mbps:
     if src == dst:
         return Path((src,), (), 0.0)
 
-    floor = float(min_bandwidth_mbps)
-    # shadows are finite, so a non-finite floor never reaches the exact comparison
-    floor_exact = Fraction(min_bandwidth_mbps) if math.isfinite(floor) else floor
-    residual, residual_shadow = net.residual_bandwidth, net.shadow_bandwidth
+    # an int compares exactly with inf and is never below NaN, so a non-finite floor stays as given
+    floor = (net.bandwidth.units_at_least(min_bandwidth_mbps) if math.isfinite(min_bandwidth_mbps)
+             else min_bandwidth_mbps)
+    residual = net.bandwidth.units
     heap: list[tuple[float, int, tuple[str, ...], tuple[str, ...]]] = [(0.0, 0, (src,), ())]
     settled: set[str] = set()
     while heap:
@@ -71,7 +70,7 @@ def shortest_path(net: SubstrateNetwork, src: str, dst: str, min_bandwidth_mbps:
         for neighbor, link in net.neighbors(node):
             if neighbor in settled:
                 continue
-            if exact_less(residual_shadow[link], floor, residual[link], floor_exact):
+            if residual[link] < floor:
                 continue
             heapq.heappush(
                 heap,

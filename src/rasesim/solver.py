@@ -18,7 +18,7 @@ from .catalog import Catalog, SFCRequest
 from .errors import RaseSimError
 from .routing import NoPathError, Path, shortest_path
 from .seeding import derive_seed, plain_sum
-from .topology import NetworkSpec, SubstrateNetwork, exact_less, shadow
+from .topology import NetworkSpec, SubstrateNetwork
 
 Chromosome = tuple[str, ...]
 
@@ -131,12 +131,12 @@ def vnf_cpu_demand(catalog: Catalog, sfcr: SFCRequest, position: int) -> Fractio
     return Fraction(vnf.cpu_per_request) * Fraction(sfcr.offered_load.peak_rate())
 
 
-# Per SFCR: its exact bandwidth and, per chain position, (cpu, memory, cpu shadow, memory shadow).
-Demands = tuple[Fraction, tuple[tuple[Fraction, Fraction, float, float], ...]]
+# Per SFCR: its exact bandwidth and, per chain position, its exact (cpu, memory) demand.
+Demands = tuple[Fraction, tuple[tuple[Fraction, Fraction], ...]]
 
 
 def _demand_table(sfcrs: Sequence[SFCRequest], catalog: Catalog) -> list[Demands]:
-    """Each SFCR's demands, in request order, exactly and as float shadows.
+    """Each SFCR's exact demands, in request order.
 
     A row depends only on the chain, the peak rate and the bandwidth, so
     requests equal in those (the copies of one template) share one row.
@@ -147,12 +147,9 @@ def _demand_table(sfcrs: Sequence[SFCRequest], catalog: Catalog) -> list[Demands
         key = (sfcr.chain, sfcr.offered_load.peak_rate(), sfcr.bandwidth_mbps)
         row = rows.get(key)
         if row is None:
-            positions = []
-            for position, name in enumerate(sfcr.chain):
-                cpu = vnf_cpu_demand(catalog, sfcr, position)
-                memory = Fraction(catalog.get(name).memory_mb)
-                positions.append((cpu, memory, shadow(cpu), shadow(memory)))
-            row = rows[key] = (Fraction(sfcr.bandwidth_mbps), tuple(positions))
+            positions = tuple((vnf_cpu_demand(catalog, sfcr, position), Fraction(catalog.get(name).memory_mb))
+                              for position, name in enumerate(sfcr.chain))
+            row = rows[key] = (Fraction(sfcr.bandwidth_mbps), positions)
         table.append(row)
     return table
 
@@ -160,34 +157,23 @@ def _demand_table(sfcrs: Sequence[SFCRequest], catalog: Catalog) -> list[Demands
 def _embed_sfcr(net, sfcr, row: Demands, choose_host) -> SfcPlacement:
     """Place and route one SFCR, rolling back all its charges on failure.
 
-    choose_host(position, cpu_demand, memory_demand, cpu_shadow, memory_shadow)
-    receives each demand exactly and as its float shadow, from the SFCR's row.
+    choose_host(position, cpu_demand, memory_demand) receives each exact
+    demand from the SFCR's row.
     """
-    undo: list[tuple[str, str, Fraction]] = []
-
-    def rollback():
-        for kind, key, amount in reversed(undo):
-            if kind == "cpu":
-                net.release_cpu(key, amount)
-            elif kind == "mem":
-                net.release_memory(key, amount)
-            else:
-                net.release_bandwidth(key, amount)
-
+    undo: list[tuple[Callable[[str, Fraction], None], str, Fraction]] = []
     bandwidth, demands = row
     placed: list[str] = []
     try:
-        for position, demand in enumerate(demands):
-            host = choose_host(position, *demand)
+        for position, (cpu_demand, memory_demand) in enumerate(demands):
+            host = choose_host(position, cpu_demand, memory_demand)
             if host is None:
                 raise _EmbedFailure(f"NoFeasibleHost(position={position})")
-            cpu_demand, memory_demand = demand[0], demand[1]
-            if cpu_demand > 0:
+            if cpu_demand:
                 net.allocate_cpu(host, cpu_demand)
-                undo.append(("cpu", host, cpu_demand))
-            if memory_demand > 0:
+                undo.append((net.release_cpu, host, cpu_demand))
+            if memory_demand:
                 net.allocate_memory(host, memory_demand)
-                undo.append(("mem", host, memory_demand))
+                undo.append((net.release_memory, host, memory_demand))
             placed.append(host)
         waypoints = [net.spec.ingress_node, *placed, net.spec.egress_host]
         segments: list[Path] = []
@@ -198,27 +184,29 @@ def _embed_sfcr(net, sfcr, row: Demands, choose_host) -> SfcPlacement:
                 raise _EmbedFailure(f"NoPath(segment={index})") from None
             for link in path.links:
                 net.allocate_bandwidth(link, bandwidth)
-                undo.append(("bw", link, bandwidth))
+                undo.append((net.release_bandwidth, link, bandwidth))
             segments.append(path)
         return SfcPlacement(sfcr.sfcr_id, tuple(placed), tuple(segments))
     except _EmbedFailure:
-        rollback()
+        for release, key, amount in reversed(undo):
+            release(key, amount)
         raise
 
 
 def _greedy_chooser(net: SubstrateNetwork):
     hosts = sorted(net.host_ids())
-    cpu, cpu_shadows = net.residual_cpu, net.shadow_cpu
-    memory, memory_shadows = net.residual_memory, net.shadow_memory
+    cpu, memory = net.cpu, net.memory
+    cpu_left, memory_left = cpu.units, memory.units
 
-    def choose(position, cpu_demand, memory_demand, cpu_shadow, memory_shadow):
-        best = best_left = None
+    def choose(position, cpu_demand, memory_demand):
+        cpu_need, memory_need = cpu.to_units(cpu_demand), memory.to_units(memory_demand)
+        # residuals are never negative, so the first feasible host beats -1
+        best, best_left = None, -1
         for host in hosts:
-            left = cpu_shadows[host]
-            if (exact_less(left, cpu_shadow, cpu[host], cpu_demand)
-                    or exact_less(memory_shadows[host], memory_shadow, memory[host], memory_demand)):
+            left = cpu_left[host]
+            if left < cpu_need or memory_left[host] < memory_need:
                 continue
-            if best is None or exact_less(best_left, left, cpu[best], cpu[host]):
+            if left > best_left:
                 best, best_left = host, left
         return best
 
@@ -256,19 +244,18 @@ def decode_chromosome(net: SubstrateNetwork, sfcrs: Sequence[SFCRequest], catalo
         raise GeneCountMismatchError(f"chromosome has {len(chromosome)} genes, requests need {expected}")
     if demands is None:
         demands = _demand_table(sfcrs, catalog)
-    cpu, cpu_shadows = net.residual_cpu, net.shadow_cpu
-    memory, memory_shadows = net.residual_memory, net.shadow_memory
+    cpu, memory = net.cpu, net.memory
+    cpu_left, memory_left = cpu.units, memory.units
     outcomes: list[SfcPlacement | SfcRejection] = []
     offset = 0
     for sfcr, row in zip(sfcrs, demands, strict=True):
         genes = chromosome[offset:offset + len(sfcr.chain)]
         offset += len(sfcr.chain)
 
-        def choose(position, cpu_demand, memory_demand, cpu_shadow, memory_shadow, genes=genes):
+        def choose(position, cpu_demand, memory_demand, genes=genes):
             host = genes[position]
-            if (host not in cpu
-                    or exact_less(cpu_shadows[host], cpu_shadow, cpu[host], cpu_demand)
-                    or exact_less(memory_shadows[host], memory_shadow, memory[host], memory_demand)):
+            cpu_need, memory_need = cpu.to_units(cpu_demand), memory.to_units(memory_demand)
+            if host not in cpu_left or cpu_left[host] < cpu_need or memory_left[host] < memory_need:
                 return None
             return host
 
@@ -286,7 +273,8 @@ def verify_scheme(spec: NetworkSpec, sfcrs: Sequence[SFCRequest], catalog: Catal
     Recomputes per-host CPU/memory and per-link bandwidth totals from the
     accepted placements and compares them against raw capacities, and checks
     that segments chain from ingress through every placement to the egress
-    host over declared links. Raises InconsistentSchemeError on any violation.
+    host over declared links, and that no two requests share an sfcr_id.
+    Raises InconsistentSchemeError on any violation.
     demands is the requests' _demand_table, built here when not given.
     """
     if len(scheme.outcomes) != len(sfcrs):
@@ -296,16 +284,20 @@ def verify_scheme(spec: NetworkSpec, sfcrs: Sequence[SFCRequest], catalog: Catal
     cpu_used: dict[str, Fraction] = {}
     mem_used: dict[str, Fraction] = {}
     bw_used: dict[str, Fraction] = {}
+    ids: set[str] = set()
     if demands is None:
         demands = _demand_table(sfcrs, catalog)
     for outcome, sfcr, (bandwidth, positions) in zip(scheme.outcomes, sfcrs, demands, strict=True):
         if outcome.sfcr_id != sfcr.sfcr_id:
             raise InconsistentSchemeError(f"outcome order mismatch at {outcome.sfcr_id!r}")
+        if sfcr.sfcr_id in ids:
+            raise InconsistentSchemeError(f"repeated sfcr_id {sfcr.sfcr_id!r}")
+        ids.add(sfcr.sfcr_id)
         if not isinstance(outcome, SfcPlacement):
             continue
         if len(outcome.hosts) != len(sfcr.chain):
             raise InconsistentSchemeError(f"{outcome.sfcr_id!r}: placement length != chain length")
-        for host, (cpu, memory, _, _) in zip(outcome.hosts, positions):
+        for host, (cpu, memory) in zip(outcome.hosts, positions):
             if host not in host_ids:
                 raise InconsistentSchemeError(f"{outcome.sfcr_id!r}: unknown host {host!r}")
             cpu_used[host] = cpu_used.get(host, 0) + cpu

@@ -1,14 +1,12 @@
 """Substrate network model: hosts, switches, links, and residual capacities.
 
-Residuals are kept as exact rationals (fractions.Fraction) so that every
-release of a previously allocated amount, and every rollback of a rejected
-chain, restores the network bit-identically. Floats in, exact arithmetic
-inside.
-
-Next to each exact residual the network keeps its float shadow, equal to
-float(residual). Capacity checks in routing and placement compare shadows
-and fall back to the exact values only when two shadows are equal (see
-exact_less), so they give the exact answer at float speed.
+Each resource kind (CPU, memory, bandwidth) keeps its residuals and
+capacities as integers in units of 1/scale, where scale is the least common
+multiple of the denominators of every quantity seen so far (see Resource).
+Checks and updates are then integer < and -=, so every release of a
+previously allocated amount, and every rollback of a rejected chain,
+restores the network bit-identically. Floats in, exact arithmetic inside;
+the public residual and capacity maps show the values as Fractions.
 """
 
 from __future__ import annotations
@@ -68,33 +66,6 @@ class InsufficientBandwidthError(TopologyError):
 
 class OverReleaseError(TopologyError):
     """Release would push a residual above its capacity."""
-
-
-def exact_less(a: float, b: float, a_exact: Quantity, b_exact: Quantity) -> bool:
-    """Whether a_exact < b_exact, where a == float(a_exact) and b == float(b_exact).
-
-    CPython's int/int true division is correctly rounded, so float(Fraction)
-    is the correctly rounded value of the fraction. Correct rounding is
-    monotone: a_exact <= b_exact implies a <= b. So a < b implies
-    a_exact < b_exact, and a > b implies a_exact > b_exact. Only when the
-    two floats are equal can the exact values still differ either way, and
-    only then are they compared exactly.
-    """
-    if a != b:
-        return a < b
-    return a_exact < b_exact
-
-
-def shadow(value: Quantity) -> float:
-    """float(value), correctly rounded; infinity where value exceeds the float range.
-
-    Rounding past the largest float to infinity is still monotone, so the
-    result is a valid shadow for exact_less.
-    """
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
 
 
 def link_id(endpoint_a: str, endpoint_b: str) -> str:
@@ -186,6 +157,57 @@ class NetworkSpec:
             raise DisconnectedError(f"node {unreached[0]!r} is unreachable from {start!r}")
 
 
+class Resource:
+    """One resource kind's residuals and capacities, as integers in units of 1/scale.
+
+    Config numbers are floats, hence dyadic, so for config input scale is a
+    power of two. Copies share the capacity map and never write into it.
+    """
+
+    def __init__(self, capacities: dict[str, Quantity]):
+        ratios = {key: quantity.as_integer_ratio() for key, quantity in capacities.items()}
+        self.scale = math.lcm(*(d for _, d in ratios.values()))
+        self.capacity = {key: n * (self.scale // d) for key, (n, d) in ratios.items()}
+        self.units = dict(self.capacity)
+
+    def copy(self) -> "Resource":
+        clone = object.__new__(Resource)
+        clone.units, clone.capacity, clone.scale = dict(self.units), self.capacity, self.scale
+        return clone
+
+    def to_units(self, quantity: Quantity) -> int:
+        """quantity as a whole number of units, so convert before reading a residual to compare.
+
+        A new denominator first grows scale to the least common multiple. The
+        residuals are rescaled in place, as callers hold the units map; the
+        capacity map is replaced, as copies share it.
+        """
+        numerator, denominator = quantity.as_integer_ratio()
+        if self.scale % denominator:
+            factor = denominator // math.gcd(self.scale, denominator)
+            self.scale *= factor
+            units = self.units
+            for key in units:
+                units[key] *= factor
+            self.capacity = {key: value * factor for key, value in self.capacity.items()}
+        return numerator * (self.scale // denominator)
+
+    def units_at_least(self, quantity: Quantity) -> int:
+        """The fewest whole units that hold quantity; scale is left as it is."""
+        numerator, denominator = quantity.as_integer_ratio()
+        return -(-numerator * self.scale // denominator)
+
+    def exact(self, units: dict[str, int]) -> dict[str, Fraction]:
+        return {key: Fraction(value, self.scale) for key, value in units.items()}
+
+    def show(self, units: int) -> str:
+        """units as a quantity in a message: %g of the nearest float, inf past the float range."""
+        try:
+            return f"{units / self.scale:g}"
+        except OverflowError:
+            return "inf"
+
+
 class SubstrateNetwork:
     """Residual-capacity view over a validated NetworkSpec.
 
@@ -196,18 +218,11 @@ class SubstrateNetwork:
 
     def __init__(self, spec: NetworkSpec):
         self.spec = spec
-        self.cpu_capacity = {h.id: Fraction(h.cpus) for h in spec.hosts}
-        self.memory_capacity = {h.id: Fraction(h.memory_mb) for h in spec.hosts}
+        self.cpu = Resource({h.id: h.cpus for h in spec.hosts})
+        self.memory = Resource({h.id: h.memory_mb for h in spec.hosts})
         links = [(l.link_id, l) for l in spec.links]
-        self.bandwidth_capacity = {key: Fraction(l.bandwidth_mbps) for key, l in links}
-        self.residual_cpu = dict(self.cpu_capacity)
-        self.residual_memory = dict(self.memory_capacity)
-        self.residual_bandwidth = dict(self.bandwidth_capacity)
-        # float(Fraction(x)) == float(x), so the spec's own numbers are the initial shadows
-        self.shadow_cpu = {h.id: float(h.cpus) for h in spec.hosts}
-        self.shadow_memory = {h.id: float(h.memory_mb) for h in spec.hosts}
-        self.shadow_bandwidth = {key: float(l.bandwidth_mbps) for key, l in links}
-        self._bandwidth_mbps = dict(self.shadow_bandwidth)
+        self.bandwidth = Resource({key: l.bandwidth_mbps for key, l in links})
+        self._bandwidth_mbps = {key: float(l.bandwidth_mbps) for key, l in links}
         self._delay_ms = {key: l.propagation_delay_ms for key, l in links}
         adjacency: dict[str, list[tuple[str, str]]] = {n: [] for n in self.node_ids()}
         for key, link in links:
@@ -218,20 +233,18 @@ class SubstrateNetwork:
 
     def copy(self) -> "SubstrateNetwork":
         clone = object.__new__(SubstrateNetwork)
-        clone.spec = self.spec
-        clone.cpu_capacity = self.cpu_capacity
-        clone.memory_capacity = self.memory_capacity
-        clone.bandwidth_capacity = self.bandwidth_capacity
-        clone.residual_cpu = dict(self.residual_cpu)
-        clone.residual_memory = dict(self.residual_memory)
-        clone.residual_bandwidth = dict(self.residual_bandwidth)
-        clone.shadow_cpu = dict(self.shadow_cpu)
-        clone.shadow_memory = dict(self.shadow_memory)
-        clone.shadow_bandwidth = dict(self.shadow_bandwidth)
-        clone._bandwidth_mbps = self._bandwidth_mbps
-        clone._delay_ms = self._delay_ms
-        clone._adjacency = self._adjacency
+        # only the residuals are ever written; the spec, link maps and adjacency are shared
+        clone.__dict__.update(self.__dict__)
+        clone.cpu, clone.memory, clone.bandwidth = self.cpu.copy(), self.memory.copy(), self.bandwidth.copy()
         return clone
+
+    # the exact view, built as Fractions on each read
+    residual_cpu = property(lambda self: self.cpu.exact(self.cpu.units))
+    residual_memory = property(lambda self: self.memory.exact(self.memory.units))
+    residual_bandwidth = property(lambda self: self.bandwidth.exact(self.bandwidth.units))
+    cpu_capacity = property(lambda self: self.cpu.exact(self.cpu.capacity))
+    memory_capacity = property(lambda self: self.memory.exact(self.memory.capacity))
+    bandwidth_capacity = property(lambda self: self.bandwidth.exact(self.bandwidth.capacity))
 
     def host_ids(self) -> list[str]:
         return [h.id for h in self.spec.hosts]
@@ -255,61 +268,55 @@ class SubstrateNetwork:
     # -- allocation / release ------------------------------------------------
 
     def allocate_cpu(self, host: str, demand: Quantity) -> None:
-        self._allocate(self.residual_cpu, self.shadow_cpu, host, demand,
-                       InsufficientCpuError, UnknownHostError, "CPU")
+        self._allocate(self.cpu, host, demand, InsufficientCpuError, UnknownHostError, "CPU")
 
     def release_cpu(self, host: str, amount: Quantity) -> None:
-        self._release(self.residual_cpu, self.shadow_cpu, self.cpu_capacity, host, amount,
-                      UnknownHostError, "CPU")
+        self._release(self.cpu, host, amount, UnknownHostError, "CPU")
 
     def allocate_memory(self, host: str, demand: Quantity) -> None:
-        self._allocate(self.residual_memory, self.shadow_memory, host, demand,
-                       InsufficientMemoryError, UnknownHostError, "memory")
+        self._allocate(self.memory, host, demand, InsufficientMemoryError, UnknownHostError, "memory")
 
     def release_memory(self, host: str, amount: Quantity) -> None:
-        self._release(self.residual_memory, self.shadow_memory, self.memory_capacity, host, amount,
-                      UnknownHostError, "memory")
+        self._release(self.memory, host, amount, UnknownHostError, "memory")
 
     def allocate_bandwidth(self, link: str, demand: Quantity) -> None:
-        self._allocate(self.residual_bandwidth, self.shadow_bandwidth, link, demand,
-                       InsufficientBandwidthError, UnknownLinkError, "bandwidth")
+        self._allocate(self.bandwidth, link, demand, InsufficientBandwidthError, UnknownLinkError, "bandwidth")
 
     def release_bandwidth(self, link: str, amount: Quantity) -> None:
-        self._release(self.residual_bandwidth, self.shadow_bandwidth, self.bandwidth_capacity, link, amount,
-                      UnknownLinkError, "bandwidth")
+        self._release(self.bandwidth, link, amount, UnknownLinkError, "bandwidth")
 
     @staticmethod
-    def _allocate(residuals, shadows, key, demand, insufficient_error, unknown_error, what):
+    def _allocate(resource: Resource, key, demand, insufficient_error, unknown_error, what):
+        residuals = resource.units
         if key not in residuals:
             raise unknown_error(f"unknown {what} target {key!r}")
-        amount = demand if type(demand) is Fraction else Fraction(demand)
+        amount = resource.to_units(demand)
         if amount <= 0:
             raise ValueError(f"{what} demand must be positive, got {demand}")
         if residuals[key] < amount:
             raise insufficient_error(
-                f"{key!r}: requested {shadow(amount):g} {what}, residual {shadow(residuals[key]):g}"
+                f"{key!r}: requested {resource.show(amount)} {what}, residual {resource.show(residuals[key])}"
             )
         residuals[key] -= amount
-        shadows[key] = float(residuals[key])
 
     @staticmethod
-    def _release(residuals, shadows, capacities, key, amount, unknown_error, what):
+    def _release(resource: Resource, key, amount, unknown_error, what):
+        residuals = resource.units
         if key not in residuals:
             raise unknown_error(f"unknown {what} target {key!r}")
-        quantity = amount if type(amount) is Fraction else Fraction(amount)
+        quantity = resource.to_units(amount)
         if quantity <= 0:
             raise ValueError(f"{what} release must be positive, got {amount}")
-        if residuals[key] + quantity > capacities[key]:
+        if residuals[key] + quantity > resource.capacity[key]:
             raise OverReleaseError(
-                f"{key!r}: releasing {shadow(quantity):g} {what} would exceed capacity "
-                f"{shadow(capacities[key]):g}"
+                f"{key!r}: releasing {resource.show(quantity)} {what} would exceed capacity "
+                f"{resource.show(resource.capacity[key])}"
             )
         residuals[key] += quantity
-        shadows[key] = float(residuals[key])
 
     def residual_snapshot(self) -> tuple[dict, dict, dict]:
         """Copies of all three residual maps, for exact state comparisons."""
-        return dict(self.residual_cpu), dict(self.residual_memory), dict(self.residual_bandwidth)
+        return self.residual_cpu, self.residual_memory, self.residual_bandwidth
 
 
 def build_network(spec: NetworkSpec) -> SubstrateNetwork:

@@ -129,7 +129,7 @@ def test_link_a_hair_below_the_floor_is_invisible():
         [("A", "B", 10, 1.0), ("A", "C", 10, 1.0), ("C", "B", 10, 1.0)],
     ))
     net.allocate_bandwidth("A--B", Fraction(1, 2**80))
-    assert net.shadow_bandwidth["A--B"] == 10.0
+    assert float(net.residual_bandwidth["A--B"]) == 10.0
     assert shortest_path(net, "A", "B", 10.0).nodes == ("A", "C", "B")
     net.allocate_bandwidth("A--C", Fraction(1, 2**80))
     with pytest.raises(NoPathError):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from rasesim.catalog import Catalog, VNFDescriptor, generate_sfcrs
+from rasesim.engine import EngineConfig, simulate
 from rasesim.solver import (
     EmbeddingScheme,
     EmptyInputError,
@@ -24,7 +25,7 @@ from rasesim.solver import (
     verify_scheme,
     vnf_cpu_demand,
 )
-from rasesim.topology import build_network, shadow
+from rasesim.topology import build_network
 
 from helpers import random_scenario, sfcr, small_catalog, spec_of, star_net
 from oracles import cpu_packing_outcomes
@@ -68,7 +69,7 @@ def test_greedy_rejection_restores_residuals_bit_identically():
     assert net.residual_snapshot() == before
 
 
-def test_demand_table_rows_are_the_exact_demands_and_their_shadows():
+def test_demand_table_rows_are_the_exact_demands():
     catalog = small_catalog()
     templates = [sfcr("web", ["alpha", "gamma"], rps=30.0, bandwidth=2.5), sfcr("cache", ["beta"], rps=7.0)]
     requests = generate_sfcrs(templates, 3) + [sfcr("faster", ["alpha", "gamma"], rps=31.0, bandwidth=2.5)]
@@ -77,10 +78,9 @@ def test_demand_table_rows_are_the_exact_demands_and_their_shadows():
     for request, (bandwidth, positions) in zip(requests, table):
         assert type(bandwidth) is Fraction and bandwidth == Fraction(request.bandwidth_mbps)
         assert len(positions) == len(request.chain)
-        for position, (cpu, memory, cpu_shadow, memory_shadow) in enumerate(positions):
+        for position, (cpu, memory) in enumerate(positions):
             assert type(cpu) is Fraction and cpu == vnf_cpu_demand(catalog, request, position)
             assert type(memory) is Fraction and memory == Fraction(catalog.get(request.chain[position]).memory_mb)
-            assert (cpu_shadow, memory_shadow) == (shadow(cpu), shadow(memory))
     # the copies of one template share one row; a request with another peak rate has its own
     assert table[0] is table[1] is table[2]
     assert table[3] is table[4] is table[5] and table[3] is not table[0]
@@ -107,13 +107,9 @@ def _partial_charge_spec():
 def test_rejection_after_partial_charges_restores_every_residual(embed, request_, reason):
     """Each reason implies that earlier positions, or segments, were charged before the failure."""
     net = build_network(_partial_charge_spec())
-
-    def state():
-        return net.residual_snapshot(), (dict(net.shadow_cpu), dict(net.shadow_memory), dict(net.shadow_bandwidth))
-
-    before = state()
+    before = net.residual_snapshot()
     assert embed(net, request_).outcomes == (SfcRejection("r1", reason),)
-    assert state() == before
+    assert net.residual_snapshot() == before
 
 
 def test_greedy_places_on_max_residual_host_with_lowest_id_ties():
@@ -309,7 +305,7 @@ def test_rejection_outcomes_are_recorded_not_raised():
     assert isinstance(scheme.outcomes[1], SfcPlacement)
 
 
-# -- exact ties between float shadows ------------------------------------------
+# -- exact ties and magnitudes that floats cannot hold -------------------------
 
 
 def one_cpu_host_spec():
@@ -336,15 +332,58 @@ def test_greedy_max_residual_tie_is_broken_exactly():
     """h1's residual CPU is 2^-80 below h2's: the floats tie, the exact values do not."""
     net = build_network(star_net(host_count=2, cpus=2))
     net.allocate_cpu("h1", Fraction(1, 2**80))
-    assert net.shadow_cpu["h1"] == net.shadow_cpu["h2"]
+    assert float(net.residual_cpu["h1"]) == float(net.residual_cpu["h2"])
     scheme = solve_simple_dijkstra(net, [sfcr("r1", ["alpha"], rps=1.0)], small_catalog())
     assert scheme.accepted()[0].hosts == ("h2",)
 
 
 def test_cpu_demand_beyond_the_float_range_is_rejected_not_raised():
-    """1e200 CPU-s at 1e200 rps has no float value; its shadow is infinity."""
+    """1e200 CPU-s at 1e200 rps has no float value; as a whole number of units it still compares."""
     catalog = Catalog((VNFDescriptor("v", 1e200, 1.0, 0.0),))
     request = sfcr("r1", ["v"], rps=1e200)
     for scheme in (solve_simple_dijkstra(build_network(one_cpu_host_spec()), [request], catalog),
                    decode_chromosome(build_network(one_cpu_host_spec()), [request], catalog, ("h1",))):
         assert scheme.outcomes == (SfcRejection("r1", "NoFeasibleHost(position=0)"),)
+
+
+def test_capacities_from_1e_minus_300_to_1e300_solve_exactly():
+    """1e-300 needs units of about 2^-1049, so the scale runs to about 1,050 bits; 1e300 in those
+    units is an integer of about 2,050 bits. Sums, the floor and rollbacks all stay exact."""
+    spec = spec_of([("h1", 1e300, 1e300), ("h2", 4, 1024.0), ("h3", 1e-300, 1024.0)],
+                   [("sw", "h1", 1e300, 0.5), ("sw", "h2", 1e-300, 0.5), ("sw", "h3", 1e300, 0.5)],
+                   switches=("sw",), ingress="sw", egress="h3")
+    catalog = small_catalog()
+    requests = [sfcr("r1", ["alpha", "beta"], rps=30.0), sfcr("r2", ["gamma"], bandwidth=1e-300),
+                sfcr("r3", ["alpha"], bandwidth=1.0)]
+    cpu = [vnf_cpu_demand(catalog, r, i) for r in requests for i in range(len(r.chain))]
+    engine = EngineConfig(duration_s=2.0, sample_interval_s=1.0)
+
+    greedy_net = build_network(spec)
+    greedy = solve_simple_dijkstra(greedy_net, requests, catalog)
+    assert [p.hosts for p in greedy.accepted()] == [("h1", "h1"), ("h1",), ("h1",)]
+    assert greedy_net.residual_cpu["h1"] == Fraction(1e300) - sum(cpu)
+    assert greedy_net.residual_bandwidth["h1--sw"] == Fraction(1e300) - 4 - Fraction(1e-300) * 2
+    assert 1000 < greedy_net.cpu.scale.bit_length() < 1100
+    assert 1000 < greedy_net.bandwidth.scale.bit_length() < 1100
+
+    # r2 charges its whole 1e-300 Mbps link into h2 and finds it empty on the way out; r3 never fits it
+    decode_net = build_network(spec)
+    decoded = decode_chromosome(decode_net, requests, catalog, ("h1", "h1", "h2", "h2"))
+    assert decoded.outcomes[1:] == (SfcRejection("r2", "NoPath(segment=1)"), SfcRejection("r3", "NoPath(segment=0)"))
+    assert decode_net.residual_cpu["h2"] == 4
+    assert decode_net.residual_bandwidth["h2--sw"] == Fraction(1e-300)
+    for net, scheme in ((greedy_net, greedy), (decode_net, decoded)):
+        assert len(simulate(net, scheme, requests, catalog, engine)) == 2
+
+
+def test_verify_rejects_a_repeated_sfcr_id():
+    """Two accepted chains named alike would share one latency per frame; verify, and so simulate, refuse them."""
+    catalog = small_catalog()
+    net = build_network(star_net(host_count=2))
+    requests = [sfcr("dup", ["alpha"]), sfcr("dup", ["beta", "gamma"])]
+    scheme = solve_simple_dijkstra(net, requests, catalog)
+    assert scheme.accept_flags() == [True, True]
+    with pytest.raises(InconsistentSchemeError, match="repeated sfcr_id 'dup'"):
+        verify_scheme(net.spec, requests, catalog, scheme)
+    with pytest.raises(InconsistentSchemeError, match="repeated sfcr_id 'dup'"):
+        simulate(net, scheme, requests, catalog, EngineConfig(duration_s=1.0, sample_interval_s=1.0))

@@ -15,7 +15,6 @@ from rasesim.topology import (
     UnknownHostError,
     UnknownLinkError,
     build_network,
-    exact_less,
 )
 
 from helpers import spec_of
@@ -170,31 +169,30 @@ def test_nonpositive_amounts_rejected(two_host_net):
         two_host_net.release_cpu("h1", -1)
 
 
-def assert_shadows_exact(net):
-    for residuals, shadows in ((net.residual_cpu, net.shadow_cpu),
-                               (net.residual_memory, net.shadow_memory),
-                               (net.residual_bandwidth, net.shadow_bandwidth)):
-        assert shadows.keys() == residuals.keys()
-        for key, value in residuals.items():
-            assert type(shadows[key]) is float and shadows[key] == float(value)
+def test_a_third_allocated_and_released_keeps_every_value(two_host_net):
+    """1/3 has no finite binary form; the CPU units rescale to thirds and every value stays exact."""
+    before = two_host_net.residual_snapshot()
+    capacities = two_host_net.cpu_capacity, two_host_net.memory_capacity, two_host_net.bandwidth_capacity
+    two_host_net.allocate_cpu("h1", Fraction(1, 3))
+    assert two_host_net.residual_cpu == {"h1": Fraction(5, 3), "h2": Fraction(4)}
+    assert two_host_net.residual_snapshot()[1:] == before[1:]
+    two_host_net.release_cpu("h1", Fraction(1, 3))
+    assert two_host_net.residual_snapshot() == before
+    assert (two_host_net.cpu_capacity, two_host_net.memory_capacity, two_host_net.bandwidth_capacity) == capacities
+    assert all(type(v) is Fraction for view in before for v in view.values())
 
 
-def test_exact_less_agrees_with_fraction_order():
-    """Near-equal pairs, many a fraction of an ulp apart, order exactly as Fractions do."""
-    rng = random.Random(11)
-    for _ in range(2000):
-        a = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
-        b = a + Fraction(rng.randint(-3, 3), 2 ** rng.randint(40, 90))
-        assert exact_less(float(a), float(b), a, b) == (a < b)
-        assert exact_less(float(b), float(a), b, a) == (b < a)
-
-
-def test_shadow_ties_are_resolved_exactly(two_host_net):
-    two_host_net.allocate_bandwidth("h1--h2", Fraction(1, 2**80))
-    residual = two_host_net.residual_bandwidth["h1--h2"]
-    assert two_host_net.shadow_bandwidth["h1--h2"] == 100.0
-    assert exact_less(two_host_net.shadow_bandwidth["h1--h2"], 100.0, residual, Fraction(100))
-    assert not exact_less(100.0, two_host_net.shadow_bandwidth["h1--h2"], Fraction(100), residual)
+def test_rescaling_a_copy_leaves_the_original_capacities(two_host_net):
+    clone = two_host_net.copy()
+    clone.allocate_cpu("h1", Fraction(1, 3))
+    assert two_host_net.cpu.scale == 1 and two_host_net.cpu.capacity == {"h1": 2, "h2": 4}
+    assert clone.cpu.scale == 3 and clone.cpu.capacity == {"h1": 6, "h2": 12}
+    assert clone.cpu_capacity == two_host_net.cpu_capacity == {"h1": Fraction(2), "h2": Fraction(4)}
+    # and the other way round: rescaling the original leaves the copy's capacities
+    two_host_net.allocate_cpu("h2", Fraction(1, 7))
+    assert clone.cpu.scale == 3 and clone.cpu.capacity == {"h1": 6, "h2": 12}
+    assert two_host_net.residual_cpu == {"h1": Fraction(2), "h2": Fraction(27, 7)}
+    assert clone.residual_cpu == {"h1": Fraction(5, 3), "h2": Fraction(4)}
 
 
 def test_link_bandwidth_is_the_spec_capacity(two_host_net):
@@ -208,23 +206,32 @@ def test_copy_is_independent(two_host_net):
     clone.allocate_cpu("h1", 1.5)
     assert two_host_net.residual_cpu["h1"] == Fraction(2)
     assert clone.residual_cpu["h1"] == Fraction(1, 2)
-    assert two_host_net.shadow_cpu["h1"] == 2.0
-    assert clone.shadow_cpu["h1"] == 0.5
 
 
 def test_random_interleavings_respect_bounds_and_restore():
     """Any allocate/release interleaving with matched releases keeps residuals
-    in [0, capacity], keeps every float shadow equal to float(residual), also
-    in copies, and ends exactly where it started."""
+    in [0, capacity], keeps the public view equal to an independent Fraction
+    ledger, also in copies, and ends exactly where it started."""
     rng = random.Random(20240917)
+    capacities = {"cpu": {"h1": Fraction(3), "h2": Fraction(2)}, "memory": {"h1": Fraction(256), "h2": Fraction(128)},
+                  "bandwidth": {"h1--h2": Fraction(50)}}
+
+    def assert_matches(net, ledger):
+        assert (net.residual_cpu, net.residual_memory, net.residual_bandwidth) == (
+            ledger["cpu"], ledger["memory"], ledger["bandwidth"])
+        assert (net.cpu_capacity, net.memory_capacity, net.bandwidth_capacity) == (
+            capacities["cpu"], capacities["memory"], capacities["bandwidth"])
+
     for _ in range(300):
         net = build_network(spec_of([("h1", 3, 256), ("h2", 2, 128)], [("h1", "h2", 50, 0.5)]))
         initial = net.residual_snapshot()
+        ledger = {kind: dict(values) for kind, values in capacities.items()}
         outstanding = []
         for _ in range(rng.randint(1, 40)):
             if outstanding and rng.random() < 0.4:
                 kind, key, amount = outstanding.pop(rng.randrange(len(outstanding)))
                 getattr(net, f"release_{kind}")(key, amount)
+                ledger[kind][key] += amount
             else:
                 kind, key, cap = rng.choice(
                     [("cpu", "h1", 3), ("cpu", "h2", 2), ("memory", "h1", 256), ("bandwidth", "h1--h2", 50)]
@@ -233,20 +240,26 @@ def test_random_interleavings_respect_bounds_and_restore():
                 try:
                     getattr(net, f"allocate_{kind}")(key, amount)
                 except (InsufficientCpuError, InsufficientMemoryError, InsufficientBandwidthError):
+                    assert ledger[kind][key] < amount
                     continue
+                ledger[kind][key] -= amount
                 outstanding.append((kind, key, amount))
-            for residuals, capacities in (
+            for residuals, capacity in (
                 (net.residual_cpu, net.cpu_capacity),
                 (net.residual_memory, net.memory_capacity),
                 (net.residual_bandwidth, net.bandwidth_capacity),
             ):
                 for key, value in residuals.items():
-                    assert 0 <= value <= capacities[key]
-            assert_shadows_exact(net)
-        clone = net.copy()
-        assert_shadows_exact(clone)
+                    assert 0 <= value <= capacity[key]
+            assert_matches(net, ledger)
+        clone, at_copy = net.copy(), {kind: dict(values) for kind, values in ledger.items()}
+        assert_matches(clone, at_copy)
         for kind, key, amount in outstanding:
             getattr(net, f"release_{kind}")(key, amount)
+            ledger[kind][key] += amount
         assert net.residual_snapshot() == initial
-        assert_shadows_exact(net)
-        assert_shadows_exact(clone)
+        assert_matches(net, ledger)
+        assert_matches(clone, at_copy)
+        for kind, key, amount in reversed(outstanding):
+            getattr(clone, f"release_{kind}")(key, amount)
+        assert clone.residual_snapshot() == initial
