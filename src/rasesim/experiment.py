@@ -47,10 +47,9 @@ from .solver import (
     decode_chromosome,
     ga_solve,
     solve_simple_dijkstra,
-    verify_scheme,
 )
 from .telemetry import TelemetryFrame, mean_latency
-from .topology import NetworkSpec, SubstrateNetwork, TopologyError, build_network
+from .topology import NetworkSpec, SubstrateNetwork, build_network
 
 REPORT_FILENAME = "report.json"
 
@@ -63,7 +62,6 @@ class SolverSettings:
     def __post_init__(self):
         if self.kind not in ("simple-dijkstra", "ga"):
             raise ValueError(f"unknown solver kind {self.kind!r}; use simple-dijkstra or ga")
-        self.ga.validate()
 
 
 @dataclass(frozen=True)
@@ -141,15 +139,14 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
         solver = from_json(SolverSettings, data["solver"], "solver")
         engine = from_json(EngineConfig, data.get("engine", {}), "engine")
         output = from_json(OutputSettings, data.get("output", {}), "output")
-        network.validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    except TopologyError as exc:
-        raise ConfigError(f"network: {exc}") from None
 
     base_dir = path.parent
     catalog = _resolve_section(data["catalog"], base_dir, load_catalog, "catalog")
     templates = _resolve_section(data["sfcrs"], base_dir, parse_sfcr_templates, "sfcrs")
+    if not templates:
+        raise ConfigError("sfcrs: the template list is empty")
     for template in templates:
         for vnf_name in template.chain:
             if not any(v.name == vnf_name for v in catalog):
@@ -218,10 +215,12 @@ def build_ga_evaluator(base_net: SubstrateNetwork, sfcrs, catalog: Catalog, engi
     """Fitness of a chromosome: its acceptance ratio and the mean latency of an engine run.
 
     Decoding is a pure function of the chromosome, so the first evaluation
-    of a chromosome decodes it on a private network copy, verifies the
-    scheme and walks each accepted chain; the evaluator keeps only the
-    acceptance ratio and, per request, its round-trip link ms if it was
+    of a chromosome decodes it on a private copy of base_net (which is only
+    copied and read) and walks each accepted chain; the evaluator keeps only
+    the acceptance ratio and, per request, its round-trip link ms if it was
     accepted (None if not), and reads the hosts from the chromosome itself.
+    No scheme is verified here: decoding charges every allocation through
+    the network's exact checks, and simulate verifies the scheme finally run.
     The demand table is built once for all decodes. Every evaluation then
     runs the engine's tick loop without frames (engine.mean_chain_latency),
     seeded with the eval_seed passed by the solver, so a chromosome
@@ -242,7 +241,6 @@ def build_ga_evaluator(base_net: SubstrateNetwork, sfcrs, catalog: Catalog, engi
     def decode(chromosome: tuple):
         work = base_net.copy()
         scheme = decode_chromosome(work, sfcrs, catalog, chromosome, demands=demands)
-        verify_scheme(work.spec, sfcrs, catalog, scheme, demands=demands)
         link_terms = tuple(_walk(outcome, sfcr, work, catalog)[0] if isinstance(outcome, SfcPlacement) else None
                            for outcome, sfcr in zip(scheme.outcomes, sfcrs))
         return acceptance_ratio(scheme.accept_flags()), link_terms
@@ -278,7 +276,7 @@ def run_solver(cfg: ExperimentConfig, net: SubstrateNetwork, sfcrs, parallel: in
     elif cfg.solver.kind == "simple-dijkstra":
         scheme = solve_simple_dijkstra(net, sfcrs, cfg.catalog)
     else:
-        evaluator = build_ga_evaluator(build_network(cfg.network), sfcrs, cfg.catalog, cfg.engine)
+        evaluator = build_ga_evaluator(net, sfcrs, cfg.catalog, cfg.engine)
         result = ga_solve(net, sfcrs, cfg.catalog, cfg.solver.ga, evaluator, cfg.seed, parallel)
         scheme, trace = result.best_scheme, result.trace
     return scheme, trace, time.perf_counter() - started

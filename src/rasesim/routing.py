@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import RaseSimError
-from .topology import SubstrateNetwork
+from .topology import Quantity, SubstrateNetwork, show
 
 
 class RoutingError(RaseSimError):
@@ -39,7 +39,7 @@ class Path:
             raise ValueError("a path over n nodes must have n-1 links")
 
 
-def shortest_path(net: SubstrateNetwork, src: str, dst: str, min_bandwidth_mbps: float) -> Path:
+def shortest_path(net: SubstrateNetwork, src: str, dst: str, min_bandwidth_mbps: Quantity) -> Path:
     """Minimum-delay simple path using only links with enough residual bandwidth.
 
     Dijkstra with the composite key (total delay, hop count, node sequence);
@@ -53,9 +53,9 @@ def shortest_path(net: SubstrateNetwork, src: str, dst: str, min_bandwidth_mbps:
     if src == dst:
         return Path((src,), (), 0.0)
 
-    # an int compares exactly with inf and is never below NaN, so a non-finite floor stays as given
-    floor = (net.bandwidth.units_at_least(min_bandwidth_mbps) if math.isfinite(min_bandwidth_mbps)
-             else min_bandwidth_mbps)
+    # an int compares exactly with inf and is never below NaN, so a non-finite (float) floor stays as given
+    floor = (min_bandwidth_mbps if isinstance(min_bandwidth_mbps, float) and not math.isfinite(min_bandwidth_mbps)
+             else net.bandwidth.units_at_least(min_bandwidth_mbps))
     residual = net.bandwidth.units
     heap: list[tuple[float, int, tuple[str, ...], tuple[str, ...]]] = [(0.0, 0, (src,), ())]
     settled: set[str] = set()
@@ -76,6 +76,4 @@ def shortest_path(net: SubstrateNetwork, src: str, dst: str, min_bandwidth_mbps:
                 heap,
                 (delay + net.link_delay_ms(link), hops + 1, nodes + (neighbor,), links + (link,)),
             )
-    raise NoPathError(
-        f"no route from {src!r} to {dst!r} with >= {min_bandwidth_mbps:g} Mbps residual"
-    )
+    raise NoPathError(f"no route from {src!r} to {dst!r} with >= {show(min_bandwidth_mbps)} Mbps residual")

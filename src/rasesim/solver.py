@@ -84,10 +84,10 @@ class EmbeddingScheme:
 
 
 def acceptance_ratio(outcomes: Sequence[bool]) -> float:
-    """Accepted count over total count, as an exactly rounded decimal."""
+    """Accepted count over total count; int division rounds the exact ratio correctly."""
     if len(outcomes) == 0:
         raise EmptyInputError("acceptance ratio of zero outcomes is undefined")
-    return float(Fraction(sum(1 for o in outcomes if o), len(outcomes)))
+    return sum(1 for o in outcomes if o) / len(outcomes)
 
 
 @dataclass(frozen=True)
@@ -267,7 +267,7 @@ def decode_chromosome(net: SubstrateNetwork, sfcrs: Sequence[SFCRequest], catalo
 
 
 def verify_scheme(spec: NetworkSpec, sfcrs: Sequence[SFCRequest], catalog: Catalog,
-                  scheme: EmbeddingScheme, *, demands: Sequence[Demands] | None = None) -> None:
+                  scheme: EmbeddingScheme) -> None:
     """Re-check a scheme against the spec by independent summation.
 
     Recomputes per-host CPU/memory and per-link bandwidth totals from the
@@ -275,7 +275,6 @@ def verify_scheme(spec: NetworkSpec, sfcrs: Sequence[SFCRequest], catalog: Catal
     that segments chain from ingress through every placement to the egress
     host over declared links, and that no two requests share an sfcr_id.
     Raises InconsistentSchemeError on any violation.
-    demands is the requests' _demand_table, built here when not given.
     """
     if len(scheme.outcomes) != len(sfcrs):
         raise InconsistentSchemeError("scheme and request list differ in length")
@@ -285,8 +284,7 @@ def verify_scheme(spec: NetworkSpec, sfcrs: Sequence[SFCRequest], catalog: Catal
     mem_used: dict[str, Fraction] = {}
     bw_used: dict[str, Fraction] = {}
     ids: set[str] = set()
-    if demands is None:
-        demands = _demand_table(sfcrs, catalog)
+    demands = _demand_table(sfcrs, catalog)
     for outcome, sfcr, (bandwidth, positions) in zip(scheme.outcomes, sfcrs, demands, strict=True):
         if outcome.sfcr_id != sfcr.sfcr_id:
             raise InconsistentSchemeError(f"outcome order mismatch at {outcome.sfcr_id!r}")
@@ -335,7 +333,7 @@ def verify_scheme(spec: NetworkSpec, sfcrs: Sequence[SFCRequest], catalog: Catal
 
 @dataclass(frozen=True)
 class GAParams:
-    """Knobs of the genetic solver; mutation_rate None means 1/gene-count."""
+    """Knobs of the genetic solver, checked on construction; mutation_rate None means 1/gene-count."""
 
     population: int = 20
     generations: int = 10
@@ -344,7 +342,7 @@ class GAParams:
     mutation_rate: float | None = None
     elitism: int = 2
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.population < 2:
             raise InvalidParamsError("population must be >= 2")
         if self.generations < 0:
@@ -470,9 +468,9 @@ def ga_solve(net: SubstrateNetwork, sfcrs: Sequence[SFCRequest], catalog: Catalo
     candidate evaluation receives a seed derived from (seed, generation,
     index), so traces are identical under any evaluation concurrency. The
     best chromosome ever evaluated is decoded into the caller's net and
-    returned with the full per-generation trace.
+    returned with the full per-generation trace. The evaluator may read
+    and copy net: nothing is charged to it before the last evaluation.
     """
-    params.validate()
     if not sfcrs:
         raise InvalidParamsError("ga_solve needs at least one SFCR")
     hosts = sorted(net.host_ids())

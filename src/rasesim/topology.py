@@ -95,7 +95,7 @@ class LinkSpec:
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """Declarative substrate description; validated by build_network."""
+    """Declarative substrate description, checked on construction: an invalid one raises a TopologyError."""
 
     hosts: tuple[HostSpec, ...]
     switches: tuple[str, ...] = field(metadata={"json_default": ()})
@@ -103,7 +103,7 @@ class NetworkSpec:
     ingress_node: str
     egress_host: str
 
-    def validate(self) -> None:
+    def __post_init__(self):
         seen: set[str] = set()
         for node_id in [h.id for h in self.hosts] + list(self.switches):
             if node_id in seen:
@@ -201,15 +201,19 @@ class Resource:
         return {key: Fraction(value, self.scale) for key, value in units.items()}
 
     def show(self, units: int) -> str:
-        """units as a quantity in a message: %g of the nearest float, inf past the float range."""
-        try:
-            return f"{units / self.scale:g}"
-        except OverflowError:
-            return "inf"
+        return show(Fraction(units, self.scale))
+
+
+def show(quantity: Quantity) -> str:
+    """quantity in a message: %g of the nearest float, inf past the float range."""
+    try:
+        return f"{float(quantity):g}"
+    except OverflowError:
+        return "inf"
 
 
 class SubstrateNetwork:
-    """Residual-capacity view over a validated NetworkSpec.
+    """Residual-capacity view over a NetworkSpec.
 
     Single-writer: mutate a given instance from one thread only. copy()
     yields an independent network (shared immutable spec, private residuals)
@@ -320,6 +324,5 @@ class SubstrateNetwork:
 
 
 def build_network(spec: NetworkSpec) -> SubstrateNetwork:
-    """Validate a NetworkSpec and return a network with full residuals."""
-    spec.validate()
+    """A network with full residuals; the spec checked itself when it was built."""
     return SubstrateNetwork(spec)

@@ -345,6 +345,8 @@ def _edited_exp1(scenario_dir, tmp_path, edit):
         (lambda d: d["network"]["hosts"][0].update(cpus=True), "cpus must be a number, got True"),
         # the message names the JSON path, list index included
         (lambda d: d["network"]["hosts"][3].update(cpus=2.5), r"network\.hosts\[3\]"),
+        # no number at all: a run needs at least one SFCR template
+        (lambda d: d.update(sfcrs={"sfcrs": []}), r"^error: config: sfcrs: the template list is empty$"),
     ],
 )
 def test_unusable_numbers_are_one_line_config_errors(scenario_dir, tmp_path, capsys, command, edit, needle):

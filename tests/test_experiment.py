@@ -13,6 +13,7 @@ from rasesim.experiment import (
     OutputSettings,
     SolverSettings,
     cpu_csv,
+    generate_requests,
     latency_csv,
     load_config,
     outcomes_csv,
@@ -20,11 +21,12 @@ from rasesim.experiment import (
     report_from_dict,
     report_to_dict,
     run_experiment,
+    run_solver,
     template_to_dict,
     write_report,
 )
-from rasesim.solver import GAParams, acceptance_ratio
-from rasesim.topology import HostSpec, LinkSpec, NetworkSpec, SubstrateNetwork
+from rasesim.solver import GAParams, acceptance_ratio, decode_chromosome, verify_scheme
+from rasesim.topology import HostSpec, LinkSpec, NetworkSpec, SubstrateNetwork, build_network
 
 
 def load_scenario(scenario_dir, name, **overrides):
@@ -187,22 +189,8 @@ def test_run_experiment_verifies_the_scheme_once(scenario_dir, monkeypatch):
     assert len(calls) == 1
 
 
-def test_ga_run_decodes_and_verifies_each_distinct_chromosome_once(scenario_dir, monkeypatch):
-    """The evaluator decodes, copies and verifies a chromosome at its first evaluation only;
-    the final scheme is decoded and verified once more, and the public simulate runs once."""
-    counts = Counter()
-
-    def counting(name, fn):
-        def counted(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return counted
-
-    for module, name in [(rasesim.solver, "decode_chromosome"), (rasesim.experiment, "decode_chromosome"),
-                         (rasesim.engine, "verify_scheme"), (rasesim.experiment, "verify_scheme"),
-                         (rasesim.experiment, "simulate")]:
-        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-    monkeypatch.setattr(SubstrateNetwork, "copy", counting("copy", SubstrateNetwork.copy))
+def _record_evaluations(monkeypatch) -> list:
+    """The list that every chromosome the run's GA evaluator is asked about is appended to."""
     evaluated = []
     build = rasesim.experiment.build_ga_evaluator
 
@@ -215,12 +203,60 @@ def test_ga_run_decodes_and_verifies_each_distinct_chromosome_once(scenario_dir,
         return recording
 
     monkeypatch.setattr(rasesim.experiment, "build_ga_evaluator", recording_build)
+    return evaluated
+
+
+def test_ga_run_decodes_each_distinct_chromosome_once_and_verifies_once(scenario_dir, monkeypatch):
+    """The evaluator decodes and copies a chromosome at its first evaluation only and verifies
+    nothing; the final scheme is decoded once more and verified once, by the one simulate,
+    on the one network the run builds."""
+    counts = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for module, name in [(rasesim.solver, "decode_chromosome"), (rasesim.experiment, "decode_chromosome"),
+                         (rasesim.engine, "verify_scheme"), (rasesim.experiment, "simulate"),
+                         (rasesim.experiment, "build_network")]:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    # a verify through a name bound in the experiment module counts too
+    monkeypatch.setattr(rasesim.experiment, "verify_scheme", counting("verify_scheme", rasesim.solver.verify_scheme),
+                        raising=False)
+    monkeypatch.setattr(SubstrateNetwork, "copy", counting("copy", SubstrateNetwork.copy))
+    evaluated = _record_evaluations(monkeypatch)
     report = run_experiment(load_scenario(scenario_dir, "ga_small.json"))
     assert report.acceptance_ratio == 1.0
     distinct = len(set(evaluated))
     assert len(evaluated) > distinct  # some chromosomes were evaluated again
-    assert counts == {"decode_chromosome": distinct + 1, "copy": distinct, "verify_scheme": distinct + 1,
-                      "simulate": 1}
+    assert counts == {"decode_chromosome": distinct + 1, "copy": distinct, "verify_scheme": 1,
+                      "simulate": 1, "build_network": 1}
+
+
+def _tight_hosts(data):
+    for host in data["network"]["hosts"]:
+        host["cpus"] = 1
+
+
+@pytest.mark.parametrize("edit", [lambda data: None, _tight_hosts], ids=["ga_small", "one-cpu-hosts"])
+def test_every_distinct_chromosome_of_a_ga_solve_decodes_to_a_verified_scheme(scenario_dir, tmp_path,
+                                                                               monkeypatch, edit):
+    """The evaluator does not verify its decodes; this checks each one that a seeded solve meets.
+    On one-CPU hosts many chromosomes overload a host, so rejections and their rollbacks are checked."""
+    cfg = load_config(rewrite_config(scenario_dir, tmp_path, "ga_small.json", edit))
+    evaluated = _record_evaluations(monkeypatch)
+    sfcrs = generate_requests(cfg)
+    run_solver(cfg, build_network(cfg.network), sfcrs)
+    distinct = sorted(set(evaluated))
+    assert len(distinct) > 20
+    rejected = 0
+    for chromosome in distinct:
+        scheme = decode_chromosome(build_network(cfg.network), sfcrs, cfg.catalog, chromosome)
+        verify_scheme(cfg.network, sfcrs, cfg.catalog, scheme)
+        rejected += len(scheme.rejected())
+    assert (rejected > 0) == (edit is _tight_hosts)
 
 
 def test_two_runs_produce_equal_reports(scenario_dir):

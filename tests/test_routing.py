@@ -135,3 +135,20 @@ def test_link_a_hair_below_the_floor_is_invisible():
     with pytest.raises(NoPathError):
         shortest_path(net, "A", "B", 10.0)
     assert shortest_path(net, "A", "B", 9.0).nodes == ("A", "B")
+
+
+@pytest.mark.parametrize("floor,shown", [
+    (11.0, "11"),
+    (float("inf"), "inf"),
+    (11, "11"),
+    (Fraction(11), "11"),
+    (Fraction(21, 2), "10.5"),
+    (10**400, "inf"),
+    (Fraction(10**400, 3), "inf"),
+], ids=["float", "inf", "int", "fraction", "fraction-10.5", "int-1e400", "fraction-1e400"])
+def test_every_quantity_floor_without_a_path_is_no_path(floor, shown):
+    """No qualifying link ends in NoPathError for an int, float or Fraction floor, however large."""
+    net = build_network(spec_of([("A", 1, 64), ("B", 1, 64)], [("A", "B", 10, 1.0)]))
+    with pytest.raises(NoPathError) as caught:
+        shortest_path(net, "A", "B", floor)
+    assert str(caught.value) == f"no route from 'A' to 'B' with >= {shown} Mbps residual"

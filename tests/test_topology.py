@@ -30,39 +30,31 @@ def test_build_trivial_network():
 
 
 def test_duplicate_host_id_names_offender():
-    spec = spec_of([("h1", 2, 512), ("h1", 4, 512)], [("h1", "h1", 10, 0.0)])
     with pytest.raises(DuplicateIdError, match="h1"):
-        build_network(spec)
+        spec_of([("h1", 2, 512), ("h1", 4, 512)], [("h1", "h1", 10, 0.0)])
 
 
 def test_duplicate_switch_and_host_id():
-    spec = spec_of([("n", 2, 512)], [("n", "s", 10, 0.0)], switches=("s", "n"), egress="n")
     with pytest.raises(DuplicateIdError, match="'n'"):
-        build_network(spec)
+        spec_of([("n", 2, 512)], [("n", "s", 10, 0.0)], switches=("s", "n"), egress="n")
 
 
 def test_dangling_endpoint_names_offender():
-    spec = spec_of([("h1", 2, 512), ("h2", 2, 512)],
-                   [("h1", "h2", 10, 0.0), ("h1", "x", 10, 0.0)])
     with pytest.raises(DanglingEndpointError, match="'x'"):
-        build_network(spec)
+        spec_of([("h1", 2, 512), ("h2", 2, 512)], [("h1", "h2", 10, 0.0), ("h1", "x", 10, 0.0)])
 
 
 def test_unknown_ingress_and_egress():
     with pytest.raises(DanglingEndpointError, match="ingress"):
-        build_network(spec_of([("h1", 2, 512), ("h2", 2, 512)], [("h1", "h2", 10, 0.0)], ingress="nope"))
+        spec_of([("h1", 2, 512), ("h2", 2, 512)], [("h1", "h2", 10, 0.0)], ingress="nope")
     # a switch cannot be the egress host
-    spec = spec_of([("h1", 2, 512)], [("h1", "s1", 10, 0.0)], switches=("s1",),
-                   ingress="s1", egress="s1")
     with pytest.raises(DanglingEndpointError, match="egress"):
-        build_network(spec)
+        spec_of([("h1", 2, 512)], [("h1", "s1", 10, 0.0)], switches=("s1",), ingress="s1", egress="s1")
 
 
 def test_disconnected_names_unreachable_node():
-    spec = spec_of([("h1", 2, 512), ("h2", 2, 512)], [("h1", "h2", 10, 0.0)],
-                   switches=("lonely",))
     with pytest.raises(DisconnectedError, match="lonely"):
-        build_network(spec)
+        spec_of([("h1", 2, 512), ("h2", 2, 512)], [("h1", "h2", 10, 0.0)], switches=("lonely",))
 
 
 @pytest.mark.parametrize(
@@ -84,16 +76,14 @@ def test_disconnected_names_unreachable_node():
 )
 def test_nonpositive_capacities_rejected(hosts, links):
     with pytest.raises(NonPositiveCapacityError):
-        build_network(spec_of(hosts, links))
+        spec_of(hosts, links)
 
 
 def test_self_loop_and_parallel_links_rejected():
     with pytest.raises(DanglingEndpointError, match="itself"):
-        build_network(spec_of([("h1", 2, 512), ("h2", 2, 512)],
-                              [("h1", "h2", 10, 0.0), ("h1", "h1", 10, 0.0)]))
+        spec_of([("h1", 2, 512), ("h2", 2, 512)], [("h1", "h2", 10, 0.0), ("h1", "h1", 10, 0.0)])
     with pytest.raises(DuplicateIdError, match="h1--h2"):
-        build_network(spec_of([("h1", 2, 512), ("h2", 2, 512)],
-                              [("h1", "h2", 10, 0.0), ("h2", "h1", 10, 0.0)]))
+        spec_of([("h1", 2, 512), ("h2", 2, 512)], [("h1", "h2", 10, 0.0), ("h2", "h1", 10, 0.0)])
 
 
 @pytest.fixture
