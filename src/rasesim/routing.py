@@ -53,7 +53,7 @@ def shortest_path(net: SubstrateNetwork, src: str, dst: str, min_bandwidth_mbps:
     if src == dst:
         return Path((src,), (), 0.0)
 
-    # an int compares exactly with inf and is never below NaN, so a non-finite (float) floor stays as given
+    # an int compares exactly with inf and NaN, so a non-finite (float) floor stays as given
     floor = (min_bandwidth_mbps if isinstance(min_bandwidth_mbps, float) and not math.isfinite(min_bandwidth_mbps)
              else net.bandwidth.units_at_least(min_bandwidth_mbps))
     residual = net.bandwidth.units
@@ -70,7 +70,7 @@ def shortest_path(net: SubstrateNetwork, src: str, dst: str, min_bandwidth_mbps:
         for neighbor, link in net.neighbors(node):
             if neighbor in settled:
                 continue
-            if residual[link] < floor:
+            if not residual[link] >= floor:  # NaN fails every comparison, so a NaN floor passes no link
                 continue
             heapq.heappush(
                 heap,

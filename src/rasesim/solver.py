@@ -12,6 +12,7 @@ import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Mapping, Sequence
 
 from .catalog import Catalog, SFCRequest
@@ -119,12 +120,6 @@ def compare_fitness(a: Fitness, b: Fitness) -> int:
 # -- greedy / chromosome embedding -------------------------------------------
 
 
-class _EmbedFailure(Exception):
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
-
-
 def vnf_cpu_demand(catalog: Catalog, sfcr: SFCRequest, position: int) -> Fraction:
     """CPU charged for one VNF at admission: per-request cost times peak rate."""
     vnf = catalog.get(sfcr.chain[position])
@@ -154,20 +149,36 @@ def _demand_table(sfcrs: Sequence[SFCRequest], catalog: Catalog) -> list[Demands
     return table
 
 
-def _embed_sfcr(net, sfcr, row: Demands, choose_host) -> SfcPlacement:
-    """Place and route one SFCR, rolling back all its charges on failure.
+def _embed_all(net: SubstrateNetwork, sfcrs: Sequence[SFCRequest], demands: Sequence[Demands],
+               candidates: Callable[[int, int], Sequence[str]]) -> EmbeddingScheme:
+    """Place and route each SFCR in order, charging net; the one embedding loop of both solvers.
 
-    choose_host(position, cpu_demand, memory_demand) receives each exact
-    demand from the SFCR's row.
+    Position k of request i goes to the host, among candidates(i, k), that
+    fits both its CPU and memory demand and has the most residual CPU; ties
+    go to the first listed, and an id with no residuals (a switch) never
+    fits. Consecutive placements are then linked by bandwidth-filtered
+    shortest paths. A request that cannot be placed or routed has its
+    charges released in reverse order and is recorded as a rejection;
+    later requests still embed.
     """
-    undo: list[tuple[Callable[[str, Fraction], None], str, Fraction]] = []
-    bandwidth, demands = row
-    placed: list[str] = []
-    try:
-        for position, (cpu_demand, memory_demand) in enumerate(demands):
-            host = choose_host(position, cpu_demand, memory_demand)
+    cpu, memory = net.cpu, net.memory
+    cpu_left, memory_left = cpu.units, memory.units
+    outcomes: list[SfcPlacement | SfcRejection] = []
+    for i, (sfcr, (bandwidth, positions)) in enumerate(zip(sfcrs, demands, strict=True)):
+        undo: list[tuple[Callable[[str, Fraction], None], str, Fraction]] = []
+        placed: list[str] = []
+        for k, (cpu_demand, memory_demand) in enumerate(positions):
+            # to_units may rescale the residuals, so convert before reading them
+            cpu_need, memory_need = cpu.to_units(cpu_demand), memory.to_units(memory_demand)
+            # residuals are never negative, so the first host that fits beats -1
+            host, best_left = None, -1
+            for candidate in candidates(i, k):
+                left = cpu_left.get(candidate, -1)
+                if left > best_left and left >= cpu_need and memory_left[candidate] >= memory_need:
+                    host, best_left = candidate, left
             if host is None:
-                raise _EmbedFailure(f"NoFeasibleHost(position={position})")
+                reason = f"NoFeasibleHost(position={k})"
+                break
             if cpu_demand:
                 net.allocate_cpu(host, cpu_demand)
                 undo.append((net.release_cpu, host, cpu_demand))
@@ -175,95 +186,57 @@ def _embed_sfcr(net, sfcr, row: Demands, choose_host) -> SfcPlacement:
                 net.allocate_memory(host, memory_demand)
                 undo.append((net.release_memory, host, memory_demand))
             placed.append(host)
-        waypoints = [net.spec.ingress_node, *placed, net.spec.egress_host]
-        segments: list[Path] = []
-        for index in range(len(waypoints) - 1):
-            try:
-                path = shortest_path(net, waypoints[index], waypoints[index + 1], sfcr.bandwidth_mbps)
-            except NoPathError:
-                raise _EmbedFailure(f"NoPath(segment={index})") from None
-            for link in path.links:
-                net.allocate_bandwidth(link, bandwidth)
-                undo.append((net.release_bandwidth, link, bandwidth))
-            segments.append(path)
-        return SfcPlacement(sfcr.sfcr_id, tuple(placed), tuple(segments))
-    except _EmbedFailure:
-        for release, key, amount in reversed(undo):
-            release(key, amount)
-        raise
-
-
-def _greedy_chooser(net: SubstrateNetwork):
-    hosts = sorted(net.host_ids())
-    cpu, memory = net.cpu, net.memory
-    cpu_left, memory_left = cpu.units, memory.units
-
-    def choose(position, cpu_demand, memory_demand):
-        cpu_need, memory_need = cpu.to_units(cpu_demand), memory.to_units(memory_demand)
-        # residuals are never negative, so the first feasible host beats -1
-        best, best_left = None, -1
-        for host in hosts:
-            left = cpu_left[host]
-            if left < cpu_need or memory_left[host] < memory_need:
-                continue
-            if left > best_left:
-                best, best_left = host, left
-        return best
-
-    return choose
+        else:
+            reason = None
+            waypoints = [net.spec.ingress_node, *placed, net.spec.egress_host]
+            segments: list[Path] = []
+            for k in range(len(waypoints) - 1):
+                try:
+                    path = shortest_path(net, waypoints[k], waypoints[k + 1], sfcr.bandwidth_mbps)
+                except NoPathError:
+                    reason = f"NoPath(segment={k})"
+                    break
+                for link in path.links:
+                    net.allocate_bandwidth(link, bandwidth)
+                    undo.append((net.release_bandwidth, link, bandwidth))
+                segments.append(path)
+        if reason is None:
+            outcomes.append(SfcPlacement(sfcr.sfcr_id, tuple(placed), tuple(segments)))
+        else:
+            for release, key, amount in reversed(undo):
+                release(key, amount)
+            outcomes.append(SfcRejection(sfcr.sfcr_id, reason))
+    return EmbeddingScheme(tuple(outcomes))
 
 
 def solve_simple_dijkstra(net: SubstrateNetwork, sfcrs: Sequence[SFCRequest], catalog: Catalog) -> EmbeddingScheme:
     """Greedy solver: max-residual-CPU placement, shortest-path linking.
 
-    SFCRs are processed in submission order. Each VNF goes to the feasible
-    host with the most residual CPU (ties to the lowest host id); consecutive
-    placements are then linked by bandwidth-filtered shortest paths. The net
-    is mutated in place with the accepted chains' charges.
+    SFCRs are embedded in submission order with every host, in id order, as
+    a candidate for every position: each VNF goes to the host with the most
+    residual CPU among those that fit it (ties to the lowest host id). The
+    net is mutated in place with the accepted chains' charges.
     """
-    outcomes: list[SfcPlacement | SfcRejection] = []
-    choose = _greedy_chooser(net)
-    for sfcr, row in zip(sfcrs, _demand_table(sfcrs, catalog)):
-        try:
-            outcomes.append(_embed_sfcr(net, sfcr, row, choose))
-        except _EmbedFailure as failure:
-            outcomes.append(SfcRejection(sfcr.sfcr_id, failure.reason))
-    return EmbeddingScheme(tuple(outcomes))
+    hosts = sorted(net.host_ids())
+    return _embed_all(net, sfcrs, _demand_table(sfcrs, catalog), lambda i, k: hosts)
 
 
 def decode_chromosome(net: SubstrateNetwork, sfcrs: Sequence[SFCRequest], catalog: Catalog,
                       chromosome: Chromosome, *, demands: Sequence[Demands] | None = None) -> EmbeddingScheme:
     """Charge a chromosome's placements gene by gene in fixed order.
 
-    An SFCR whose designated host lacks capacity, or whose segments cannot be
-    routed, is rejected and rolled back; later SFCRs still embed. demands is
-    the requests' _demand_table, built here when not given.
+    The greedy solver's loop with each position's gene as its only
+    candidate: an SFCR whose gene names a host that lacks capacity, or no
+    host at all, or whose segments cannot be routed, is rejected and rolled
+    back; later SFCRs still embed. demands is the requests' _demand_table,
+    built here when not given.
     """
-    expected = sum(len(s.chain) for s in sfcrs)
-    if len(chromosome) != expected:
-        raise GeneCountMismatchError(f"chromosome has {len(chromosome)} genes, requests need {expected}")
+    first = [0, *accumulate(len(s.chain) for s in sfcrs)]  # per request, the index of its first gene
+    if len(chromosome) != first[-1]:
+        raise GeneCountMismatchError(f"chromosome has {len(chromosome)} genes, requests need {first[-1]}")
     if demands is None:
         demands = _demand_table(sfcrs, catalog)
-    cpu, memory = net.cpu, net.memory
-    cpu_left, memory_left = cpu.units, memory.units
-    outcomes: list[SfcPlacement | SfcRejection] = []
-    offset = 0
-    for sfcr, row in zip(sfcrs, demands, strict=True):
-        genes = chromosome[offset:offset + len(sfcr.chain)]
-        offset += len(sfcr.chain)
-
-        def choose(position, cpu_demand, memory_demand, genes=genes):
-            host = genes[position]
-            cpu_need, memory_need = cpu.to_units(cpu_demand), memory.to_units(memory_demand)
-            if host not in cpu_left or cpu_left[host] < cpu_need or memory_left[host] < memory_need:
-                return None
-            return host
-
-        try:
-            outcomes.append(_embed_sfcr(net, sfcr, row, choose))
-        except _EmbedFailure as failure:
-            outcomes.append(SfcRejection(sfcr.sfcr_id, failure.reason))
-    return EmbeddingScheme(tuple(outcomes))
+    return _embed_all(net, sfcrs, demands, lambda i, k: (chromosome[first[i] + k],))
 
 
 def verify_scheme(spec: NetworkSpec, sfcrs: Sequence[SFCRequest], catalog: Catalog,

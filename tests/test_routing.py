@@ -145,9 +145,10 @@ def test_link_a_hair_below_the_floor_is_invisible():
     (Fraction(21, 2), "10.5"),
     (10**400, "inf"),
     (Fraction(10**400, 3), "inf"),
-], ids=["float", "inf", "int", "fraction", "fraction-10.5", "int-1e400", "fraction-1e400"])
+    (float("nan"), "nan"),
+], ids=["float", "inf", "int", "fraction", "fraction-10.5", "int-1e400", "fraction-1e400", "nan"])
 def test_every_quantity_floor_without_a_path_is_no_path(floor, shown):
-    """No qualifying link ends in NoPathError for an int, float or Fraction floor, however large."""
+    """No qualifying link ends in NoPathError for an int, float or Fraction floor, however large, or NaN."""
     net = build_network(spec_of([("A", 1, 64), ("B", 1, 64)], [("A", "B", 10, 1.0)]))
     with pytest.raises(NoPathError) as caught:
         shortest_path(net, "A", "B", floor)

@@ -230,6 +230,47 @@ def test_decode_gene_count_mismatch():
         decode_chromosome(net, [sfcr("r1", ["alpha", "beta"])], small_catalog(), ("h1",))
 
 
+@pytest.mark.parametrize("gene", ["sw", "nope"], ids=["switch", "no-node"])
+@pytest.mark.parametrize("position", [0, 1])
+def test_decode_gene_that_names_no_host_rejects_only_its_request(gene, position):
+    """A switch or an unknown id never fits: NoFeasibleHost, rolled back, and later SFCRs still embed."""
+    catalog = small_catalog()
+    bad, good = sfcr("bad", ["alpha", "beta"]), sfcr("good", ["gamma"])
+    genes = ["h1", "h2"]
+    genes[position] = gene
+    net = build_network(star_net(host_count=3))
+    scheme = decode_chromosome(net, [bad, good], catalog, (*genes, "h3"))
+    alone = build_network(star_net(host_count=3))
+    expected = decode_chromosome(alone, [good], catalog, ("h3",))
+    assert scheme.outcomes == (SfcRejection("bad", f"NoFeasibleHost(position={position})"), *expected.outcomes)
+    assert expected.accept_flags() == [True]
+    assert net.residual_snapshot() == alone.residual_snapshot()
+
+
+def test_decoding_the_greedy_placements_reproduces_the_greedy_scheme():
+    """The two solvers share one embedding loop: greedy's own hosts as genes give back its scheme.
+
+    Each rejected request gets a switch as every gene, so it is rejected
+    again (with NoFeasibleHost rather than greedy's reason) and charges nothing.
+    """
+    rng = random.Random(20131)
+    accepted = rejected = 0
+    for _ in range(300):
+        spec, catalog, sfcrs = random_scenario(rng)
+        greedy_net, decode_net = build_network(spec), build_network(spec)
+        greedy = solve_simple_dijkstra(greedy_net, sfcrs, catalog)
+        chromosome = tuple(gene for outcome, request in zip(greedy.outcomes, sfcrs)
+                           for gene in (outcome.hosts if isinstance(outcome, SfcPlacement)
+                                        else (spec.switches[0],) * len(request.chain)))
+        decoded = decode_chromosome(decode_net, sfcrs, catalog, chromosome)
+        assert decoded.accept_flags() == greedy.accept_flags()
+        assert decoded.accepted() == greedy.accepted()
+        assert decode_net.residual_snapshot() == greedy_net.residual_snapshot()
+        accepted += len(greedy.accepted())
+        rejected += len(greedy.rejected())
+    assert accepted > 0 and rejected > 0  # the scenarios must exercise both outcomes
+
+
 def test_decoded_schemes_never_violate_capacities():
     """Random chromosomes on random scenarios always verify cleanly."""
     rng = random.Random(90125)
