@@ -58,6 +58,16 @@ def _bin_width(text: str) -> float:
     return width
 
 
+def _worker_count(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return count
+
+
 def _add_common(parser, *, config=True, seed=False, output_dir=False, parallel=False):
     if config:
         parser.add_argument("--config", required=True, help="experiment config file (JSON)")
@@ -68,8 +78,8 @@ def _add_common(parser, *, config=True, seed=False, output_dir=False, parallel=F
                             help=f"pin the output directory (else ${OUTPUT_DIR_ENV}, else a "
                                  "timestamped subdirectory of the config's output directory)")
     if parallel:
-        parser.add_argument("--parallel", type=int, default=1,
-                            help="max concurrent GA candidate evaluations")
+        parser.add_argument("--parallel", type=_worker_count, default=1,
+                            help="max concurrent GA candidate evaluations, >= 1")
     parser.add_argument("--quiet", action="store_true", help="suppress informational output")
 
 

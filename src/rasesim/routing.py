@@ -4,6 +4,15 @@ Edge cost is propagation delay; ties break on hop count, then on the
 lexicographic node-id sequence, so identical inputs always give identical
 paths. Links whose residual bandwidth is below the requested floor are
 invisible to the search.
+
+Each network memoises, per (source, destination) pair, the best path when
+every link is visible. The search returns the exact minimum of (delay summed
+in path order, hops, node sequence) over the simple paths in the visible
+link set. Any floor leaves visible a subset of all links, and if the
+all-links minimum lies inside that subset it is also the subset's minimum.
+So the memoised path is the answer whenever all of its links clear the
+floor, only a shortfall on one of them runs the floored search, and no
+charge, release, rollback or copy ever invalidates an entry.
 """
 
 from __future__ import annotations
@@ -42,9 +51,8 @@ class Path:
 def shortest_path(net: SubstrateNetwork, src: str, dst: str, min_bandwidth_mbps: Quantity) -> Path:
     """Minimum-delay simple path using only links with enough residual bandwidth.
 
-    Dijkstra with the composite key (total delay, hop count, node sequence);
-    tuple comparison makes the documented tie-breaking exact. Keys only grow
-    along a walk, so the first time a node is settled its key is optimal.
+    The pair's memoised all-links path when its links clear the floor, else
+    a search over the links that do.
     """
     if not net.has_node(src):
         raise UnknownNodeError(f"unknown node {src!r}")
@@ -56,6 +64,29 @@ def shortest_path(net: SubstrateNetwork, src: str, dst: str, min_bandwidth_mbps:
     # an int compares exactly with inf and NaN, so a non-finite (float) floor stays as given
     floor = (min_bandwidth_mbps if isinstance(min_bandwidth_mbps, float) and not math.isfinite(min_bandwidth_mbps)
              else net.bandwidth.units_at_least(min_bandwidth_mbps))
+    residual = net.bandwidth.units
+    best = net._routes.get((src, dst))
+    if best is None:
+        # residuals are never negative, so floor 0 shows every link, and the spec is connected
+        best = net._routes[src, dst] = _search(net, src, dst, 0)
+    for link in best.links:
+        if not residual[link] >= floor:  # the search's test, so a NaN floor fails here too
+            break
+    else:
+        return best
+    path = _search(net, src, dst, floor)
+    if path is None:
+        raise NoPathError(f"no route from {src!r} to {dst!r} with >= {show(min_bandwidth_mbps)} Mbps residual")
+    return path
+
+
+def _search(net: SubstrateNetwork, src: str, dst: str, floor: int | float) -> Path | None:
+    """Dijkstra over the links whose residual units are >= floor; None if dst is out of reach.
+
+    The composite key (total delay, hop count, node sequence) makes the
+    documented tie-breaking exact under tuple comparison. Keys only grow
+    along a walk, so the first time a node is settled its key is optimal.
+    """
     residual = net.bandwidth.units
     heap: list[tuple[float, int, tuple[str, ...], tuple[str, ...]]] = [(0.0, 0, (src,), ())]
     settled: set[str] = set()
@@ -76,4 +107,4 @@ def shortest_path(net: SubstrateNetwork, src: str, dst: str, min_bandwidth_mbps:
                 heap,
                 (delay + net.link_delay_ms(link), hops + 1, nodes + (neighbor,), links + (link,)),
             )
-    raise NoPathError(f"no route from {src!r} to {dst!r} with >= {show(min_bandwidth_mbps)} Mbps residual")
+    return None

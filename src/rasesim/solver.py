@@ -446,6 +446,8 @@ def ga_solve(net: SubstrateNetwork, sfcrs: Sequence[SFCRequest], catalog: Catalo
     """
     if not sfcrs:
         raise InvalidParamsError("ga_solve needs at least one SFCR")
+    if parallel < 1:
+        raise InvalidParamsError(f"parallel must be >= 1, got {parallel}")
     hosts = sorted(net.host_ids())
     gene_count = sum(len(s.chain) for s in sfcrs)
     mutation_rate = params.mutation_rate if params.mutation_rate is not None else 1.0 / gene_count

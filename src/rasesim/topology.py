@@ -217,7 +217,10 @@ class SubstrateNetwork:
 
     Single-writer: mutate a given instance from one thread only. copy()
     yields an independent network (shared immutable spec, private residuals)
-    that is safe to use in parallel with the original.
+    that is safe to use in parallel with the original. Copies also share the
+    route memo that routing.shortest_path fills, one all-links path per
+    (source, destination) pair: an entry is a pure function of the spec, so
+    two threads racing on one only compute the same path twice.
     """
 
     def __init__(self, spec: NetworkSpec):
@@ -234,10 +237,11 @@ class SubstrateNetwork:
             adjacency[link.endpoint_b].append((link.endpoint_a, key))
         # sorted neighbor order keeps traversals deterministic
         self._adjacency = {n: tuple(sorted(nbrs)) for n, nbrs in adjacency.items()}
+        self._routes: dict[tuple[str, str], object] = {}  # routing.Path by (src, dst), filled by shortest_path
 
     def copy(self) -> "SubstrateNetwork":
         clone = object.__new__(SubstrateNetwork)
-        # only the residuals are ever written; the spec, link maps and adjacency are shared
+        # only the residuals are private; the spec, link maps, adjacency and route memo are shared
         clone.__dict__.update(self.__dict__)
         clone.cpu, clone.memory, clone.bandwidth = self.cpu.copy(), self.memory.copy(), self.bandwidth.copy()
         return clone

@@ -313,6 +313,22 @@ def test_ga_solve_with_parallel_flag(scenario_dir, tmp_path, capsys):
     assert "acceptance_ratio=1.0" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["run", "solve"])
+@pytest.mark.parametrize("count,message", [
+    ("0", "must be an integer >= 1, got '0'"),
+    ("-3", "must be an integer >= 1, got '-3'"),
+    ("two", "not an integer: 'two'"),
+    ("1.5", "not an integer: '1.5'"),
+])
+def test_fewer_than_one_worker_is_one_line_cli_error(scenario_dir, tmp_path, capsys, command, count, message):
+    extra = ["--output-dir", str(tmp_path / "out")] if command == "run" else []
+    assert run_cli(command, "--config", str(scenario_dir / "ga_small.json"), "--parallel", count, *extra) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cli: argument --parallel: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def _edited_exp1(scenario_dir, tmp_path, edit):
     data = json.loads((scenario_dir / "exp1.json").read_text())
     edit(data)

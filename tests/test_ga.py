@@ -119,6 +119,16 @@ def test_parallel_evaluation_matches_serial(small_problem):
     assert serial.trace == threaded.trace
 
 
+@pytest.mark.parametrize("parallel", [0, -3])
+def test_fewer_than_one_worker_is_invalid(small_problem, parallel):
+    spec, catalog, requests = small_problem
+    net = build_network(spec)
+    with pytest.raises(InvalidParamsError, match="parallel must be >= 1"):
+        ga_solve(net, requests, catalog, GAParams(population=4, generations=1),
+                 path_delay_evaluator(spec, requests, catalog), seed=13, parallel=parallel)
+    assert net.residual_snapshot() == build_network(spec).residual_snapshot()
+
+
 def test_best_scheme_is_decoded_into_callers_network(small_problem):
     spec, catalog, requests = small_problem
     net = build_network(spec)

@@ -1,10 +1,12 @@
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
 
 from rasesim.routing import NoPathError, Path, UnknownNodeError, shortest_path
-from rasesim.topology import HostSpec, LinkSpec, NetworkSpec, build_network
+from rasesim.topology import HostSpec, LinkSpec, NetworkSpec, build_network, link_id
 
 from helpers import spec_of
 from oracles import brute_force_shortest_path, random_connected_graph
@@ -153,3 +155,112 @@ def test_every_quantity_floor_without_a_path_is_no_path(floor, shown):
     with pytest.raises(NoPathError) as caught:
         shortest_path(net, "A", "B", floor)
     assert str(caught.value) == f"no route from 'A' to 'B' with >= {shown} Mbps residual"
+
+
+def _check_against_brute_force(net, nodes, edges, rng):
+    """Random (src, dst, floor) queries on net and on a copy sharing its route memo, against enumeration."""
+    clone = net.copy()
+    residual = net.residual_bandwidth
+    current = [(a, b, delay, residual[link_id(a, b)]) for a, b, delay, _ in edges]
+    for _ in range(4):
+        src, dst = rng.sample(nodes, 2)
+        floor = rng.choice((0.0, 1.0, 5.0, 7.5, 10.0, 50.0, 100.0))
+        expected = brute_force_shortest_path(nodes, current, src, dst, floor)
+        # either may fill the memo first, so each order is exercised
+        for network in rng.sample((net, clone), 2):
+            if expected is None:
+                with pytest.raises(NoPathError):
+                    shortest_path(network, src, dst, floor)
+            else:
+                path = shortest_path(network, src, dst, floor)
+                assert (path.nodes, path.total_propagation_ms) == expected
+
+
+def _charge(net, link, rng):
+    """Charge link a random amount up to its residual; the amount, or None for a link with nothing left."""
+    left = net.residual_bandwidth[link]
+    if not left:
+        return None
+    amount = min(left, rng.choice((1, 2.5, 5, 7.5, 50)))
+    net.allocate_bandwidth(link, amount)
+    return amount
+
+
+def test_memoised_paths_match_brute_force_under_charges_and_rollbacks():
+    """The route memo is never invalidated, yet every answer stays exact as residuals fall and rise."""
+    rng = random.Random(5150)
+    for _ in range(30):
+        nodes, edges = random_connected_graph(rng, max_nodes=8)
+        net = build_network(_graph_to_network(nodes, edges))
+        links = [link_id(a, b) for a, b, _, _ in edges]
+        held: list[tuple[str, object]] = []
+        _check_against_brute_force(net, nodes, edges, rng)
+        for _ in range(12):
+            roll = rng.random()
+            if held and roll < 0.3:
+                link, amount = held.pop(rng.randrange(len(held)))
+                net.release_bandwidth(link, amount)
+            elif roll < 0.5:
+                # a chain charged along a routed path, then rolled back in reverse
+                src, dst = rng.sample(nodes, 2)
+                undo = []
+                for link in shortest_path(net, src, dst, 0.0).links:
+                    amount = _charge(net, link, rng)
+                    if amount is not None:
+                        undo.append((link, amount))
+                _check_against_brute_force(net, nodes, edges, rng)
+                for link, amount in reversed(undo):
+                    net.release_bandwidth(link, amount)
+            else:
+                link = rng.choice(links)
+                amount = _charge(net, link, rng)
+                if amount is not None:
+                    held.append((link, amount))
+            _check_against_brute_force(net, nodes, edges, rng)
+
+
+@pytest.mark.parametrize("floor,shown", [(float("nan"), "nan"), (float("inf"), "inf"), (100.5, "100.5"), (10**400, "inf")],
+                         ids=["nan", "inf", "above-capacity", "int-1e400"])
+def test_warm_memo_still_refuses_a_floor_no_link_clears(floor, shown):
+    net = line_net()
+    warm = shortest_path(net, "A", "C", 0.0)
+    assert shortest_path(net.copy(), "A", "C", 100) is warm
+    with pytest.raises(NoPathError) as caught:
+        shortest_path(net, "A", "C", floor)
+    assert str(caught.value) == f"no route from 'A' to 'C' with >= {shown} Mbps residual"
+
+
+def test_copies_racing_on_one_memo_answer_as_a_fresh_network():
+    """Threads on copies of one network fill and read its route memo at once; each answers as alone."""
+    rng = random.Random(77)
+    nodes, edges = random_connected_graph(rng)
+    spec = _graph_to_network(nodes, edges)
+    charges = [(link_id(a, b), bandwidth / 2) for a, b, _, bandwidth in rng.sample(edges, len(edges) // 2)]
+    queries = [(*rng.sample(nodes, 2), rng.choice((0.0, 5.0, 10.0, 50.0))) for _ in range(300)]
+
+    def charged():
+        net = build_network(spec)
+        for link, amount in charges:
+            net.allocate_bandwidth(link, amount)
+        return net
+
+    def answers(net):
+        found = []
+        for src, dst, floor in queries:
+            try:
+                found.append(shortest_path(net, src, dst, floor).nodes)
+            except NoPathError:
+                found.append(None)
+        return found
+
+    expected = answers(charged())
+    shared = charged()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(answers, shared.copy()) for _ in range(4)]
+            results = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [expected] * 4
