@@ -146,8 +146,11 @@ def simulate(net: SubstrateNetwork, scheme: EmbeddingScheme, sfcrs: Sequence[SFC
     once, and the tick loop (_ticks, which the GA's frame-free fitness runs
     too) supplies every tick's utilizations, idle-spike draws and latencies.
     Per-link bandwidth use, counting both directions, is recomputed only when
-    the offered rates change. Every frame has its own dicts. Deterministic
-    given cfg.seed.
+    the offered rates change. Every frame has its own dicts, but the frames
+    of one traffic epoch share their value objects: each link's use, and
+    each host's utilization unless it spikes, is the same float object from
+    tick to tick, so the report writers encode such a map once.
+    Deterministic given cfg.seed.
     """
     # verify_scheme also guarantees that the outcomes line up with sfcrs
     verify_scheme(net.spec, sfcrs, catalog, scheme)

@@ -16,10 +16,12 @@ import hashlib
 import json
 import os
 import time
+from contextlib import suppress
 from dataclasses import dataclass, field, is_dataclass, replace
 from datetime import datetime
 from io import StringIO
 from json.encoder import encode_basestring_ascii
+from operator import is_
 from pathlib import Path
 
 from .catalog import (
@@ -335,19 +337,34 @@ def _leaf_encoder(level: int) -> json.JSONEncoder:
     return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * level, ": "))
 
 
+def _same_objects(last: list, now: list) -> bool:
+    """Whether two lists hold the very same objects in the same order; equal values do not count."""
+    return len(last) == len(now) and all(map(is_, last, now))
+
+
 def _json_text(value) -> str:
     """Exactly what json.dumps writes with sort_keys=True and an indent of 2, for string keys.
 
     A container whose values are all of exact scalar types is a leaf: the C
     encoder writes its items. Every other container, including one holding a
     tuple or a subclass of dict or list, is written here item by item.
+
+    A leaf dict whose keys and values are the very objects, in the same
+    order, of the last leaf dict written under the same parent key at the
+    same level is written from that one's text. A report's frames of one
+    traffic epoch share their value objects, so most frame maps are encoded
+    once. Only identity counts, never equality, so 0.0 and -0.0, 1, 1.0 and
+    True, or two NaN objects never share text. The memo holds the key and
+    value objects themselves, so no id is reused while it lives, and it
+    lives for this one call.
     """
     out: list[str] = []
-    _write_json(value, 0, out)
+    _write_json(value, 0, out, {}, None)
     return "".join(out)
 
 
-def _write_json(value, level: int, out: list[str]) -> None:
+def _write_json(value, level: int, out: list[str], memo: dict, key) -> None:
+    """Append value's text at level to out; key is the dict key value sits under (a list passes its own)."""
     if isinstance(value, dict):
         opening, closing, values = "{", "}", value.values()
     elif isinstance(value, (list, tuple)):
@@ -360,19 +377,26 @@ def _write_json(value, level: int, out: list[str]) -> None:
         return
     inner = "\n" + "  " * (level + 1)
     out += [opening, inner]
-    if set(map(type, values)) <= _SCALAR_TYPES:
-        out.append(_leaf_encoder(level + 1).encode(value)[1:-1])  # without the C encoder's brackets
+    objects = [*value, *values] if opening == "{" else None  # a dict's keys, then its values
+    last = memo.get((key, level)) if objects else None
+    if last and _same_objects(last[0], objects):
+        out.append(last[1])
+    elif set(map(type, values)) <= _SCALAR_TYPES:
+        text = _leaf_encoder(level + 1).encode(value)[1:-1]  # without the C encoder's brackets
+        if objects:
+            memo[key, level] = objects, text
+        out.append(text)
     elif opening == "{":
-        for index, (key, item) in enumerate(sorted(value.items())):
+        for index, (item_key, item) in enumerate(sorted(value.items())):
             if index:
                 out += [",", inner]
-            out += [encode_basestring_ascii(key), ": "]
-            _write_json(item, level + 1, out)
+            out += [encode_basestring_ascii(item_key), ": "]
+            _write_json(item, level + 1, out, memo, item_key)
     else:
         for index, item in enumerate(value):
             if index:
                 out += [",", inner]
-            _write_json(item, level + 1, out)
+            _write_json(item, level + 1, out, memo, key)
     out += ["\n", "  " * level, closing]
 
 
@@ -453,12 +477,24 @@ def latency_csv(report: ExperimentReport) -> str:
 
 
 def cpu_csv(report: ExperimentReport) -> str:
+    """cpu.csv: one row per (frame, host), hosts sorted.
+
+    A frame's host_cpu whose keys and values are the very objects, in the
+    same order, of the last frame's is written with that frame's row texts
+    after the timestamp; frames of one traffic epoch share their value
+    objects, except on an idle spike.
+    """
     texts = _field_texts(set().union(*(frame.host_cpu for frame in report.frames)))
     lines = ["timestamp_s,host_id,utilization\n"]
+    last: list = []  # the last frame's hosts, then their values
+    suffixes: list[str] = []
     for frame in report.frames:
-        timestamp = repr(frame.timestamp_s)
         cpu = frame.host_cpu
-        lines += [f"{timestamp},{texts[host]},{cpu[host]!r}\n" for host in sorted(cpu)]
+        objects = [*cpu, *cpu.values()]
+        if not _same_objects(last, objects):
+            last = objects
+            suffixes = [f",{texts[host]},{cpu[host]!r}\n" for host in sorted(cpu)]
+        lines += map(repr(frame.timestamp_s).__add__, suffixes)
     return "".join(lines)
 
 
@@ -506,12 +542,15 @@ def csv_files(report: ExperimentReport) -> dict[str, str]:
 def write_atomically(directory, files: dict[str, str]) -> list[Path]:
     """Write name -> text files into directory, each through a temporary file and os.replace.
 
-    A file lands whole or not at all; a reader never sees a partial one.
+    A file lands whole or not at all; a reader never sees a partial one. On
+    failure the temporary file of the file being written is removed, as far
+    as that is possible, before the IoError is raised.
     """
     directory = Path(directory)
+    written = []
+    temp = None
     try:
         directory.mkdir(parents=True, exist_ok=True)
-        written = []
         for name, content in files.items():
             target = directory / name
             temp = directory / (name + ".tmp")
@@ -519,6 +558,9 @@ def write_atomically(directory, files: dict[str, str]) -> list[Path]:
             os.replace(temp, target)
             written.append(target)
     except OSError as exc:
+        if temp is not None:
+            with suppress(OSError):
+                temp.unlink(missing_ok=True)
         raise IoError(f"cannot write into {directory}: {exc}") from None
     return sorted(written)
 

@@ -302,6 +302,15 @@ def test_unwritable_output_dir_exits_2(exp1, tmp_path, capsys):
     assert "error: io:" in capsys.readouterr().err
 
 
+def test_failed_write_is_one_line_io_error_and_leaves_no_temp_file(exp1, tmp_path, capsys):
+    (tmp_path / "cpu.csv").mkdir()  # a directory where a report file must go
+    assert run_cli("run", "--config", exp1, "--output-dir", str(tmp_path), "--quiet") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: io: cannot write into ") and err.count("\n") == 1
+    assert not list(tmp_path.glob("*.tmp"))
+    assert (tmp_path / "cpu.csv").is_dir()
+
+
 def test_quiet_suppresses_informational_output(exp1, tmp_path, capsys):
     assert run_cli("run", "--config", exp1, "--output-dir", str(tmp_path), "--quiet") == 0
     assert capsys.readouterr().out == ""

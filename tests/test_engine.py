@@ -1,5 +1,6 @@
 import copy
 import random
+from operator import is_
 from dataclasses import replace
 
 import pytest
@@ -391,3 +392,30 @@ def test_frames_do_not_share_dicts(sim_setup):
     frames[3].host_cpu["h1"] = -1.0
     frames[3].sfc_latency_ms["r1"] = -1.0
     assert frames[:3] == before[:3] and frames[4:] == before[4:]
+
+
+def test_frames_of_one_traffic_epoch_share_value_objects():
+    """What makes writing a report cheap: within an epoch a frame map repeats the last one's objects."""
+    net = build_network(star_net(host_count=3, cpus=2))
+    catalog = small_catalog()
+    # r1's traffic ends at 10 s, so ticks 0-9 and 10-19 are two traffic epochs
+    requests = [sfcr("r1", ["alpha"], rps=5.0, duration_s=10.0), sfcr("r2", ["beta"], rps=2.0, duration_s=20.0)]
+    scheme = solve_simple_dijkstra(net, requests, catalog)
+    cfg = EngineConfig(duration_s=20.0, sample_interval_s=1.0, jitter_sigma=0.05, idle_spike_prob=0.5, seed=3)
+    frames = simulate(net, scheme, requests, catalog, cfg)
+    calm = simulate(net, scheme, requests, catalog, replace(cfg, idle_spike_prob=0.0))
+    spiked = [{h for h in f.host_cpu if f.host_cpu[h] != c.host_cpu[h]} for f, c in zip(frames, calm)]
+    shared_hosts = 0
+    for tick in range(1, len(frames)):
+        last, frame = frames[tick - 1], frames[tick]
+        for name in ("host_cpu", "link_bw_mbps", "sfc_latency_ms"):
+            assert getattr(frame, name) is not getattr(last, name)
+        if tick == 10:
+            assert frame.link_bw_mbps != last.link_bw_mbps
+            continue
+        assert list(frame.link_bw_mbps) == list(last.link_bw_mbps)
+        assert all(map(is_, frame.link_bw_mbps.values(), last.link_bw_mbps.values())), tick
+        calm_hosts = [h for h in frame.host_cpu if h not in spiked[tick] | spiked[tick - 1]]
+        assert all(frame.host_cpu[h] is last.host_cpu[h] for h in calm_hosts), tick
+        shared_hosts += len(calm_hosts)
+    assert any(spiked) and shared_hosts > 0

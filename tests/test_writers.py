@@ -5,7 +5,8 @@ import json
 import random
 from io import StringIO
 
-from rasesim.experiment import ExperimentReport, SfcOutcome, _json_text, cpu_csv, latency_csv
+from rasesim.experiment import (ExperimentReport, SfcOutcome, _json_text, cpu_csv, latency_csv, report_to_dict,
+                                write_report)
 from rasesim.telemetry import TelemetryFrame
 
 # a quote, a comma, line breaks, a backslash, a control character and non-ASCII text
@@ -90,3 +91,78 @@ def test_latency_and_cpu_csv_equal_csv_writer():
         assert cpu_csv(report) == _csv_reference(
             ["timestamp_s", "host_id", "utilization"],
             [[f.timestamp_s, h, f.host_cpu[h]] for f in report.frames for h in sorted(f.host_cpu)])
+
+
+# Values equal to another but not the same object, whose texts differ or must be written afresh: a writer
+# that reused a map's text on == instead of on identity would write the first one's text for the second.
+# The CSV writers take numbers only.
+def _lookalikes(numbers_only: bool = False):
+    numbers = [float("0.0"), float("-0.0"), 1, float("1"), True, False, 0, float("nan"), float("nan")]
+    return numbers if numbers_only else numbers + [None, "1", "true"]
+
+
+def _similar_maps(rng: random.Random, count: int, numbers_only: bool = False) -> list[dict]:
+    """count maps over one key list: each the last one's objects, or those with a lookalike or swap."""
+    keys = [rng.choice(AWKWARD) + str(i) for i in range(rng.randrange(1, 5))]
+    maps = [dict(zip(keys, (rng.choice(_lookalikes(numbers_only)) for _ in keys)))]
+    for _ in range(count - 1):
+        current = dict(maps[-1])  # the same key and value objects, in a dict of its own
+        change = rng.randrange(4)
+        if change == 1:
+            current[rng.choice(keys)] = rng.choice(_lookalikes(numbers_only))
+        elif change == 2 and len(keys) > 1:
+            first, second = rng.sample(keys, 2)
+            current[first], current[second] = current[second], current[first]
+        elif change == 3:
+            current = {key: current[key] for key in reversed(keys)}  # same objects, other order
+        maps.append(current)
+    return maps
+
+
+def _shared_frames(rng: random.Random, count: int, numbers_only: bool = False) -> list[TelemetryFrame]:
+    cpu, links, latency = (_similar_maps(rng, count, numbers_only) for _ in range(3))
+    return [TelemetryFrame(float(tick), cpu[tick], links[tick], latency[tick]) for tick in range(count)]
+
+
+def test_json_text_reuses_text_only_for_the_same_objects():
+    for seed in range(200):
+        rng = random.Random(seed)
+        maps = _similar_maps(rng, 8)
+        shared = maps[0]
+        # consecutive list items, siblings under other keys, and one map at several depths and keys
+        report = ExperimentReport("digest", (), None, None, tuple(_shared_frames(rng, 6)), None)
+        document = {"maps": maps, "same": [shared, shared], "a": {"m": shared},
+                    "b": {"c": {"m": shared}, "m": dict(shared)}, "report": report_to_dict(report)}
+        assert _json_text(document) == json.dumps(document, sort_keys=True, indent=2), seed
+
+
+def test_json_text_writes_lookalike_values_of_one_key_apart():
+    zero, minus_zero, one, one_float = float("0.0"), float("-0.0"), 1, float("1")
+    nan, other_nan = float("nan"), float("nan")
+    for values in ([zero, minus_zero, zero], [one, one_float, True, one], [nan, other_nan], ["1", one, "1"]):
+        document = [{"x": value, "y": zero} for value in values]
+        assert _json_text(document) == json.dumps(document, sort_keys=True, indent=2)
+    swapped = [{"x": zero, "y": minus_zero}, {"x": minus_zero, "y": zero}]
+    assert _json_text(swapped) == json.dumps(swapped, sort_keys=True, indent=2)
+
+
+def test_cpu_csv_reuses_rows_only_for_the_same_objects():
+    for seed in range(200):
+        report = ExperimentReport("digest", (), None, None, tuple(_shared_frames(random.Random(seed), 8, True)), None)
+        assert cpu_csv(report) == _csv_reference(
+            ["timestamp_s", "host_id", "utilization"],
+            [[f.timestamp_s, h, f.host_cpu[h]] for f in report.frames for h in sorted(f.host_cpu)]), seed
+
+
+def test_a_value_changed_in_place_between_two_writes_is_written_anew(tmp_path):
+    value = 0.25
+    frames = tuple(TelemetryFrame(float(t), {"h1": value, "h2": 0.0}, {"l1": value}, {}) for t in range(3))
+    report = ExperimentReport("digest", (), None, None, frames, None)
+    write_report(report, tmp_path / "first")
+    frames[1].host_cpu["h1"] = frames[1].link_bw_mbps["l1"] = 0.75
+    write_report(report, tmp_path / "second")
+    first, second = ((tmp_path / name / "report.json").read_text() for name in ("first", "second"))
+    assert [frame["host_cpu"]["h1"] for frame in json.loads(first)["frames"]] == [0.25] * 3
+    assert second == json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n"
+    assert [frame["link_bw_mbps"]["l1"] for frame in json.loads(second)["frames"]] == [0.25, 0.75, 0.25]
+    assert (tmp_path / "second" / "cpu.csv").read_text().splitlines()[3:5] == ["1.0,h1,0.75", "1.0,h2,0.0"]
