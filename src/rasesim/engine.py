@@ -67,9 +67,7 @@ class EngineConfig:
                              f"at most {MAX_FRAMES} are allowed")
         if not 0 < self.utilization_cap < 1:
             raise ValueError("utilization_cap must be in (0, 1)")
-        # the jitter multiplier is truncated at 1 - 3 sigma, which must stay positive
-        if not 0 <= self.jitter_sigma < 1 / 3:
-            raise ValueError("jitter_sigma must be in [0, 1/3)")
+        _check_jitter_sigma(self.jitter_sigma)
         if not 0 <= self.idle_spike_prob <= 1:
             raise ValueError("idle_spike_prob must be in [0, 1]")
         low, high = self.idle_spike_range
@@ -80,6 +78,12 @@ class EngineConfig:
     def ticks(self) -> int:
         """Number of sampling ticks, one telemetry frame each."""
         return int(self.duration_s / self.sample_interval_s + 1e-9)
+
+
+def _check_jitter_sigma(sigma: float) -> None:
+    # the jitter multiplier is truncated at 1 - 3 sigma, which must stay positive
+    if not 0 <= sigma < 1 / 3:
+        raise ValueError("jitter_sigma must be in [0, 1/3)")
 
 
 # an accepted chain as the tick loop reads it: (offered load, round-trip link ms, [(host, VNF)])
@@ -113,11 +117,33 @@ def _latency(link_term: float, positions, utilization: Mapping[str, float]) -> f
     return total
 
 
-def _jittered(total: float, jitter_sigma: float, rng: random.Random) -> float:
-    """total times 1 + N(0, sigma), the noise truncated at three sigmas; one gauss draw."""
-    noise = rng.gauss(0.0, jitter_sigma)
-    noise = max(-3.0 * jitter_sigma, min(3.0 * jitter_sigma, noise))
-    return total * (1.0 + noise)
+_TWO_PI = 2.0 * math.pi
+
+
+def _standard_normals(rng: random.Random):
+    """rng.gauss(0.0, 1.0)'s values in the same order, without a call per value.
+
+    Each pair is the Box-Muller transform of two rng.random() draws, exactly
+    as Random.gauss computes it; the second value waits for the next request,
+    as gauss_next does, so other draws from rng in between change nothing.
+    rng must hold no pending gauss value, as a freshly seeded Random does not.
+    """
+    draw = rng.random
+    while True:
+        x2pi = draw() * _TWO_PI
+        g2rad = math.sqrt(-2.0 * math.log(1.0 - draw()))
+        yield math.cos(x2pi) * g2rad
+        yield math.sin(x2pi) * g2rad
+
+
+def _jittered(totals: Sequence[float], normals, sigma: float) -> list[float]:
+    """Each total times 1 + sigma * z for the next standard normal z, the noise truncated at three sigmas.
+
+    normals is read only as far as totals go, one value per total.
+    """
+    bound = 3.0 * sigma
+    return [total * (1.0 + (bound if (noise := z * sigma) > bound else -bound if noise < -bound else noise))
+            for total, z in zip(totals, normals)]
 
 
 def sfc_latency(placement, sfcr: SFCRequest, net: SubstrateNetwork, catalog: Catalog,
@@ -127,14 +153,19 @@ def sfc_latency(placement, sfcr: SFCRequest, net: SubstrateNetwork, catalog: Cat
 
     The response retraces the forward links in reverse, so link terms count
     twice; VNF service terms count once. Jitter, when enabled, multiplies the
-    total by 1 + N(0, sigma) truncated at three sigmas.
+    total by 1 + N(0, sigma) truncated at three sigmas, with one rng.gauss
+    draw. A ValueError for a jitter_sigma outside [0, 1/3), where the
+    multiplier could reach zero, and for one above 0 without an rng.
     """
+    _check_jitter_sigma(jitter_sigma)
+    if jitter_sigma > 0 and rng is None:
+        raise ValueError("jitter_sigma above 0 needs an rng to draw from")
     if not isinstance(placement, SfcPlacement):
         raise NotAcceptedError(f"SFC {getattr(placement, 'sfcr_id', placement)!r} was not accepted")
     link_term, positions, _ = _walk(placement, sfcr, net, catalog)
     total = _latency(link_term, positions, utilization)
-    if jitter_sigma > 0 and rng is not None:
-        total = _jittered(total, jitter_sigma, rng)
+    if jitter_sigma > 0:
+        total = _jittered((total,), (rng.gauss(0.0, 1.0),), jitter_sigma)[0]
     return total
 
 
@@ -207,9 +238,12 @@ def _ticks(spec: NetworkSpec, chains: Sequence[Chain], cfg: EngineConfig):
     the caller must not change them. The random draws stay per tick, in
     fixed order: idle-spike noise for hosts at exactly zero load (hosts in
     declaration order) as [(host, observed utilization)], then one jitter
-    draw per chain.
+    draw per chain. The jitter draws are rng.gauss's values, taken from one
+    _standard_normals stream, so the second value of a pair carries over
+    spike draws and ticks as it would in gauss.
     """
     rng = random.Random(cfg.seed)
+    normals = _standard_normals(rng)
     host_ids = [h.id for h in spec.hosts]
     cpus = {h.id: float(h.cpus) for h in spec.hosts}
     # per host: (chain index, cpu_per_request) of every VNF placed on it
@@ -235,5 +269,5 @@ def _ticks(spec: NetworkSpec, chains: Sequence[Chain], cfg: EngineConfig):
             idle_hosts = [host for host in host_ids if true_cpu[host] == 0.0]
             totals = [_latency(link_term, positions, true_cpu) for _, link_term, positions in chains]
         spikes = [(host, rng.uniform(low, high)) for host in idle_hosts if rng.random() < spike_prob]
-        latencies = [_jittered(total, sigma, rng) for total in totals] if sigma > 0 else totals
+        latencies = _jittered(totals, normals, sigma) if sigma > 0 else totals
         yield t, rates, true_cpu, spikes, latencies

@@ -14,6 +14,7 @@ import csv
 import functools
 import hashlib
 import json
+import math
 import os
 import time
 from contextlib import suppress
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field, is_dataclass, replace
 from datetime import datetime
 from io import StringIO
 from json.encoder import encode_basestring_ascii
-from operator import is_
+from operator import add, is_
 from pathlib import Path
 
 from .catalog import (
@@ -342,7 +343,27 @@ def _same_objects(last: list, now: list) -> bool:
     return len(last) == len(now) and all(map(is_, last, now))
 
 
-def _json_text(value) -> str:
+def _latency_texts(frames) -> dict[int, str]:
+    """By id of a frame's sfc_latency_ms: its values' reprs joined by line breaks, in the map's order.
+
+    Only a non-empty map of str keys and exact, finite float values is
+    rendered: json and csv.writer both write such a float as its repr, so
+    report.json and latency.csv share these texts. Any other map (NaN or an
+    infinity, an int or bool, a float subclass) takes the JSON writer's
+    usual path, and latency.csv writes the repr of each of its values. The
+    ids stay valid while the frames live.
+    """
+    texts = {}
+    for frame in frames:
+        latency = frame.sfc_latency_ms
+        values = latency.values()
+        if (latency and set(map(type, latency)) == {str} and set(map(type, values)) == {float}
+                and math.isfinite(sum(values))):  # the sum of finite floats is NaN or infinite only on overflow
+            texts[id(latency)] = "\n".join(map(repr, values))
+    return texts
+
+
+def _json_text(value, latency_texts: dict[int, str] | None = None) -> str:
     """Exactly what json.dumps writes with sort_keys=True and an indent of 2, for string keys.
 
     A container whose values are all of exact scalar types is a leaf: the C
@@ -357,13 +378,17 @@ def _json_text(value) -> str:
     True, or two NaN objects never share text. The memo holds the key and
     value objects themselves, so no id is reused while it lives, and it
     lives for this one call.
+
+    A dict whose id is in latency_texts (see _latency_texts) is written from
+    those texts instead, with its keys' encodings and sorted order computed
+    once per sequence of the very same key objects.
     """
     out: list[str] = []
-    _write_json(value, 0, out, {}, None)
+    _write_json(value, 0, out, {}, None, latency_texts or {})
     return "".join(out)
 
 
-def _write_json(value, level: int, out: list[str], memo: dict, key) -> None:
+def _write_json(value, level: int, out: list[str], memo: dict, key, texts: dict[int, str]) -> None:
     """Append value's text at level to out; key is the dict key value sits under (a list passes its own)."""
     if isinstance(value, dict):
         opening, closing, values = "{", "}", value.values()
@@ -377,9 +402,12 @@ def _write_json(value, level: int, out: list[str], memo: dict, key) -> None:
         return
     inner = "\n" + "  " * (level + 1)
     out += [opening, inner]
-    objects = [*value, *values] if opening == "{" else None  # a dict's keys, then its values
+    joined = texts.get(id(value))
+    objects = [*value, *values] if opening == "{" and joined is None else None  # a dict's keys, then its values
     last = memo.get((key, level)) if objects else None
-    if last and _same_objects(last[0], objects):
+    if joined is not None:
+        out.append(_float_items(value, joined, inner, memo))
+    elif last and _same_objects(last[0], objects):
         out.append(last[1])
     elif set(map(type, values)) <= _SCALAR_TYPES:
         text = _leaf_encoder(level + 1).encode(value)[1:-1]  # without the C encoder's brackets
@@ -391,13 +419,30 @@ def _write_json(value, level: int, out: list[str], memo: dict, key) -> None:
             if index:
                 out += [",", inner]
             out += [encode_basestring_ascii(item_key), ": "]
-            _write_json(item, level + 1, out, memo, item_key)
+            _write_json(item, level + 1, out, memo, item_key, texts)
     else:
         for index, item in enumerate(value):
             if index:
                 out += [",", inner]
-            _write_json(item, level + 1, out, memo, key)
+            _write_json(item, level + 1, out, memo, key, texts)
     out += ["\n", "  " * level, closing]
+
+
+def _float_items(value: dict, joined: str, inner: str, memo: dict) -> str:
+    """A str-keyed dict's items, sorted by key, as the C encoder writes them; joined holds its values' texts.
+
+    The encoded keys and their sorted order are kept in memo (under a str,
+    where every other entry's key is a tuple) for the last key sequence,
+    recognised by the identity of its key objects.
+    """
+    keys = [*value]
+    last = memo.get("float keys")
+    if last is None or not _same_objects(last[0], keys):
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        last = memo["float keys"] = keys, [encode_basestring_ascii(keys[i]) + ": " for i in order], order
+    _, prefixes, order = last
+    parts = joined.split("\n")
+    return ("," + inner).join(map(add, prefixes, map(parts.__getitem__, order)))
 
 
 def report_from_dict(data) -> ExperimentReport:
@@ -466,13 +511,32 @@ def _field_texts(values) -> dict[str, str]:
 
 
 def latency_csv(report: ExperimentReport) -> str:
+    return _latency_csv(report, {})
+
+
+def _latency_csv(report: ExperimentReport, latency_texts: dict[int, str]) -> str:
+    """latency.csv: one row per (frame, accepted SFC), in outcome order.
+
+    A frame's numbers are the reprs of its sfc_latency_ms values, taken from
+    latency_texts where it holds them. Each accepted id's position among a
+    map's keys is found once per sequence of the very same key objects.
+    """
     accepted = [o.sfcr_id for o in report.outcomes if o.accepted]
     texts = _field_texts(accepted)
     lines = ["timestamp_s,sfc_id,latency_ms\n"]
+    last: list = []  # the last frame's latency keys
+    columns: list[tuple[str, int]] = []  # per accepted id: (",<id>,", its position among those keys)
     for frame in report.frames:
-        timestamp = repr(frame.timestamp_s)
         latency = frame.sfc_latency_ms
-        lines += [f"{timestamp},{texts[sfc_id]},{latency[sfc_id]!r}\n" for sfc_id in accepted]
+        keys = [*latency]
+        if not _same_objects(last, keys):
+            last = keys
+            position = {key: index for index, key in enumerate(keys)}
+            columns = [(f",{texts[sfc_id]},", position[sfc_id]) for sfc_id in accepted]
+        joined = latency_texts.get(id(latency))
+        values = joined.split("\n") if joined is not None else [*map(repr, latency.values())]
+        timestamp = repr(frame.timestamp_s)
+        lines += [f"{timestamp}{prefix}{values[index]}\n" for prefix, index in columns]
     return "".join(lines)
 
 
@@ -529,9 +593,13 @@ def histogram_csv(report: ExperimentReport, bin_width_ms: float) -> str:
 
 def csv_files(report: ExperimentReport) -> dict[str, str]:
     """A report's CSV files by name; trace.csv only for a GA run."""
+    return _csv_files(report, {})
+
+
+def _csv_files(report: ExperimentReport, latency_texts: dict[int, str]) -> dict[str, str]:
     files = {
         "outcomes.csv": outcomes_csv(report),
-        "latency.csv": latency_csv(report),
+        "latency.csv": _latency_csv(report, latency_texts),
         "cpu.csv": cpu_csv(report),
     }
     if report.trace is not None:
@@ -566,10 +634,15 @@ def write_atomically(directory, files: dict[str, str]) -> list[Path]:
 
 
 def write_report(report: ExperimentReport, directory, formats=("json", "csv")) -> list[Path]:
-    """Write report files; every file lands atomically or not at all."""
+    """Write report files; every file lands atomically or not at all.
+
+    Each latency sample's text is rendered once for report.json and
+    latency.csv both (see _latency_texts).
+    """
+    latency_texts = _latency_texts(report.frames)
     files: dict[str, str] = {}
     if "json" in formats:
-        files[REPORT_FILENAME] = _json_text(report_to_dict(report)) + "\n"
+        files[REPORT_FILENAME] = _json_text(report_to_dict(report), latency_texts) + "\n"
     if "csv" in formats:
-        files.update(csv_files(report))
+        files.update(_csv_files(report, latency_texts))
     return write_atomically(directory, files)

@@ -1,4 +1,5 @@
 import copy
+import math
 import random
 from operator import is_
 from dataclasses import replace
@@ -11,6 +12,7 @@ from rasesim.engine import (
     EngineConfig,
     InconsistentSchemeError,
     NotAcceptedError,
+    _standard_normals,
     sfc_latency,
     simulate,
 )
@@ -186,6 +188,54 @@ def test_jitter_multiplier_is_truncated(embedded):
         noisy = sfc_latency(placement, request, net, catalog, {"h1": 0.0, "h2": 0.0},
                             jitter_sigma=sigma, rng=random.Random(seed))
         assert clean * (1 - 3 * sigma) <= noisy <= clean * (1 + 3 * sigma)
+
+
+def test_jittered_latency_takes_one_gauss_draw(embedded):
+    net, catalog, request, scheme = embedded
+    placement = scheme.accepted()[0]
+    clean = sfc_latency(placement, request, net, catalog, {"h1": 0.0, "h2": 0.0})
+    for seed in range(20):
+        rng, reference = random.Random(seed), random.Random(seed)
+        noisy = sfc_latency(placement, request, net, catalog, {"h1": 0.0, "h2": 0.0}, jitter_sigma=0.1, rng=rng)
+        noise = reference.gauss(0.0, 0.1)
+        assert noisy == clean * (1.0 + max(-3.0 * 0.1, min(3.0 * 0.1, noise)))
+        assert rng.getstate() == reference.getstate()  # the second value of the pair stays with the caller's rng
+
+
+# sigma 0.6 used to give latencies below zero; NaN and a missing rng used to skip the jitter silently
+@pytest.mark.parametrize("sigma", [-0.1, 1 / 3, 0.6, float("nan"), float("inf")])
+def test_latency_rejects_a_jitter_sigma_outside_its_range(embedded, sigma):
+    net, catalog, request, scheme = embedded
+    with pytest.raises(ValueError, match="jitter_sigma must be in"):
+        sfc_latency(scheme.accepted()[0], request, net, catalog, {"h1": 0.0, "h2": 0.0},
+                    jitter_sigma=sigma, rng=random.Random(1))
+
+
+def test_latency_with_jitter_needs_an_rng(embedded):
+    net, catalog, request, scheme = embedded
+    placement = scheme.accepted()[0]
+    with pytest.raises(ValueError, match="rng"):
+        sfc_latency(placement, request, net, catalog, {"h1": 0.0, "h2": 0.0}, jitter_sigma=0.05)
+    clean = sfc_latency(placement, request, net, catalog, {"h1": 0.0, "h2": 0.0})
+    assert sfc_latency(placement, request, net, catalog, {"h1": 0.0, "h2": 0.0}, jitter_sigma=0.0) == clean
+
+
+def test_standard_normals_are_gauss_draw_for_draw():
+    """The tick loop's jitter stream: Random.gauss(0.0, 1.0)'s values with other draws in between."""
+    for seed in range(300):
+        stream, reference = random.Random(seed), random.Random(seed)
+        normals = _standard_normals(stream)
+        between = random.Random(-1 - seed)
+        for position in range(1, 41):
+            z = next(normals)
+            assert z == reference.gauss(0.0, 1.0) and math.isfinite(z), (seed, position)
+            # after an odd count the pair's second value is pending; spikes draw while it waits
+            for _ in range(between.choice((1, 2, 3)) if position % 2 else between.choice((0, 0, 1))):
+                if between.random() < 0.5:
+                    assert stream.random() == reference.random()
+                else:
+                    assert stream.uniform(0.05, 0.15) == reference.uniform(0.05, 0.15)
+            assert stream.getstate()[1] == reference.getstate()[1], (seed, position)
 
 
 # -- simulate ---------------------------------------------------------------------
@@ -364,7 +414,7 @@ def _random_traffic(rng: random.Random, cfg: EngineConfig) -> TrafficPattern:
 
 def test_simulate_equals_the_per_tick_reference():
     """Caching per traffic epoch changes no frame and no random draw."""
-    covered = {"spikes": 0, "jitter": 0, "three epochs": 0}
+    covered = {"spikes": 0, "jitter": 0, "three epochs": 0, "carried half-pair": 0}
     for seed in range(60):
         rng = random.Random(seed)
         spec, catalog, requests = random_scenario(rng)
@@ -378,8 +428,11 @@ def test_simulate_equals_the_per_tick_reference():
         assert frames == per_tick_simulate(net, scheme, requests, catalog, cfg), seed
 
         calm = simulate(net, scheme, requests, catalog, replace(cfg, idle_spike_prob=0.0))
-        covered["spikes"] += any(f.host_cpu != c.host_cpu for f, c in zip(frames, calm))
+        spiked = any(f.host_cpu != c.host_cpu for f, c in zip(frames, calm))
+        covered["spikes"] += spiked
         covered["jitter"] += cfg.jitter_sigma > 0 and bool(scheme.accepted())
+        # an odd count of chains leaves a pair's second value pending across the next tick's spike draws
+        covered["carried half-pair"] += cfg.jitter_sigma > 0 and len(scheme.accepted()) % 2 == 1 and spiked
         covered["three epochs"] += len({tuple(f.link_bw_mbps.values()) for f in frames}) >= 3
     assert min(covered.values()) >= 5, covered
 

@@ -5,8 +5,10 @@ import json
 import random
 from io import StringIO
 
-from rasesim.experiment import (ExperimentReport, SfcOutcome, _json_text, cpu_csv, latency_csv, report_to_dict,
-                                write_report)
+import pytest
+
+from rasesim.experiment import (ExperimentReport, SfcOutcome, _json_text, _latency_texts, cpu_csv, csv_files,
+                                latency_csv, report_to_dict, write_report)
 from rasesim.telemetry import TelemetryFrame
 
 # a quote, a comma, line breaks, a backslash, a control character and non-ASCII text
@@ -166,3 +168,98 @@ def test_a_value_changed_in_place_between_two_writes_is_written_anew(tmp_path):
     assert second == json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n"
     assert [frame["link_bw_mbps"]["l1"] for frame in json.loads(second)["frames"]] == [0.25, 0.75, 0.25]
     assert (tmp_path / "second" / "cpu.csv").read_text().splitlines()[3:5] == ["1.0,h1,0.75", "1.0,h2,0.0"]
+
+
+class Millis(float):
+    """A float subclass with a repr of its own: csv.writer writes that repr, json float's."""
+
+    def __repr__(self):
+        return f"Millis({float.__repr__(self)})"
+
+
+def _latency_values(rng: random.Random, keys) -> list:
+    """Exact finite floats, which both writers write as their repr, or those mixed with values that are not."""
+    values = [rng.choice((rng.uniform(0, 500), rng.random() * 1e-7, 0.0)) for _ in keys]
+    if values and rng.random() < 0.4:
+        awkward = (float("nan"), float("inf"), float("-inf"), -0.0, 7, True, Millis(2.5), 1e300 * 10)
+        values[rng.randrange(len(values))] = rng.choice(awkward)
+    return values
+
+
+def _latency_report(rng: random.Random) -> ExperimentReport:
+    """Frames whose latency keys keep, reorder, copy, gain or lose keys from one frame to the next.
+
+    One report in ten accepts nothing, so its latency maps start empty.
+    """
+    ids = rng.sample(AWKWARD, 6)
+    ids += rng.sample(ids, 2)  # an id accepted twice is written twice
+    accepting = rng.random() < 0.9
+    outcomes = tuple(SfcOutcome(i, accepting and rng.random() < 0.8, "" if rng.random() < 0.5 else "NoHost")
+                     for i in ids)
+    keys = list(dict.fromkeys(ids)) if accepting else []
+    frames = []
+    for tick in range(8):
+        change = rng.randrange(5)
+        if change == 1:
+            rng.shuffle(keys)
+        elif change == 2:
+            keys = ["".join(list(key)) for key in keys]  # equal keys, other objects where str allows
+        elif change == 3:
+            keys = keys + [f"extra{tick}"]
+        elif change == 4:
+            keys = [key for key in keys if not key.startswith("extra")]
+        frames.append(TelemetryFrame(float(tick), {"h1": rng.random(), "h2": 0.0}, {"l1": rng.random()},
+                                     dict(zip(keys, _latency_values(rng, keys)))))
+    return ExperimentReport("digest", outcomes, rng.choice((None, 0.75)), rng.choice((None, 12.5)),
+                            tuple(frames), None)
+
+
+def _csv_references(report: ExperimentReport) -> dict[str, str]:
+    accepted = [o.sfcr_id for o in report.outcomes if o.accepted]
+    return {
+        "outcomes.csv": _csv_reference(["sfcr_id", "accepted", "reason"],
+                                       [[o.sfcr_id, str(o.accepted).lower(), o.reason] for o in report.outcomes]),
+        "latency.csv": _csv_reference(["timestamp_s", "sfc_id", "latency_ms"],
+                                      [[f.timestamp_s, i, f.sfc_latency_ms[i]] for f in report.frames
+                                       for i in accepted]),
+        "cpu.csv": _csv_reference(["timestamp_s", "host_id", "utilization"],
+                                  [[f.timestamp_s, h, f.host_cpu[h]] for f in report.frames
+                                   for h in sorted(f.host_cpu)]),
+    }
+
+
+@pytest.mark.parametrize("formats", [("json",), ("csv",), ("json", "csv")])
+def test_write_report_equals_json_dumps_and_csv_writer(tmp_path, formats):
+    """Latency texts rendered once for both files, and each writer's own path for any other map."""
+    covered = {"shared texts": 0, "own path": 0}
+    for seed in range(80):
+        report = _latency_report(random.Random(seed))
+        shared = len(_latency_texts(report.frames))
+        covered["shared texts"] += shared
+        covered["own path"] += len(report.frames) - shared
+        written = write_report(report, tmp_path / str(seed), formats)
+        files = {path.name: path.read_bytes().decode("utf-8") for path in written}
+        expected = {}
+        if "json" in formats:
+            expected["report.json"] = json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n"
+        if "csv" in formats:
+            expected.update(_csv_references(report))
+        assert files == expected, seed
+    assert min(covered.values()) >= 100, covered
+
+
+def test_each_writer_called_alone_equals_the_standard_library():
+    for seed in range(80):
+        report = _latency_report(random.Random(seed))
+        expected = _csv_references(report)
+        assert csv_files(report) == expected, seed
+        assert latency_csv(report) == expected["latency.csv"], seed
+        assert _json_text(report_to_dict(report)) == json.dumps(report_to_dict(report), sort_keys=True, indent=2)
+
+
+def test_a_latency_map_with_keys_other_than_str_is_written_by_the_encoder(tmp_path):
+    frames = (TelemetryFrame(0.0, {}, {}, {2: 1.5, 1: 0.25, 10: 3.0}), TelemetryFrame(1.0, {}, {}, {10: 2.0}))
+    report = ExperimentReport("digest", (), None, None, frames, None)
+    write_report(report, tmp_path, ("json",))
+    expected = json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n"
+    assert (tmp_path / "report.json").read_text("utf-8") == expected
