@@ -13,13 +13,29 @@ all-links minimum lies inside that subset it is also the subset's minimum.
 So the memoised path is the answer whenever all of its links clear the
 floor, only a shortfall on one of them runs the floored search, and no
 charge, release, rollback or copy ever invalidates an entry.
+
+A memo miss is answered from the source's shortest-path tree: one floor-0
+search from the source, run until every node is settled, once per source
+per network. The search reads the destination only when it pops it, so
+each node settles with the very key a search for it would return, and its
+settled path extends its parent's by one link. The tree keeps, per node
+index, the parent index, the link index and the settle-time delay, and a
+path is walked back from them. Copies share the trees as they share the
+memo; a tree is published only once complete, so two threads racing on a
+cold source only build the same tree twice.
+
+A floored search first checks both ends: if no link at the source, or none
+at the destination, clears the floor, there is no path and nothing is
+searched.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import RaseSimError
 from .topology import Quantity, SubstrateNetwork, show
@@ -52,7 +68,7 @@ def shortest_path(net: SubstrateNetwork, src: str, dst: str, min_bandwidth_mbps:
     """Minimum-delay simple path using only links with enough residual bandwidth.
 
     The pair's memoised all-links path when its links clear the floor, else
-    a search over the links that do.
+    a search over the links that do. A miss fills the memo from src's tree.
     """
     if not net.has_node(src):
         raise UnknownNodeError(f"unknown node {src!r}")
@@ -67,8 +83,7 @@ def shortest_path(net: SubstrateNetwork, src: str, dst: str, min_bandwidth_mbps:
     residual = net.bandwidth.units
     best = net._routes.get((src, dst))
     if best is None:
-        # residuals are never negative, so floor 0 shows every link, and the spec is connected
-        best = net._routes[src, dst] = _search(net, src, dst, 0)
+        best = net._routes[src, dst] = _tree_path(net, src, dst)
     for link in best.links:
         if not residual[link] >= floor:  # the search's test, so a NaN floor fails here too
             break
@@ -80,31 +95,72 @@ def shortest_path(net: SubstrateNetwork, src: str, dst: str, min_bandwidth_mbps:
     return path
 
 
-def _search(net: SubstrateNetwork, src: str, dst: str, floor: int | float) -> Path | None:
-    """Dijkstra over the links whose residual units are >= floor; None if dst is out of reach.
+def _tree_path(net: SubstrateNetwork, src: str, dst: str) -> Path:
+    """The floor-0 path from src to dst, walked back through src's tree, built at its first miss."""
+    index, node_ids = net._node_index, net._node_ids
+    tree = net._trees.get(src)
+    if tree is None:
+        link_index, size = net._link_index, len(node_ids)
+        parents, links, delays = array("i", [-1]) * size, array("i", [-1]) * size, array("d", [0.0]) * size
+        # residuals are never negative, so floor 0 shows every link, and the spec is connected
+        for delay, _hops, nodes, route in _settle(net, src, 0):
+            if route:
+                node = index[nodes[-1]]
+                parents[node], links[node], delays[node] = index[nodes[-2]], link_index[route[-1]], delay
+        tree = net._trees[src] = (parents, links, delays)  # published complete
+    parents, links, delays = tree
+    link_ids, root = net._link_ids, index[src]
+    node = target = index[dst]
+    nodes, route = [dst], []
+    while node != root:
+        route.append(link_ids[links[node]])
+        node = parents[node]
+        nodes.append(node_ids[node])
+    return Path(tuple(reversed(nodes)), tuple(reversed(route)), delays[target])
 
-    The composite key (total delay, hop count, node sequence) makes the
-    documented tie-breaking exact under tuple comparison. Keys only grow
-    along a walk, so the first time a node is settled its key is optimal.
+
+def _search(net: SubstrateNetwork, src: str, dst: str, floor: int | float) -> Path | None:
+    """The best path over the links whose residual units are >= floor; None if dst is out of reach.
+
+    For src != dst, a path leaves src by one of its links and enters dst by
+    one of its links, so a floor that none at either end clears is refused
+    without a search.
     """
     residual = net.bandwidth.units
+    for end in (src, dst):
+        if not any(residual[link] >= floor for _, link in net.neighbors(end)):  # NaN clears none
+            return None
+    for delay, _hops, nodes, links in _settle(net, src, floor):
+        if nodes[-1] == dst:
+            return Path(nodes, links, delay)
+    return None
+
+
+def _settle(net: SubstrateNetwork, src: str,
+            floor: int | float) -> Iterator[tuple[float, int, tuple[str, ...], tuple[str, ...]]]:
+    """Dijkstra over the links whose residual units are >= floor, yielding each reachable node's key.
+
+    A key is (total delay, hop count, node sequence, link sequence); its
+    first three make the documented tie-breaking exact under tuple
+    comparison. Keys only grow along a walk, so the first time a node is
+    settled its key is optimal. Nodes are yielded in settle order, src
+    first.
+    """
+    # the maps behind net.neighbors and net.link_delay_ms, read without a call per edge
+    residual, adjacency, delay_ms = net.bandwidth.units, net._adjacency, net._delay_ms
     heap: list[tuple[float, int, tuple[str, ...], tuple[str, ...]]] = [(0.0, 0, (src,), ())]
     settled: set[str] = set()
     while heap:
-        delay, hops, nodes, links = heapq.heappop(heap)
+        entry = heapq.heappop(heap)
+        delay, hops, nodes, links = entry
         node = nodes[-1]
         if node in settled:
             continue
         settled.add(node)
-        if node == dst:
-            return Path(nodes, links, delay)
-        for neighbor, link in net.neighbors(node):
+        yield entry
+        for neighbor, link in adjacency[node]:
             if neighbor in settled:
                 continue
             if not residual[link] >= floor:  # NaN fails every comparison, so a NaN floor passes no link
                 continue
-            heapq.heappush(
-                heap,
-                (delay + net.link_delay_ms(link), hops + 1, nodes + (neighbor,), links + (link,)),
-            )
-    return None
+            heapq.heappush(heap, (delay + delay_ms[link], hops + 1, nodes + (neighbor,), links + (link,)))

@@ -217,10 +217,15 @@ class SubstrateNetwork:
 
     Single-writer: mutate a given instance from one thread only. copy()
     yields an independent network (shared immutable spec, private residuals)
-    that is safe to use in parallel with the original. Copies also share the
-    route memo that routing.shortest_path fills, one all-links path per
-    (source, destination) pair: an entry is a pure function of the spec, so
-    two threads racing on one only compute the same path twice.
+    that is safe to use in parallel with the original. Copies also share what
+    routing.shortest_path fills: the route memo, one all-links path per
+    (source, destination) pair, and the trees it is answered from, one
+    floor-0 shortest-path tree per source over the node and link indexes
+    made here. Both are pure functions of the spec and exist from __init__,
+    so copies made at any time share them. A tree is published only once
+    complete, so two threads racing on a cold source only build the same
+    tree twice, as two racing on a memo entry only compute the same path
+    twice.
     """
 
     def __init__(self, spec: NetworkSpec):
@@ -238,10 +243,16 @@ class SubstrateNetwork:
         # sorted neighbor order keeps traversals deterministic
         self._adjacency = {n: tuple(sorted(nbrs)) for n, nbrs in adjacency.items()}
         self._routes: dict[tuple[str, str], object] = {}  # routing.Path by (src, dst), filled by shortest_path
+        # node order is dict insertion order (hosts, then switches), never hash order
+        self._node_ids = tuple(self._adjacency)
+        self._node_index = {node: i for i, node in enumerate(self._node_ids)}
+        self._link_ids = tuple(key for key, _ in links)
+        self._link_index = {key: i for i, key in enumerate(self._link_ids)}
+        self._trees: dict[str, tuple] = {}  # (parents, links, delays) arrays by source, filled by shortest_path
 
     def copy(self) -> "SubstrateNetwork":
         clone = object.__new__(SubstrateNetwork)
-        # only the residuals are private; the spec, link maps, adjacency and route memo are shared
+        # only the residuals are private; the spec, link maps, adjacency, indexes, route memo and trees are shared
         clone.__dict__.update(self.__dict__)
         clone.cpu, clone.memory, clone.bandwidth = self.cpu.copy(), self.memory.copy(), self.bandwidth.copy()
         return clone

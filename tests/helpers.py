@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 from rasesim.catalog import Catalog, SFCRequest, TrafficPattern, TrafficSegment, VNFDescriptor
@@ -43,6 +44,15 @@ def star_net(host_count=3, cpus=4, memory=1024.0, bandwidth=1000.0, delay=0.5):
     hosts = [(f"h{i}", cpus, memory) for i in range(1, host_count + 1)]
     links = [("sw", h, bandwidth, delay) for h, _, _ in hosts]
     return spec_of(hosts, links, switches=("sw",), ingress="sw", egress=hosts[-1][0])
+
+
+def ladder_spec(hosts: int, cpus: int = 4, memory: float = 8192.0) -> NetworkSpec:
+    """Two-tier ladder: core switch, one aggregation switch per ten hosts, access delays 0.1 + 0.01 * (i mod 7) ms."""
+    host_ids = [f"h{i:03d}" for i in range(hosts)]
+    aggs = [f"agg{a}" for a in range(math.ceil(hosts / 10))]
+    links = [("core", agg, 100000, 0.5) for agg in aggs]
+    links += [(f"agg{i // 10}", host, 10000, round(0.1 + 0.01 * (i % 7), 2)) for i, host in enumerate(host_ids)]
+    return spec_of([(h, cpus, memory) for h in host_ids], links, switches=["core", *aggs], ingress="core")
 
 
 def random_scenario(rng: random.Random):

@@ -1,14 +1,18 @@
 import random
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
 
-from rasesim.routing import NoPathError, Path, UnknownNodeError, shortest_path
+from rasesim import routing
+from rasesim.catalog import default_catalog, default_sfcr_templates, generate_sfcrs
+from rasesim.routing import NoPathError, Path, UnknownNodeError, _search, _tree_path, shortest_path
+from rasesim.solver import solve_simple_dijkstra
 from rasesim.topology import HostSpec, LinkSpec, NetworkSpec, build_network, link_id
 
-from helpers import spec_of
+from helpers import ladder_spec, spec_of
 from oracles import brute_force_shortest_path, random_connected_graph
 
 
@@ -244,7 +248,9 @@ def test_copies_racing_on_one_memo_answer_as_a_fresh_network():
             net.allocate_bandwidth(link, amount)
         return net
 
-    def answers(net):
+    def answers(net, start=None):
+        if start is not None:
+            start.wait(timeout=60)  # every thread then misses on the same cold source at once
         found = []
         for src, dst, floor in queries:
             try:
@@ -253,14 +259,126 @@ def test_copies_racing_on_one_memo_answer_as_a_fresh_network():
                 found.append(None)
         return found
 
-    expected = answers(charged())
+    alone = charged()
+    expected = answers(alone)
     shared = charged()
+    start = threading.Barrier(4)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(answers, shared.copy()) for _ in range(4)]
+            futures = [pool.submit(answers, shared.copy(), start) for _ in range(4)]
             results = [future.result(timeout=60) for future in futures]
     finally:
         sys.setswitchinterval(interval)
     assert results == [expected] * 4
+    # whichever racer published a source's tree, it is the complete tree a lone network builds
+    assert shared._trees == alone._trees
+
+
+def _count_settles(monkeypatch):
+    """Replace the settle loop with one that records (src, floor) per run; the list of runs."""
+    runs = []
+    settle = routing._settle
+
+    def counted(net, src, floor):
+        runs.append((src, floor))
+        return settle(net, src, floor)
+
+    monkeypatch.setattr(routing, "_settle", counted)
+    return runs
+
+
+@pytest.mark.parametrize("delays", [(0.1,), (0.1, 0.2), (0.0, 0.1, 0.3)], ids=["one", "two", "three"])
+def test_every_node_of_a_tree_is_the_targeted_search_and_brute_force(delays):
+    """A tree walked back to any node gives exactly what a search for that node alone returns.
+
+    Delays from a tiny set tie (delay, hops) often, so the node-sequence
+    tie-break decides; 0.1 + 0.2 != 0.3 makes the order of the float sum show.
+    """
+    rng = random.Random(1729)
+    for _ in range(25):
+        nodes, edges = random_connected_graph(rng, max_nodes=7)
+        edges = [(a, b, rng.choice(delays), bandwidth) for a, b, _, bandwidth in edges]
+        net = build_network(_graph_to_network(nodes, edges))
+        for src in nodes:
+            for node in nodes:
+                path = _tree_path(net, src, node)
+                searched = _search(net, src, node, 0)
+                expected_nodes, expected_delay = brute_force_shortest_path(nodes, edges, src, node, 0.0)
+                assert (path.nodes, path.links) == (searched.nodes, searched.links)
+                assert path.nodes == expected_nodes
+                assert path.links == tuple(link_id(a, b) for a, b in zip(path.nodes, path.nodes[1:]))
+                bits = path.total_propagation_ms.hex()
+                assert bits == searched.total_propagation_ms.hex() == expected_delay.hex()
+        assert len(net._trees) == len(nodes)
+
+
+def _diamond():
+    """A-B-D at 1 ms a hop, A-C-D at 2 ms a hop: the floor-0 route from A to D is A-B-D."""
+    return build_network(spec_of(
+        [("A", 1, 64), ("B", 1, 64), ("C", 1, 64), ("D", 1, 64)],
+        [("A", "B", 100, 1.0), ("B", "D", 100, 1.0), ("A", "C", 100, 2.0), ("C", "D", 100, 2.0)],
+    ))
+
+
+@pytest.mark.parametrize("cut", [("A--B", "A--C"), ("B--D", "C--D")], ids=["at-src", "at-dst"])
+def test_a_floor_no_link_at_an_end_clears_is_refused_without_a_search(monkeypatch, cut):
+    net = _diamond()
+    assert shortest_path(net, "A", "D", 0.0).nodes == ("A", "B", "D")  # the tree is built before counting
+    for link in cut:
+        net.allocate_bandwidth(link, 95)
+    runs = _count_settles(monkeypatch)
+    with pytest.raises(NoPathError) as caught:
+        shortest_path(net, "A", "D", 10.0)
+    assert str(caught.value) == "no route from 'A' to 'D' with >= 10 Mbps residual"
+    assert runs == []
+
+
+@pytest.mark.parametrize("cut,expected", [(("B--D",), ("A", "C", "D")), (("B--D", "A--C"), None)],
+                         ids=["detour", "no-path"])
+def test_a_floor_both_ends_clear_still_searches_the_middle(monkeypatch, cut, expected):
+    net = _diamond()
+    shortest_path(net, "A", "D", 0.0)
+    for link in cut:
+        net.allocate_bandwidth(link, 95)
+    residual = net.residual_bandwidth
+    edges = [(a, b, delay, residual[link_id(a, b)])
+             for a, b, delay in (("A", "B", 1.0), ("B", "D", 1.0), ("A", "C", 2.0), ("C", "D", 2.0))]
+    oracle = brute_force_shortest_path(["A", "B", "C", "D"], edges, "A", "D", 10.0)
+    runs = _count_settles(monkeypatch)
+    if expected is None:
+        assert oracle is None
+        with pytest.raises(NoPathError):
+            shortest_path(net, "A", "D", 10.0)
+    else:
+        path = shortest_path(net, "A", "D", 10.0)
+        assert (path.nodes, path.total_propagation_ms) == oracle == (expected, 4.0)
+    assert runs == [("A", net.bandwidth.to_units(10))]
+
+
+def test_one_tree_per_source_is_shared_by_every_copy(monkeypatch):
+    """Copies made before the first query share the tree that any of them builds."""
+    net = build_network(ladder_spec(30))
+    first, second = net.copy(), net.copy()
+    runs = _count_settles(monkeypatch)
+    paths = [shortest_path(first, "h000", "h011", 1.0), shortest_path(net, "h000", "h025", 1.0),
+             shortest_path(second, "h000", "core", 1.0)]
+    assert runs == [("h000", 0)]
+    assert [p.nodes for p in paths] == [("h000", "agg0", "core", "agg1", "h011"),
+                                         ("h000", "agg0", "core", "agg2", "h025"), ("h000", "agg0", "core")]
+
+
+def test_ladder_greedy_solve_from_trees_matches_one_search_per_pair(monkeypatch):
+    """200 hosts, 800 requests: the greedy scheme is outcome for outcome the one from per-pair searches.
+
+    The ladder repeats its access delays every seven hosts, so equal-delay
+    routes abound and the tie-break decides many of them.
+    """
+    spec, catalog = ladder_spec(200), default_catalog()
+    sfcrs = generate_sfcrs(default_sfcr_templates(), 100)
+    from_trees = solve_simple_dijkstra(build_network(spec), sfcrs, catalog)
+    monkeypatch.setattr(routing, "_tree_path", lambda net, src, dst: _search(net, src, dst, 0))
+    per_pair = solve_simple_dijkstra(build_network(spec), sfcrs, catalog)
+    for tree_outcome, pair_outcome in zip(from_trees.outcomes, per_pair.outcomes, strict=True):
+        assert tree_outcome == pair_outcome
