@@ -19,7 +19,7 @@ from .catalog import Catalog, SFCRequest, TrafficPattern, VNFDescriptor
 from .errors import RaseSimError
 from .seeding import plain_sum
 from .solver import EmbeddingScheme, InconsistentSchemeError, SfcPlacement, verify_scheme
-from .telemetry import NoSamplesError, TelemetryFrame
+from .telemetry import NoSamplesError, TelemetryFrame, finite_mean
 from .topology import NetworkSpec, SubstrateNetwork
 
 __all__ = [
@@ -220,12 +220,13 @@ def mean_chain_latency(spec: NetworkSpec, chains: Sequence[Chain], cfg: EngineCo
     chains are the accepted chains of a verified scheme, in submission order,
     as (offered load, round-trip link ms, [(host, VNF)]). The random draws
     are simulate's, so the result equals mean_latency over simulate's frames
-    bit for bit when the accepted ids are distinct.
+    bit for bit when the accepted ids are distinct, and raises the same
+    LatencyOverflowError where that mean is beyond the float range.
     """
     if not chains:
         raise NoSamplesError("no accepted chains to take a mean latency over")
     samples = [latency for _, _, _, _, latencies in _ticks(spec, chains, cfg) for latency in latencies]
-    return math.fsum(samples) / len(samples)
+    return finite_mean(samples)
 
 
 def _ticks(spec: NetworkSpec, chains: Sequence[Chain], cfg: EngineConfig):

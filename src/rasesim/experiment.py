@@ -46,6 +46,7 @@ from .solver import (
     GAParams,
     SfcPlacement,
     _demand_table,
+    _unit_table,
     acceptance_ratio,
     decode_chromosome,
     ga_solve,
@@ -218,20 +219,23 @@ def build_ga_evaluator(base_net: SubstrateNetwork, sfcrs, catalog: Catalog, engi
     """Fitness of a chromosome: its acceptance ratio and the mean latency of an engine run.
 
     Decoding is a pure function of the chromosome, so the first evaluation
-    of a chromosome decodes it on a private copy of base_net (which is only
-    copied and read) and walks each accepted chain; the evaluator keeps only
-    the acceptance ratio and, per request, its round-trip link ms if it was
-    accepted (None if not), and reads the hosts from the chromosome itself.
-    No scheme is verified here: decoding charges every allocation through
-    the network's exact checks, and simulate verifies the scheme finally run.
-    The demand table is built once for all decodes. Every evaluation then
+    of a chromosome decodes it on a copy of a private copy of base_net
+    (which is only copied and read) and walks each accepted chain; the
+    evaluator keeps only the acceptance ratio and, per request, its
+    round-trip link ms if it was accepted (None if not), and reads the
+    hosts from the chromosome itself. No scheme is verified here: decoding
+    charges every allocation through the network's exact checks, and
+    simulate verifies the scheme finally run. The demand table is converted
+    to whole units once, on the private copy, so no decode converts or
+    rescales. Every evaluation then
     runs the engine's tick loop without frames (engine.mean_chain_latency),
     seeded with the eval_seed passed by the solver, so a chromosome
     evaluated again in a later generation sees fresh jitter, like
     re-measuring a live deployment. Fitness values equal those of
     decode_chromosome, simulate and mean_latency bit for bit.
     """
-    demands = _demand_table(sfcrs, catalog)
+    template = base_net.copy()
+    demands = _unit_table(template, _demand_table(sfcrs, catalog))
     # per request: its offered load, its first gene and its VNFs
     layout = []
     offset = 0
@@ -242,7 +246,7 @@ def build_ga_evaluator(base_net: SubstrateNetwork, sfcrs, catalog: Catalog, engi
     decoded: dict[tuple, tuple[float, tuple[float | None, ...]]] = {}
 
     def decode(chromosome: tuple):
-        work = base_net.copy()
+        work = template.copy()
         scheme = decode_chromosome(work, sfcrs, catalog, chromosome, demands=demands)
         link_terms = tuple(_walk(outcome, sfcr, work, catalog)[0] if isinstance(outcome, SfcPlacement) else None
                            for outcome, sfcr in zip(scheme.outcomes, sfcrs))

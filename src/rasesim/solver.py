@@ -8,6 +8,7 @@ as it found it.
 
 from __future__ import annotations
 
+import math
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -19,7 +20,8 @@ from .catalog import Catalog, SFCRequest
 from .errors import RaseSimError
 from .routing import NoPathError, Path, shortest_path
 from .seeding import derive_seed, plain_sum
-from .topology import NetworkSpec, SubstrateNetwork
+from .telemetry import LatencyOverflowError
+from .topology import InsufficientBandwidthError, NetworkSpec, Quantity, SubstrateNetwork
 
 Chromosome = tuple[str, ...]
 
@@ -149,7 +151,64 @@ def _demand_table(sfcrs: Sequence[SFCRequest], catalog: Catalog) -> list[Demands
     return table
 
 
-def _embed_all(net: SubstrateNetwork, sfcrs: Sequence[SFCRequest], demands: Sequence[Demands],
+# Per SFCR: Demands in whole units of 1/scale of each kind, (bandwidth, ((cpu, memory), ...)).
+UnitDemands = tuple[int, tuple[tuple[int, int], ...]]
+
+
+def _in_units(table: Sequence[Demands], scales: tuple[int, int, int]) -> list[UnitDemands]:
+    """table's rows in whole units of 1/scale per (cpu, memory, bandwidth); each distinct row is converted once.
+
+    Every scale must be a multiple of every denominator of its kind.
+    """
+    cpu_scale, memory_scale, bandwidth_scale = scales
+    converted: dict[int, UnitDemands] = {}
+    rows = []
+    for row in table:
+        units = converted.get(id(row))
+        if units is None:
+            bandwidth, positions = row
+            units = converted[id(row)] = (
+                _units(bandwidth, bandwidth_scale),
+                tuple((_units(cpu, cpu_scale), _units(memory, memory_scale)) for cpu, memory in positions),
+            )
+        rows.append(units)
+    return rows
+
+
+def _units(quantity: Quantity, scale: int) -> int:
+    numerator, denominator = quantity.as_integer_ratio()
+    return numerator * (scale // denominator)
+
+
+@dataclass(frozen=True)
+class UnitTable:
+    """A _demand_table in whole units of a network's resources, made by _unit_table."""
+
+    scales: tuple[int, int, int]  # the (cpu, memory, bandwidth) scales the rows were converted at
+    rows: list[UnitDemands]
+    exact: Sequence[Demands]
+
+
+def _scales(net: SubstrateNetwork) -> tuple[int, int, int]:
+    return net.cpu.scale, net.memory.scale, net.bandwidth.scale
+
+
+def _unit_table(net: SubstrateNetwork, exact: Sequence[Demands]) -> UnitTable:
+    """exact's rows in whole units of net's resources.
+
+    Each resource's scale first grows over every quantity in the rows, so
+    no later charge of them rescales net or a copy of it.
+    """
+    for bandwidth, positions in {id(row): row for row in exact}.values():
+        net.bandwidth.to_units(bandwidth)
+        for cpu, memory in positions:
+            net.cpu.to_units(cpu)
+            net.memory.to_units(memory)
+    scales = _scales(net)
+    return UnitTable(scales, _in_units(exact, scales), exact)
+
+
+def _embed_all(net: SubstrateNetwork, sfcrs: Sequence[SFCRequest], table: UnitTable,
                candidates: Callable[[int, int], Sequence[str]]) -> EmbeddingScheme:
     """Place and route each SFCR in order, charging net; the one embedding loop of both solvers.
 
@@ -158,18 +217,18 @@ def _embed_all(net: SubstrateNetwork, sfcrs: Sequence[SFCRequest], demands: Sequ
     go to the first listed, and an id with no residuals (a switch) never
     fits. Consecutive placements are then linked by bandwidth-filtered
     shortest paths. A request that cannot be placed or routed has its
-    charges released in reverse order and is recorded as a rejection;
-    later requests still embed.
+    charges added back and is recorded as a rejection; later requests still
+    embed. Charges and rollbacks are integer -= and += on the residual
+    units; a table made at other scales than net's is converted afresh.
     """
-    cpu, memory = net.cpu, net.memory
-    cpu_left, memory_left = cpu.units, memory.units
+    if table.scales != _scales(net):
+        table = _unit_table(net, table.exact)
+    cpu_left, memory_left, bandwidth_left = net.cpu.units, net.memory.units, net.bandwidth.units
     outcomes: list[SfcPlacement | SfcRejection] = []
-    for i, (sfcr, (bandwidth, positions)) in enumerate(zip(sfcrs, demands, strict=True)):
-        undo: list[tuple[Callable[[str, Fraction], None], str, Fraction]] = []
+    for i, (sfcr, (bandwidth, positions)) in enumerate(zip(sfcrs, table.rows, strict=True)):
+        undo: list[tuple[dict[str, int], str, int]] = []
         placed: list[str] = []
-        for k, (cpu_demand, memory_demand) in enumerate(positions):
-            # to_units may rescale the residuals, so convert before reading them
-            cpu_need, memory_need = cpu.to_units(cpu_demand), memory.to_units(memory_demand)
+        for k, (cpu_need, memory_need) in enumerate(positions):
             # residuals are never negative, so the first host that fits beats -1
             host, best_left = None, -1
             for candidate in candidates(i, k):
@@ -179,12 +238,12 @@ def _embed_all(net: SubstrateNetwork, sfcrs: Sequence[SFCRequest], demands: Sequ
             if host is None:
                 reason = f"NoFeasibleHost(position={k})"
                 break
-            if cpu_demand:
-                net.allocate_cpu(host, cpu_demand)
-                undo.append((net.release_cpu, host, cpu_demand))
-            if memory_demand:
-                net.allocate_memory(host, memory_demand)
-                undo.append((net.release_memory, host, memory_demand))
+            if cpu_need:
+                cpu_left[host] -= cpu_need
+                undo.append((cpu_left, host, cpu_need))
+            if memory_need:
+                memory_left[host] -= memory_need
+                undo.append((memory_left, host, memory_need))
             placed.append(host)
         else:
             reason = None
@@ -197,14 +256,18 @@ def _embed_all(net: SubstrateNetwork, sfcrs: Sequence[SFCRequest], demands: Sequ
                     reason = f"NoPath(segment={k})"
                     break
                 for link in path.links:
-                    net.allocate_bandwidth(link, bandwidth)
-                    undo.append((net.release_bandwidth, link, bandwidth))
+                    if bandwidth_left[link] < bandwidth:
+                        raise InsufficientBandwidthError(
+                            f"{link!r}: requested {net.bandwidth.show(bandwidth)} bandwidth, "
+                            f"residual {net.bandwidth.show(bandwidth_left[link])}")
+                    bandwidth_left[link] -= bandwidth
+                    undo.append((bandwidth_left, link, bandwidth))
                 segments.append(path)
         if reason is None:
             outcomes.append(SfcPlacement(sfcr.sfcr_id, tuple(placed), tuple(segments)))
         else:
-            for release, key, amount in reversed(undo):
-                release(key, amount)
+            for units, key, amount in undo:
+                units[key] += amount
             outcomes.append(SfcRejection(sfcr.sfcr_id, reason))
     return EmbeddingScheme(tuple(outcomes))
 
@@ -218,24 +281,24 @@ def solve_simple_dijkstra(net: SubstrateNetwork, sfcrs: Sequence[SFCRequest], ca
     net is mutated in place with the accepted chains' charges.
     """
     hosts = sorted(net.host_ids())
-    return _embed_all(net, sfcrs, _demand_table(sfcrs, catalog), lambda i, k: hosts)
+    return _embed_all(net, sfcrs, _unit_table(net, _demand_table(sfcrs, catalog)), lambda i, k: hosts)
 
 
 def decode_chromosome(net: SubstrateNetwork, sfcrs: Sequence[SFCRequest], catalog: Catalog,
-                      chromosome: Chromosome, *, demands: Sequence[Demands] | None = None) -> EmbeddingScheme:
+                      chromosome: Chromosome, *, demands: UnitTable | None = None) -> EmbeddingScheme:
     """Charge a chromosome's placements gene by gene in fixed order.
 
     The greedy solver's loop with each position's gene as its only
     candidate: an SFCR whose gene names a host that lacks capacity, or no
     host at all, or whose segments cannot be routed, is rejected and rolled
-    back; later SFCRs still embed. demands is the requests' _demand_table,
+    back; later SFCRs still embed. demands is the requests' _unit_table,
     built here when not given.
     """
     first = [0, *accumulate(len(s.chain) for s in sfcrs)]  # per request, the index of its first gene
     if len(chromosome) != first[-1]:
         raise GeneCountMismatchError(f"chromosome has {len(chromosome)} genes, requests need {first[-1]}")
     if demands is None:
-        demands = _demand_table(sfcrs, catalog)
+        demands = _unit_table(net, _demand_table(sfcrs, catalog))
     return _embed_all(net, sfcrs, demands, lambda i, k: (chromosome[first[i] + k],))
 
 
@@ -244,7 +307,9 @@ def verify_scheme(spec: NetworkSpec, sfcrs: Sequence[SFCRequest], catalog: Catal
     """Re-check a scheme against the spec by independent summation.
 
     Recomputes per-host CPU/memory and per-link bandwidth totals from the
-    accepted placements and compares them against raw capacities, and checks
+    accepted placements and compares them against raw capacities, exactly:
+    each kind is summed in whole units of 1/scale, scale the least common
+    multiple of the denominators of its capacities and demands. It checks
     that segments chain from ingress through every placement to the egress
     host over declared links, and that no two requests share an sfcr_id.
     Raises InconsistentSchemeError on any violation.
@@ -253,12 +318,20 @@ def verify_scheme(spec: NetworkSpec, sfcrs: Sequence[SFCRequest], catalog: Catal
         raise InconsistentSchemeError("scheme and request list differ in length")
     host_ids = {h.id for h in spec.hosts}
     links = {l.link_id: l for l in spec.links}
-    cpu_used: dict[str, Fraction] = {}
-    mem_used: dict[str, Fraction] = {}
-    bw_used: dict[str, Fraction] = {}
-    ids: set[str] = set()
     demands = _demand_table(sfcrs, catalog)
-    for outcome, sfcr, (bandwidth, positions) in zip(scheme.outcomes, sfcrs, demands, strict=True):
+    rows = {id(row): row for row in demands}.values()
+    capacities = ({h.id: h.cpus for h in spec.hosts}, {h.id: h.memory_mb for h in spec.hosts},
+                  {l.link_id: l.bandwidth_mbps for l in spec.links})
+    demanded = ([c for _, p in rows for c, _ in p], [m for _, p in rows for _, m in p], [b for b, _ in rows])
+    scales = tuple(math.lcm(*(q.as_integer_ratio()[1] for q in (*capacity.values(), *demand)))
+                   for capacity, demand in zip(capacities, demanded))
+    cpu_cap, mem_cap, bw_cap = ({key: _units(q, scale) for key, q in capacity.items()}
+                                for capacity, scale in zip(capacities, scales))
+    cpu_used: dict[str, int] = {}
+    mem_used: dict[str, int] = {}
+    bw_used: dict[str, int] = {}
+    ids: set[str] = set()
+    for outcome, sfcr, (bandwidth, positions) in zip(scheme.outcomes, sfcrs, _in_units(demands, scales), strict=True):
         if outcome.sfcr_id != sfcr.sfcr_id:
             raise InconsistentSchemeError(f"outcome order mismatch at {outcome.sfcr_id!r}")
         if sfcr.sfcr_id in ids:
@@ -291,13 +364,13 @@ def verify_scheme(spec: NetworkSpec, sfcrs: Sequence[SFCRequest], catalog: Catal
                         f"{outcome.sfcr_id!r}: segment {index} hop {hop} does not follow {link_name!r}"
                     )
                 bw_used[link_name] = bw_used.get(link_name, 0) + bandwidth
-    for host_spec in spec.hosts:
-        if cpu_used.get(host_spec.id, 0) > Fraction(host_spec.cpus):
-            raise InconsistentSchemeError(f"host {host_spec.id!r}: CPU over capacity")
-        if mem_used.get(host_spec.id, 0) > Fraction(host_spec.memory_mb):
-            raise InconsistentSchemeError(f"host {host_spec.id!r}: memory over capacity")
+    for host in cpu_cap:
+        if cpu_used.get(host, 0) > cpu_cap[host]:
+            raise InconsistentSchemeError(f"host {host!r}: CPU over capacity")
+        if mem_used.get(host, 0) > mem_cap[host]:
+            raise InconsistentSchemeError(f"host {host!r}: memory over capacity")
     for link_name, used in bw_used.items():
-        if used > Fraction(links[link_name].bandwidth_mbps):
+        if used > bw_cap[link_name]:
             raise InconsistentSchemeError(f"link {link_name!r}: bandwidth over capacity")
 
 
@@ -399,13 +472,17 @@ def _population_stats(generation: int, population: Sequence[Chromosome],
     ratios = [f.acceptance_ratio for f in fitnesses]
     latencies = [f.mean_latency_ms for f in fitnesses if f.mean_latency_ms is not None]
     best_index = max(range(len(population)), key=lambda i: (fitnesses[i].sort_key(), -i))
+    mean_latency_ms = plain_sum(latencies) / len(latencies) if latencies else None
+    if mean_latency_ms == math.inf:  # each candidate's mean is finite, their sum need not be
+        raise LatencyOverflowError(f"generation {generation}: the mean of {len(latencies)} candidates' mean "
+                                   "latencies is beyond the float range")
     return GenerationStats(
         generation=generation,
         fitnesses=tuple(fitnesses),
         mean_acceptance=plain_sum(ratios) / len(ratios),
         min_acceptance=min(ratios),
         max_acceptance=max(ratios),
-        mean_latency_ms=plain_sum(latencies) / len(latencies) if latencies else None,
+        mean_latency_ms=mean_latency_ms,
         min_latency_ms=min(latencies) if latencies else None,
         max_latency_ms=max(latencies) if latencies else None,
         best=population[best_index],

@@ -6,6 +6,7 @@ All functions here are pure; they never modify the frame list.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -26,6 +27,12 @@ class UnknownHostError(TelemetryError):
 
 class NoSamplesError(TelemetryError):
     """An aggregate was requested over zero samples."""
+
+
+class LatencyOverflowError(TelemetryError):
+    """A mean latency is beyond the float range: a sample is infinite, or the samples' sum is."""
+
+    stage = "engine"  # the engine's latencies overflowed, not the aggregation over them
 
 
 @dataclass(frozen=True)
@@ -81,4 +88,16 @@ def mean_latency(frames: Sequence[TelemetryFrame], accepted_sfc_ids: Iterable[st
     samples = [f.sfc_latency_ms[sfc_id] for f in frames for sfc_id in ids if sfc_id in f.sfc_latency_ms]
     if not samples:
         raise NoSamplesError("no latency samples for the requested SFCs")
-    return math.fsum(samples) / len(samples)
+    return finite_mean(samples)
+
+
+def finite_mean(samples: Sequence[float]) -> float:
+    """math.fsum(samples) / len(samples) of non-negative samples; a LatencyOverflowError past the float range."""
+    try:
+        total = math.fsum(samples)
+    except OverflowError:  # finite samples whose exact sum is beyond the float range
+        total = math.inf
+    if total == math.inf:
+        raise LatencyOverflowError(f"the mean of {len(samples)} latency samples is beyond the float range: a "
+                                   f"chain's round trip, or the sum of all of them, exceeds {sys.float_info.max:g} ms")
+    return total / len(samples)

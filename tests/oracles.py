@@ -6,7 +6,9 @@ sorted-list arithmetic on CPU numbers alone, the binomial bounds come
 from the exact CDF, and the engine oracle recomputes every term on every
 tick. The GA fitness oracle is the plain composition of the public
 decode_chromosome, simulate and mean_latency, which the evaluator's decode
-memo and frame-free pass replace.
+memo and frame-free pass replace. The charge oracle books a scheme's
+demands through the public allocate_* methods, which the embedding loop's
+integer charges replace.
 """
 
 from __future__ import annotations
@@ -17,8 +19,9 @@ from dataclasses import replace
 from fractions import Fraction
 
 from rasesim.engine import simulate
-from rasesim.solver import Fitness, SfcPlacement, acceptance_ratio, decode_chromosome
+from rasesim.solver import Fitness, SfcPlacement, acceptance_ratio, decode_chromosome, vnf_cpu_demand
 from rasesim.telemetry import TelemetryFrame, mean_latency
+from rasesim.topology import SubstrateNetwork
 
 
 def brute_force_shortest_path(nodes, edges, src, dst, min_bandwidth):
@@ -220,3 +223,21 @@ def reference_ga_evaluator(base_net, sfcrs, catalog, engine_cfg):
         return Fitness(ratio, mean_latency(frames, accepted_ids))
 
     return evaluate
+
+
+def charge_through_public_api(net: SubstrateNetwork, sfcrs, catalog, scheme) -> SubstrateNetwork:
+    """net, charged with every accepted placement's demands by allocate_cpu, allocate_memory and
+    allocate_bandwidth, one call per nonzero amount."""
+    for outcome, request in zip(scheme.outcomes, sfcrs, strict=True):
+        if not isinstance(outcome, SfcPlacement):
+            continue
+        for position, (host, name) in enumerate(zip(outcome.hosts, request.chain, strict=True)):
+            cpu, memory = vnf_cpu_demand(catalog, request, position), Fraction(catalog.get(name).memory_mb)
+            if cpu:
+                net.allocate_cpu(host, cpu)
+            if memory:
+                net.allocate_memory(host, memory)
+        for segment in outcome.segments:
+            for link in segment.links:
+                net.allocate_bandwidth(link, request.bandwidth_mbps)
+    return net

@@ -3,12 +3,16 @@ import os
 import re
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
 import rasesim
 from rasesim.cli import main
+from rasesim.experiment import _jsonable
+
+from helpers import ladder_spec
 
 
 def run_cli(*argv) -> int:
@@ -424,4 +428,32 @@ def test_templates_sharing_an_id_are_one_line_config_error(scenario_dir, tmp_pat
     assert run_cli(command, "--config", str(config), *extra) == 1
     err = capsys.readouterr().err
     assert err == "error: config: sfcrs: sfcrs[1]: id 'edge-web' is already used by sfcrs[0]\n"
+    assert not (tmp_path / "out").exists()
+
+
+def _shipped(name: str) -> dict:
+    return json.loads(resources.files("rasesim").joinpath(f"data/{name}").read_text("utf-8"))
+
+
+@pytest.mark.parametrize("solver", [{"kind": "simple-dijkstra"},
+                                    {"kind": "ga", "ga": {"population": 4, "generations": 2}}], ids=["greedy", "ga"])
+@pytest.mark.parametrize("link_mbps,request_mbps", [(1e-290, 1e-300), (0.04, 1e-3)],
+                         ids=["infinite-latency", "latency-sum-overflows"])
+def test_latency_past_the_float_range_is_one_line_engine_error(tmp_path, capsys, solver, link_mbps, request_mbps):
+    """1e308-bit requests on a 4-host ladder for 2 ticks: over 1e-290 Mbps links a round trip is
+    infinite; over 0.04 Mbps links each is finite, but their sum is not."""
+    network = _jsonable(ladder_spec(4))
+    for link in network["links"]:
+        link["bandwidth_mbps"] = link_mbps
+    sfcrs = _shipped("default_sfcrs.json")
+    for template in sfcrs["sfcrs"]:
+        template.update(bandwidth_mbps=request_mbps, request_size_bits=1e308)
+    config = tmp_path / "overflow.json"
+    config.write_text(json.dumps({"network": network, "catalog": _shipped("default_catalog.json"), "sfcrs": sfcrs,
+                                  "solver": solver, "engine": {"duration_s": 2, "sample_interval_s": 1}, "seed": 1}))
+    assert run_cli("run", "--config", str(config), "--output-dir", str(tmp_path / "out")) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: engine: the mean of \d+ latency samples is beyond the float range: [^\n]*\n",
+                        captured.err)
     assert not (tmp_path / "out").exists()

@@ -25,8 +25,10 @@ from rasesim.experiment import (
     template_to_dict,
     write_report,
 )
-from rasesim.solver import GAParams, acceptance_ratio, decode_chromosome, verify_scheme
+from rasesim.solver import GAParams, _demand_table, _unit_table, acceptance_ratio, decode_chromosome, verify_scheme
 from rasesim.topology import HostSpec, LinkSpec, NetworkSpec, SubstrateNetwork, build_network
+
+from oracles import charge_through_public_api
 
 
 def load_scenario(scenario_dir, name, **overrides):
@@ -207,9 +209,9 @@ def _record_evaluations(monkeypatch) -> list:
 
 
 def test_ga_run_decodes_each_distinct_chromosome_once_and_verifies_once(scenario_dir, monkeypatch):
-    """The evaluator decodes and copies a chromosome at its first evaluation only and verifies
-    nothing; the final scheme is decoded once more and verified once, by the one simulate,
-    on the one network the run builds."""
+    """The evaluator copies the network once to convert the demands on, then decodes and copies a
+    chromosome at its first evaluation only and verifies nothing; the final scheme is decoded once
+    more and verified once, by the one simulate, on the one network the run builds."""
     counts = Counter()
 
     def counting(name, fn):
@@ -231,7 +233,7 @@ def test_ga_run_decodes_each_distinct_chromosome_once_and_verifies_once(scenario
     assert report.acceptance_ratio == 1.0
     distinct = len(set(evaluated))
     assert len(evaluated) > distinct  # some chromosomes were evaluated again
-    assert counts == {"decode_chromosome": distinct + 1, "copy": distinct, "verify_scheme": 1,
+    assert counts == {"decode_chromosome": distinct + 1, "copy": distinct + 1, "verify_scheme": 1,
                       "simulate": 1, "build_network": 1}
 
 
@@ -243,7 +245,9 @@ def _tight_hosts(data):
 @pytest.mark.parametrize("edit", [lambda data: None, _tight_hosts], ids=["ga_small", "one-cpu-hosts"])
 def test_every_distinct_chromosome_of_a_ga_solve_decodes_to_a_verified_scheme(scenario_dir, tmp_path,
                                                                                monkeypatch, edit):
-    """The evaluator does not verify its decodes; this checks each one that a seeded solve meets.
+    """The evaluator does not verify its decodes; this checks each one that a seeded solve meets,
+    decoded on a fresh network and, as the evaluator does, on a copy of one the units were converted
+    on. Each leaves the residuals that the public allocate_* calls leave for its accepted placements.
     On one-CPU hosts many chromosomes overload a host, so rejections and their rollbacks are checked."""
     cfg = load_config(rewrite_config(scenario_dir, tmp_path, "ga_small.json", edit))
     evaluated = _record_evaluations(monkeypatch)
@@ -251,10 +255,15 @@ def test_every_distinct_chromosome_of_a_ga_solve_decodes_to_a_verified_scheme(sc
     run_solver(cfg, build_network(cfg.network), sfcrs)
     distinct = sorted(set(evaluated))
     assert len(distinct) > 20
+    template = build_network(cfg.network)
+    table = _unit_table(template, _demand_table(sfcrs, cfg.catalog))
     rejected = 0
     for chromosome in distinct:
-        scheme = decode_chromosome(build_network(cfg.network), sfcrs, cfg.catalog, chromosome)
-        verify_scheme(cfg.network, sfcrs, cfg.catalog, scheme)
+        for net, demands in ((build_network(cfg.network), None), (template.copy(), table)):
+            scheme = decode_chromosome(net, sfcrs, cfg.catalog, chromosome, demands=demands)
+            verify_scheme(cfg.network, sfcrs, cfg.catalog, scheme)
+            charged = charge_through_public_api(build_network(cfg.network), sfcrs, cfg.catalog, scheme)
+            assert net.residual_snapshot() == charged.residual_snapshot()
         rejected += len(scheme.rejected())
     assert (rejected > 0) == (edit is _tight_hosts)
 

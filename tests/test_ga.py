@@ -11,6 +11,7 @@ from rasesim.solver import (
     random_search,
     solve_simple_dijkstra,
 )
+from rasesim.telemetry import LatencyOverflowError
 from rasesim.topology import build_network
 
 from helpers import sfcr, small_catalog, star_net
@@ -95,6 +96,15 @@ def test_trace_aggregates_bound_the_mean(small_problem):
         assert len(entry.fitnesses) == 10
         if entry.mean_latency_ms is not None:
             assert entry.min_latency_ms <= entry.mean_latency_ms <= entry.max_latency_ms
+
+
+def test_a_population_mean_latency_past_the_float_range_is_an_engine_error(small_problem):
+    """Each candidate's mean latency is finite, but their sum over the population is not."""
+    spec, catalog, requests = small_problem
+    params = GAParams(population=2, generations=0, tournament_k=2)
+    with pytest.raises(LatencyOverflowError, match="generation 0: the mean of 2 candidates'") as error:
+        ga_solve(build_network(spec), requests, catalog, params, lambda chromosome, seed: Fitness(1.0, 1e308), seed=1)
+    assert error.value.stage == "engine"
 
 
 def test_identical_seeds_give_identical_traces(small_problem):

@@ -15,6 +15,7 @@ from rasesim.solver import (
     SfcPlacement,
     SfcRejection,
     _demand_table,
+    _unit_table,
     acceptance_ratio,
     compare_fitness,
     crossover,
@@ -25,10 +26,11 @@ from rasesim.solver import (
     verify_scheme,
     vnf_cpu_demand,
 )
+from rasesim.routing import Path
 from rasesim.topology import build_network
 
 from helpers import random_scenario, sfcr, small_catalog, spec_of, star_net
-from oracles import cpu_packing_outcomes
+from oracles import charge_through_public_api, cpu_packing_outcomes
 
 
 def test_acceptance_ratio_values():
@@ -168,6 +170,48 @@ def test_greedy_charges_exactly_the_accepted_demands():
         assert net.residual_cpu == expected_cpu
 
 
+def test_integer_charges_equal_the_public_api_on_random_scenarios():
+    """The embedding loop charges whole units itself; booking its accepted placements through
+    allocate_cpu, allocate_memory and allocate_bandwidth on a fresh network leaves the same residuals."""
+    rng = random.Random(4099)
+    accepted = rejected = 0
+    for _ in range(100):
+        spec, catalog, sfcrs = random_scenario(rng)
+        greedy_net, decode_net = build_network(spec), build_network(spec)
+        greedy = solve_simple_dijkstra(greedy_net, sfcrs, catalog)
+        chromosome = tuple(rng.choice(spec.hosts).id for request in sfcrs for _ in request.chain)
+        decoded = decode_chromosome(decode_net, sfcrs, catalog, chromosome)
+        for net, scheme in ((greedy_net, greedy), (decode_net, decoded)):
+            expected = charge_through_public_api(build_network(spec), sfcrs, catalog, scheme)
+            assert net.residual_snapshot() == expected.residual_snapshot()
+            accepted += len(scheme.accepted())
+            rejected += len(scheme.rejected())
+    assert accepted > 0 and rejected > 0  # rollbacks must be among the charges compared
+
+
+def test_rows_converted_at_other_scales_are_converted_afresh():
+    """Rows converted before the network's CPU scale grew by 3, and rows converted on a network with
+    other capacities, still charge exactly what the public API charges."""
+    catalog = small_catalog()
+    requests = [sfcr("r1", ["alpha", "beta"], rps=7.0), sfcr("r2", ["gamma"], rps=3.0, bandwidth=0.1)]
+    chromosome = ("h1", "h2", "h1")
+    spec = star_net(host_count=2)
+    other = star_net(host_count=2, cpus=3, memory=1000.25, bandwidth=999.125)
+
+    grown, expected = build_network(spec), build_network(spec)
+    table = _unit_table(grown, _demand_table(requests, catalog))
+    for net in (grown, expected):
+        net.allocate_cpu("h1", Fraction(1, 3))
+    assert grown.cpu.scale == 3 * table.scales[0]
+    foreign = _unit_table(build_network(other), _demand_table(requests, catalog))
+    assert foreign.scales != _unit_table(build_network(spec), foreign.exact).scales
+    for net, demands, start in ((grown, table, expected), (build_network(spec), foreign, build_network(spec))):
+        scheme = decode_chromosome(net, requests, catalog, chromosome, demands=demands)
+        assert scheme.accept_flags() == [True, True]
+        charged = charge_through_public_api(start, requests, catalog, scheme)
+        assert net.residual_snapshot() == charged.residual_snapshot()
+
+
 def test_greedy_agrees_with_cpu_packing_oracle_when_cpu_is_binding():
     """With ample memory and bandwidth, pure CPU arithmetic predicts outcomes."""
     catalog = small_catalog()
@@ -210,6 +254,31 @@ def test_verify_scheme_rejects_overloaded_host():
     fake = EmbeddingScheme((SfcPlacement("r1", ("h1",), segments),))
     with pytest.raises(InconsistentSchemeError, match="CPU"):
         verify_scheme(net.spec, requests, small_catalog(), fake)
+
+
+@pytest.mark.parametrize("vnfs,requests,message", [
+    # Fraction(0.1) * Fraction(10.0) CPU is 1 + 2**-54, which rounds to 1.0
+    ([(0.1, 0.0)], [(["v0"], 10.0, 1.0)], "host 'h1': CPU over capacity"),
+    ([(0.25, 0.0)], [(["v0"], 4.0, 1.0)], None),
+    # 0.1 + 0.9 MB and Mbps exceed 1 by about 2.8e-17, and round to 1.0
+    ([(0.0, 0.1), (0.0, 0.9)], [(["v0", "v1"], 1.0, 1.0)], "host 'h1': memory over capacity"),
+    ([(0.0, 0.5), (0.0, 0.5)], [(["v0", "v1"], 1.0, 1.0)], None),
+    ([(0.0, 0.0)], [(["v0"], 1.0, 0.1), (["v0"], 1.0, 0.9)], "link 'h1--sw': bandwidth over capacity"),
+    ([(0.0, 0.0)], [(["v0"], 1.0, 0.5), (["v0"], 1.0, 0.5)], None),
+], ids=["cpu-over", "cpu-full", "memory-over", "memory-full", "bandwidth-over", "bandwidth-full"])
+def test_verify_scheme_is_exact_below_float_resolution(vnfs, requests, message):
+    """Every VNF on the one host h1 (1 CPU, 1 MB) behind a 1 Mbps link: an excess that the float
+    sum rounds away is still refused, and an exactly full host or link passes."""
+    net = build_network(star_net(host_count=1, cpus=1, memory=1.0, bandwidth=1.0))
+    catalog = Catalog(tuple(VNFDescriptor(f"v{i}", cpu, 1.0, memory) for i, (cpu, memory) in enumerate(vnfs)))
+    sfcrs = [sfcr(f"r{i}", chain, rps=rps, bandwidth=bandwidth) for i, (chain, rps, bandwidth) in enumerate(requests)]
+    segments = (Path(("sw", "h1"), ("h1--sw",), 0.5),) + (Path(("h1",), (), 0.0),) * len(requests[0][0])
+    scheme = EmbeddingScheme(tuple(SfcPlacement(s.sfcr_id, ("h1",) * len(s.chain), segments) for s in sfcrs))
+    if message is None:
+        verify_scheme(net.spec, sfcrs, catalog, scheme)
+    else:
+        with pytest.raises(InconsistentSchemeError, match=message):
+            verify_scheme(net.spec, sfcrs, catalog, scheme)
 
 
 def test_decode_respects_genes_and_continues_after_rejection():

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from rasesim.telemetry import (
+    LatencyOverflowError,
     NoSamplesError,
     TelemetryFrame,
     UnknownHostError,
@@ -105,6 +106,16 @@ def test_mean_latency_no_samples():
         mean_latency([frame(0, latency={"a": 1.0})], [])
     with pytest.raises(NoSamplesError):
         mean_latency([], ["a"])
+
+
+@pytest.mark.parametrize("latencies", [[float("inf"), 1.0], [1e308, 1e308]], ids=["infinite-sample", "sum-overflows"])
+def test_mean_latency_past_the_float_range_is_an_engine_error(latencies):
+    frames = [frame(i, latency={"s": v}) for i, v in enumerate(latencies)]
+    with pytest.raises(LatencyOverflowError, match="the mean of 2 latency samples is beyond the float range") as error:
+        mean_latency(frames, ["s"])
+    assert error.value.stage == "engine"
+    # a sum within the float range is fine, however close to its end
+    assert mean_latency([frame(0, latency={"s": 1e308}), frame(1, latency={"s": 7e307})], ["s"]) == 8.5e307
 
 
 def test_mean_latency_invariant_under_reordering():
