@@ -173,8 +173,8 @@ def _reader(kind):
 def json_fields(kind) -> dict[str, dataclasses.Field]:
     """A dataclass's fields by document key, under TEMPLATE_KEYS for SFCRequest; TypeError for any other type.
 
-    Only the compared fields: a compare=False one (the report's solve_seconds,
-    the engine's seed) describes a run, not its input or results, so it is
+    Only the compared fields: a compare=False one (the report's
+    solve_seconds) describes a run, not its input or results, so it is
     neither read, written nor digested.
     """
     names = {name: key for key, name in TEMPLATE_KEYS.items()} if kind is SFCRequest else {}

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .catalog import Catalog, SFCRequest, TrafficPattern, VNFDescriptor
@@ -54,8 +54,6 @@ class EngineConfig:
     jitter_sigma: float = 0.05
     idle_spike_prob: float = 0.01
     idle_spike_range: tuple[float, float] = (0.05, 0.15)
-    # a run derives the seed from its config's, so it is neither read, written nor digested
-    seed: int = field(default=0, compare=False)
 
     def __post_init__(self):
         # every check is a range written so that NaN, which fails every comparison, fails it too
@@ -170,7 +168,7 @@ def sfc_latency(placement, sfcr: SFCRequest, net: SubstrateNetwork, catalog: Cat
 
 
 def simulate(net: SubstrateNetwork, scheme: EmbeddingScheme, sfcrs: Sequence[SFCRequest],
-             catalog: Catalog, cfg: EngineConfig) -> list[TelemetryFrame]:
+             catalog: Catalog, cfg: EngineConfig, seed: int = 0) -> list[TelemetryFrame]:
     """Run the fluid model and emit one telemetry frame per sampling tick.
 
     The scheme is verified against the spec, each accepted chain is walked
@@ -180,8 +178,9 @@ def simulate(net: SubstrateNetwork, scheme: EmbeddingScheme, sfcrs: Sequence[SFC
     the offered rates change. Every frame has its own dicts, but the frames
     of one traffic epoch share their value objects: each link's use, and
     each host's utilization unless it spikes, is the same float object from
-    tick to tick, so the report writers encode such a map once.
-    Deterministic given cfg.seed.
+    tick to tick, so the report writers encode such a map once. An
+    EngineError names the first link whose use is beyond the float range.
+    Deterministic given seed.
     """
     # verify_scheme also guarantees that the outcomes line up with sfcrs
     verify_scheme(net.spec, sfcrs, catalog, scheme)
@@ -200,13 +199,16 @@ def simulate(net: SubstrateNetwork, scheme: EmbeddingScheme, sfcrs: Sequence[SFC
 
     frames: list[TelemetryFrame] = []
     epoch = None
-    for t, rates, true_cpu, spikes, latencies in _ticks(net.spec, chains, cfg):
+    for t, rates, true_cpu, spikes, latencies in _ticks(net.spec, chains, cfg, seed):
         if rates is not epoch:
             epoch = rates
             link_bw = {
                 link: 2.0 * plain_sum(rates[index] * bits for index, bits in link_traversals[link]) / 1e6
                 for link in link_ids
             }
+            for link, use in link_bw.items():
+                if not math.isfinite(use):
+                    raise EngineError(f"the use of link {link!r} at {t} s is beyond the float range: {use} Mbps")
         # spikes are observation noise only; latency uses true_cpu
         observed_cpu = dict(true_cpu)
         observed_cpu.update(spikes)
@@ -214,22 +216,23 @@ def simulate(net: SubstrateNetwork, scheme: EmbeddingScheme, sfcrs: Sequence[SFC
     return frames
 
 
-def mean_chain_latency(spec: NetworkSpec, chains: Sequence[Chain], cfg: EngineConfig) -> float:
+def mean_chain_latency(spec: NetworkSpec, chains: Sequence[Chain], cfg: EngineConfig, seed: int) -> float:
     """The mean over every (tick, chain) latency of simulate's tick loop, without building frames.
 
     chains are the accepted chains of a verified scheme, in submission order,
     as (offered load, round-trip link ms, [(host, VNF)]). The random draws
-    are simulate's, so the result equals mean_latency over simulate's frames
-    bit for bit when the accepted ids are distinct, and raises the same
+    are simulate's under the same seed, so the result equals mean_latency
+    over simulate's frames bit for bit when the accepted ids are distinct,
+    and raises the same
     LatencyOverflowError where that mean is beyond the float range.
     """
     if not chains:
         raise NoSamplesError("no accepted chains to take a mean latency over")
-    samples = [latency for _, _, _, _, latencies in _ticks(spec, chains, cfg) for latency in latencies]
+    samples = [latency for _, _, _, _, latencies in _ticks(spec, chains, cfg, seed) for latency in latencies]
     return finite_mean(samples)
 
 
-def _ticks(spec: NetworkSpec, chains: Sequence[Chain], cfg: EngineConfig):
+def _ticks(spec: NetworkSpec, chains: Sequence[Chain], cfg: EngineConfig, seed: int):
     """The tick loop: per tick (t, rates, true utilizations, idle spikes, latencies).
 
     True host utilizations and each chain's latency before jitter depend on
@@ -243,7 +246,7 @@ def _ticks(spec: NetworkSpec, chains: Sequence[Chain], cfg: EngineConfig):
     _standard_normals stream, so the second value of a pair carries over
     spike draws and ticks as it would in gauss.
     """
-    rng = random.Random(cfg.seed)
+    rng = random.Random(seed)
     normals = _standard_normals(rng)
     host_ids = [h.id for h in spec.hosts]
     cpus = {h.id: float(h.cpus) for h in spec.hosts}

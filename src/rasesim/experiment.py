@@ -18,7 +18,7 @@ import math
 import os
 import time
 from contextlib import suppress
-from dataclasses import dataclass, field, is_dataclass, replace
+from dataclasses import dataclass, field, is_dataclass
 from datetime import datetime
 from io import StringIO
 from json.encoder import encode_basestring_ascii
@@ -36,7 +36,7 @@ from .catalog import (
     load_catalog,
     parse_sfcr_templates,
 )
-from .engine import EngineConfig, _walk, mean_chain_latency, simulate
+from .engine import Chain, EngineConfig, _walk, mean_chain_latency, simulate
 from .errors import ConfigError, IoError
 from .seeding import derive_seed
 from .solver import (
@@ -191,10 +191,7 @@ def _jsonable(value):
 
 
 def _config_digest(network, catalog, templates, duplicates, solver, engine, seed) -> str:
-    """Digest of everything that determines results; output settings excluded.
-
-    The engine's own seed is a compare=False field, so it is left out.
-    """
+    """Digest of everything that determines results; output settings excluded."""
     payload = {
         "network": network,
         "catalog": catalog.vnfs,
@@ -221,48 +218,42 @@ def build_ga_evaluator(base_net: SubstrateNetwork, sfcrs, catalog: Catalog, engi
     Decoding is a pure function of the chromosome, so the first evaluation
     of a chromosome decodes it on a copy of a private copy of base_net
     (which is only copied and read) and walks each accepted chain; the
-    evaluator keeps only the acceptance ratio and, per request, its
-    round-trip link ms if it was accepted (None if not), and reads the
-    hosts from the chromosome itself. No scheme is verified here: decoding
-    charges every allocation through the network's exact checks, and
-    simulate verifies the scheme finally run. The demand table is converted
-    to whole units once, on the private copy, so no decode converts or
-    rescales. Every evaluation then
-    runs the engine's tick loop without frames (engine.mean_chain_latency),
-    seeded with the eval_seed passed by the solver, so a chromosome
-    evaluated again in a later generation sees fresh jitter, like
-    re-measuring a live deployment. Fitness values equal those of
-    decode_chromosome, simulate and mean_latency bit for bit.
+    evaluator keeps only the acceptance ratio and the accepted chains, in
+    the form the engine's tick loop reads (chains of the same VNFs on the
+    same hosts share one list of them). No scheme is verified here:
+    decoding charges every allocation through the network's exact checks,
+    and simulate verifies the scheme finally run. The demand table is
+    converted to whole units once, on the private copy, so no decode
+    converts or rescales. Every evaluation then runs the engine's tick loop
+    without frames (engine.mean_chain_latency), seeded with the eval_seed
+    passed by the solver, so a chromosome evaluated again in a later
+    generation sees fresh jitter, like re-measuring a live deployment.
+    Fitness values equal those of decode_chromosome, simulate and
+    mean_latency bit for bit.
     """
     template = base_net.copy()
     demands = _unit_table(template, _demand_table(sfcrs, catalog))
-    # per request: its offered load, its first gene and its VNFs
-    layout = []
-    offset = 0
-    for sfcr in sfcrs:
-        vnfs = tuple(catalog.get(name) for name in sfcr.chain)
-        layout.append((sfcr.offered_load, offset, vnfs))
-        offset += len(vnfs)
-    decoded: dict[tuple, tuple[float, tuple[float | None, ...]]] = {}
-
-    def decode(chromosome: tuple):
-        work = template.copy()
-        scheme = decode_chromosome(work, sfcrs, catalog, chromosome, demands=demands)
-        link_terms = tuple(_walk(outcome, sfcr, work, catalog)[0] if isinstance(outcome, SfcPlacement) else None
-                           for outcome, sfcr in zip(scheme.outcomes, sfcrs))
-        return acceptance_ratio(scheme.accept_flags()), link_terms
+    decoded: dict[tuple, tuple[float, list[Chain]]] = {}
+    # one (host, VNF) list per distinct (chain, hosts), however many memo entries hold it
+    shared: dict[tuple, list] = {}
 
     def evaluate(chromosome, eval_seed: int) -> Fitness:
         key = tuple(chromosome)
         entry = decoded.get(key)
         if entry is None:
-            entry = decoded[key] = decode(key)
-        ratio, link_terms = entry
-        if ratio == 0:
+            work = template.copy()
+            scheme = decode_chromosome(work, sfcrs, catalog, key, demands=demands)
+            chains = []
+            for outcome, sfcr in zip(scheme.outcomes, sfcrs):
+                if isinstance(outcome, SfcPlacement):
+                    link_term, positions, _ = _walk(outcome, sfcr, work, catalog)
+                    positions = shared.setdefault((sfcr.chain, outcome.hosts), positions)
+                    chains.append((sfcr.offered_load, link_term, positions))
+            entry = decoded[key] = acceptance_ratio(scheme.accept_flags()), chains
+        ratio, chains = entry
+        if not chains:
             return Fitness(ratio, None)
-        chains = [(load, link_term, tuple(zip(key[first:first + len(vnfs)], vnfs)))
-                  for (load, first, vnfs), link_term in zip(layout, link_terms) if link_term is not None]
-        return Fitness(ratio, mean_chain_latency(base_net.spec, chains, replace(engine_cfg, seed=eval_seed)))
+        return Fitness(ratio, mean_chain_latency(base_net.spec, chains, engine_cfg, eval_seed))
 
     return evaluate
 
@@ -296,8 +287,7 @@ def run_experiment(cfg: ExperimentConfig, parallel: int = 1) -> ExperimentReport
     scheme, trace, solve_seconds = run_solver(cfg, net, sfcrs, parallel)
 
     # simulate verifies the scheme against the spec before it runs
-    engine_cfg = replace(cfg.engine, seed=derive_seed(cfg.seed, "engine"))
-    frames = simulate(net, scheme, sfcrs, cfg.catalog, engine_cfg)
+    frames = simulate(net, scheme, sfcrs, cfg.catalog, cfg.engine, derive_seed(cfg.seed, "engine"))
 
     outcomes = tuple(
         SfcOutcome(o.sfcr_id, accepted, "" if accepted else o.reason)
@@ -514,17 +504,15 @@ def _field_texts(values) -> dict[str, str]:
     return texts
 
 
-def latency_csv(report: ExperimentReport) -> str:
-    return _latency_csv(report, {})
-
-
-def _latency_csv(report: ExperimentReport, latency_texts: dict[int, str]) -> str:
+def latency_csv(report: ExperimentReport, latency_texts: dict[int, str] | None = None) -> str:
     """latency.csv: one row per (frame, accepted SFC), in outcome order.
 
     A frame's numbers are the reprs of its sfc_latency_ms values, taken from
-    latency_texts where it holds them. Each accepted id's position among a
-    map's keys is found once per sequence of the very same key objects.
+    latency_texts (see _latency_texts) where it holds them. Each accepted
+    id's position among a map's keys is found once per sequence of the very
+    same key objects.
     """
+    latency_texts = latency_texts or {}
     accepted = [o.sfcr_id for o in report.outcomes if o.accepted]
     texts = _field_texts(accepted)
     lines = ["timestamp_s,sfc_id,latency_ms\n"]
@@ -595,15 +583,11 @@ def histogram_csv(report: ExperimentReport, bin_width_ms: float) -> str:
     return _csv_text(["sfc_id", "bin_lower_ms", "count"], rows)
 
 
-def csv_files(report: ExperimentReport) -> dict[str, str]:
-    """A report's CSV files by name; trace.csv only for a GA run."""
-    return _csv_files(report, {})
-
-
-def _csv_files(report: ExperimentReport, latency_texts: dict[int, str]) -> dict[str, str]:
+def csv_files(report: ExperimentReport, latency_texts: dict[int, str] | None = None) -> dict[str, str]:
+    """A report's CSV files by name; trace.csv only for a GA run. latency_texts goes to latency_csv."""
     files = {
         "outcomes.csv": outcomes_csv(report),
-        "latency.csv": _latency_csv(report, latency_texts),
+        "latency.csv": latency_csv(report, latency_texts),
         "cpu.csv": cpu_csv(report),
     }
     if report.trace is not None:
@@ -648,5 +632,5 @@ def write_report(report: ExperimentReport, directory, formats=("json", "csv")) -
     if "json" in formats:
         files[REPORT_FILENAME] = _json_text(report_to_dict(report), latency_texts) + "\n"
     if "csv" in formats:
-        files.update(_csv_files(report, latency_texts))
+        files.update(csv_files(report, latency_texts))
     return write_atomically(directory, files)

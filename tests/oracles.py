@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 from rasesim.engine import simulate
@@ -143,7 +142,7 @@ def left_sum(values):
     return total
 
 
-def per_tick_simulate(net, scheme, sfcrs, catalog, cfg):
+def per_tick_simulate(net, scheme, sfcrs, catalog, cfg, seed):
     """The engine's frames with every term recomputed on every tick, in simulate's float order.
 
     Each chain's round-trip link term and forward payloads come from its own
@@ -151,7 +150,7 @@ def per_tick_simulate(net, scheme, sfcrs, catalog, cfg):
     (hosts in declaration order), the link use and one latency per accepted
     chain, jittered with one gauss draw each. The scheme is taken as valid.
     """
-    rng = random.Random(cfg.seed)
+    rng = random.Random(seed)
     chains = []  # (sfcr, link term, [(host, VNF)], [(link, forward bits)])
     for outcome, request in zip(scheme.outcomes, sfcrs):
         if not isinstance(outcome, SfcPlacement):
@@ -219,7 +218,7 @@ def reference_ga_evaluator(base_net, sfcrs, catalog, engine_cfg):
         accepted_ids = [p.sfcr_id for p in scheme.accepted()]
         if not accepted_ids:
             return Fitness(ratio, None)
-        frames = simulate(work, scheme, sfcrs, catalog, replace(engine_cfg, seed=eval_seed))
+        frames = simulate(work, scheme, sfcrs, catalog, engine_cfg, eval_seed)
         return Fitness(ratio, mean_latency(frames, accepted_ids))
 
     return evaluate

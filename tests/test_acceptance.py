@@ -232,7 +232,7 @@ def test_criterion_07_queueing_model_sanity():
             swept_scheme = solve_simple_dijkstra(work, [swept], catalog)
             frames = simulate(work, swept_scheme, [swept], catalog,
                               EngineConfig(duration_s=1.0, sample_interval_s=1.0,
-                                           jitter_sigma=0.0, idle_spike_prob=0.0, seed=0))
+                                           jitter_sigma=0.0, idle_spike_prob=0.0), 0)
             latency = frames[0].sfc_latency_ms["probe"]
             if previous is not None:
                 assert latency > previous
@@ -267,8 +267,8 @@ def test_criterion_09_idle_spike_telemetry():
         assert scheme.accepted()[0].hosts == ("busy",)
         probability = 0.01
         cfg = EngineConfig(duration_s=1000.0, sample_interval_s=1.0, jitter_sigma=0.0,
-                           idle_spike_prob=probability, idle_spike_range=(0.05, 0.15), seed=2024)
-        frames = simulate(net, scheme, [request], catalog, cfg)
+                           idle_spike_prob=probability, idle_spike_range=(0.05, 0.15))
+        frames = simulate(net, scheme, [request], catalog, cfg, 2024)
         assert len(frames) == 1000
         spikes = [f.host_cpu["idle"] for f in frames if f.host_cpu["idle"] > 0.0]
         low, high = binomial_central_interval(1000, probability, 0.99)

@@ -435,25 +435,55 @@ def _shipped(name: str) -> dict:
     return json.loads(resources.files("rasesim").joinpath(f"data/{name}").read_text("utf-8"))
 
 
-@pytest.mark.parametrize("solver", [{"kind": "simple-dijkstra"},
-                                    {"kind": "ga", "ga": {"population": 4, "generations": 2}}], ids=["greedy", "ga"])
-@pytest.mark.parametrize("link_mbps,request_mbps", [(1e-290, 1e-300), (0.04, 1e-3)],
-                         ids=["infinite-latency", "latency-sum-overflows"])
-def test_latency_past_the_float_range_is_one_line_engine_error(tmp_path, capsys, solver, link_mbps, request_mbps):
-    """1e308-bit requests on a 4-host ladder for 2 ticks: over 1e-290 Mbps links a round trip is
-    infinite; over 0.04 Mbps links each is finite, but their sum is not."""
+LATENCY_OVERFLOW = r"error: engine: the mean of \d+ latency samples is beyond the float range: [^\n]*\n"
+LINK_OVERFLOW = r"error: engine: the use of link '[^']+' at 0\.0 s is beyond the float range: inf Mbps\n"
+SOLVERS = pytest.mark.parametrize("solver", [{"kind": "simple-dijkstra"},
+                                             {"kind": "ga", "ga": {"population": 4, "generations": 2}}],
+                                  ids=["greedy", "ga"])
+
+
+def _overflow_config(tmp_path, solver, link_mbps, request_mbps, request_bits, duration_s) -> Path:
+    """The shipped templates on a 4-host ladder, with every link and request at the given sizes."""
     network = _jsonable(ladder_spec(4))
     for link in network["links"]:
         link["bandwidth_mbps"] = link_mbps
     sfcrs = _shipped("default_sfcrs.json")
     for template in sfcrs["sfcrs"]:
-        template.update(bandwidth_mbps=request_mbps, request_size_bits=1e308)
+        template.update(bandwidth_mbps=request_mbps, request_size_bits=request_bits)
     config = tmp_path / "overflow.json"
     config.write_text(json.dumps({"network": network, "catalog": _shipped("default_catalog.json"), "sfcrs": sfcrs,
-                                  "solver": solver, "engine": {"duration_s": 2, "sample_interval_s": 1}, "seed": 1}))
+                                  "solver": solver, "engine": {"duration_s": duration_s, "sample_interval_s": 1},
+                                  "seed": 1}))
+    return config
+
+
+@SOLVERS
+@pytest.mark.parametrize("link_mbps,request_mbps,request_bits,greedy_error", [
+    (1e-290, 1e-300, 1e308, LINK_OVERFLOW),
+    (0.04, 1e-3, 1e308, LINK_OVERFLOW),
+    (1e-290, 1e-300, 1e300, LATENCY_OVERFLOW),
+], ids=["infinite-latency", "latency-sum-overflows", "infinite-latency-finite-link-use"])
+def test_latency_past_the_float_range_is_one_line_engine_error(tmp_path, capsys, solver, link_mbps, request_mbps,
+                                                                request_bits, greedy_error):
+    """Huge requests on a 4-host ladder for 2 ticks: over 1e-290 Mbps links a round trip is infinite;
+    over 0.04 Mbps links each is finite, but their sum is not. The GA's evaluations meet the latency
+    first. A greedy run meets the link use first, which at 3 or more 1e308-bit requests per second is
+    infinite too, and the latency only where the link use stays finite, as with 1e300-bit requests."""
+    config = _overflow_config(tmp_path, solver, link_mbps, request_mbps, request_bits, duration_s=2)
     assert run_cli("run", "--config", str(config), "--output-dir", str(tmp_path / "out")) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert re.fullmatch(r"error: engine: the mean of \d+ latency samples is beyond the float range: [^\n]*\n",
-                        captured.err)
+    assert re.fullmatch(LATENCY_OVERFLOW if solver["kind"] == "ga" else greedy_error, captured.err)
+    assert not (tmp_path / "out").exists()
+
+
+@SOLVERS
+def test_link_use_past_the_float_range_is_one_line_engine_error(tmp_path, capsys, solver):
+    """1e308-bit requests over 1e300 Mbps links for 10 ticks: every latency is finite, but a link
+    carrying 3 or more requests per second is used at 2 * 3e308 / 1e6 Mbps, which is infinite."""
+    config = _overflow_config(tmp_path, solver, 1e300, 1.0, 1e308, duration_s=10)
+    assert run_cli("run", "--config", str(config), "--output-dir", str(tmp_path / "out")) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(LINK_OVERFLOW, captured.err)
     assert not (tmp_path / "out").exists()

@@ -25,8 +25,7 @@ from oracles import per_tick_simulate
 
 
 def quiet_engine(**overrides) -> EngineConfig:
-    settings = dict(duration_s=10.0, sample_interval_s=1.0, jitter_sigma=0.0,
-                    idle_spike_prob=0.0, seed=1)
+    settings = dict(duration_s=10.0, sample_interval_s=1.0, jitter_sigma=0.0, idle_spike_prob=0.0)
     settings.update(overrides)
     return EngineConfig(**settings)
 
@@ -264,23 +263,23 @@ def test_simulate_frame_count(sim_setup):
 def test_simulate_same_seed_bit_identical(sim_setup):
     net, catalog, requests, scheme = sim_setup
     cfg = EngineConfig(duration_s=30.0, sample_interval_s=1.0, jitter_sigma=0.05,
-                       idle_spike_prob=0.05, seed=99)
-    first = simulate(net, scheme, requests, catalog, cfg)
-    second = simulate(net, scheme, requests, catalog, cfg)
+                       idle_spike_prob=0.05)
+    first = simulate(net, scheme, requests, catalog, cfg, 99)
+    second = simulate(net, scheme, requests, catalog, cfg, 99)
     assert first == second
 
 
 def test_simulate_different_seeds_differ(sim_setup):
     net, catalog, requests, scheme = sim_setup
     base = dict(duration_s=30.0, sample_interval_s=1.0, jitter_sigma=0.05, idle_spike_prob=0.05)
-    first = simulate(net, scheme, requests, catalog, EngineConfig(seed=1, **base))
-    second = simulate(net, scheme, requests, catalog, EngineConfig(seed=2, **base))
+    first = simulate(net, scheme, requests, catalog, EngineConfig(**base), 1)
+    second = simulate(net, scheme, requests, catalog, EngineConfig(**base), 2)
     assert first != second
 
 
 def test_simulate_noise_free_output_is_pure(sim_setup):
     net, catalog, requests, scheme = sim_setup
-    runs = [simulate(net, scheme, requests, catalog, quiet_engine(seed=s)) for s in (1, 2)]
+    runs = [simulate(net, scheme, requests, catalog, quiet_engine(), s) for s in (1, 2)]
     assert runs[0] == runs[1]  # all noise off: output independent of the seed
 
 
@@ -389,8 +388,8 @@ def test_simulate_idle_spikes_land_in_range():
     busy_host = scheme.accepted()[0].hosts[0]
     idle_host = next(h for h in net.host_ids() if h != busy_host)
     cfg = EngineConfig(duration_s=1000.0, sample_interval_s=1.0, jitter_sigma=0.0,
-                       idle_spike_prob=0.01, idle_spike_range=(0.05, 0.15), seed=31)
-    frames = simulate(net, scheme, requests, catalog, cfg)
+                       idle_spike_prob=0.01, idle_spike_range=(0.05, 0.15))
+    frames = simulate(net, scheme, requests, catalog, cfg, 31)
     spikes = [f.host_cpu[idle_host] for f in frames if f.host_cpu[idle_host] > 0.0]
     assert spikes, "an idle host should spike occasionally"
     assert all(0.05 <= s <= 0.15 for s in spikes)
@@ -419,15 +418,14 @@ def test_simulate_equals_the_per_tick_reference():
         rng = random.Random(seed)
         spec, catalog, requests = random_scenario(rng)
         cfg = EngineConfig(duration_s=rng.choice((5.0, 10.0)), sample_interval_s=rng.choice((0.1, 0.5, 1.0)),
-                           jitter_sigma=rng.choice((0.0, 0.05, 0.3)), idle_spike_prob=rng.choice((0.0, 0.3, 1.0)),
-                           seed=seed)
+                           jitter_sigma=rng.choice((0.0, 0.05, 0.3)), idle_spike_prob=rng.choice((0.0, 0.3, 1.0)))
         requests = [replace(r, offered_load=_random_traffic(rng, cfg)) for r in requests]
         net = build_network(spec)
         scheme = solve_simple_dijkstra(net, requests, catalog)
-        frames = simulate(net, scheme, requests, catalog, cfg)
-        assert frames == per_tick_simulate(net, scheme, requests, catalog, cfg), seed
+        frames = simulate(net, scheme, requests, catalog, cfg, seed)
+        assert frames == per_tick_simulate(net, scheme, requests, catalog, cfg, seed), seed
 
-        calm = simulate(net, scheme, requests, catalog, replace(cfg, idle_spike_prob=0.0))
+        calm = simulate(net, scheme, requests, catalog, replace(cfg, idle_spike_prob=0.0), seed)
         spiked = any(f.host_cpu != c.host_cpu for f, c in zip(frames, calm))
         covered["spikes"] += spiked
         covered["jitter"] += cfg.jitter_sigma > 0 and bool(scheme.accepted())
@@ -454,9 +452,9 @@ def test_frames_of_one_traffic_epoch_share_value_objects():
     # r1's traffic ends at 10 s, so ticks 0-9 and 10-19 are two traffic epochs
     requests = [sfcr("r1", ["alpha"], rps=5.0, duration_s=10.0), sfcr("r2", ["beta"], rps=2.0, duration_s=20.0)]
     scheme = solve_simple_dijkstra(net, requests, catalog)
-    cfg = EngineConfig(duration_s=20.0, sample_interval_s=1.0, jitter_sigma=0.05, idle_spike_prob=0.5, seed=3)
-    frames = simulate(net, scheme, requests, catalog, cfg)
-    calm = simulate(net, scheme, requests, catalog, replace(cfg, idle_spike_prob=0.0))
+    cfg = EngineConfig(duration_s=20.0, sample_interval_s=1.0, jitter_sigma=0.05, idle_spike_prob=0.5)
+    frames = simulate(net, scheme, requests, catalog, cfg, 3)
+    calm = simulate(net, scheme, requests, catalog, replace(cfg, idle_spike_prob=0.0), 3)
     spiked = [{h for h in f.host_cpu if f.host_cpu[h] != c.host_cpu[h]} for f, c in zip(frames, calm)]
     shared_hosts = 0
     for tick in range(1, len(frames)):

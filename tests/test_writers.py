@@ -7,6 +7,7 @@ from io import StringIO
 
 import pytest
 
+from rasesim import experiment
 from rasesim.experiment import (ExperimentReport, SfcOutcome, _json_text, _latency_texts, cpu_csv, csv_files,
                                 latency_csv, report_to_dict, write_report)
 from rasesim.telemetry import TelemetryFrame
@@ -255,6 +256,25 @@ def test_each_writer_called_alone_equals_the_standard_library():
         assert csv_files(report) == expected, seed
         assert latency_csv(report) == expected["latency.csv"], seed
         assert _json_text(report_to_dict(report)) == json.dumps(report_to_dict(report), sort_keys=True, indent=2)
+
+
+def test_write_report_writes_latency_csv_through_the_module_level_writer(tmp_path, monkeypatch):
+    """A wrapper around rasesim.experiment.latency_csv, as a profiler installs one, sees each latency.csv."""
+    calls = []
+
+    def counted(report, latency_texts=None):
+        calls.append(latency_texts)
+        return latency_csv(report, latency_texts)
+
+    monkeypatch.setattr(experiment, "latency_csv", counted)
+    for seed in range(20):
+        report = _latency_report(random.Random(seed))
+        written = write_report(report, tmp_path / str(seed))
+        assert len(calls) == seed + 1 and calls[-1] is not None, seed
+        files = {path.name: path.read_bytes().decode("utf-8") for path in written}
+        expected = {"report.json": json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n",
+                    **_csv_references(report)}
+        assert files == expected, seed
 
 
 def test_a_latency_map_with_keys_other_than_str_is_written_by_the_encoder(tmp_path):
