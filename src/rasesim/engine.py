@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -237,7 +238,8 @@ def _ticks(spec: NetworkSpec, chains: Sequence[Chain], cfg: EngineConfig, seed: 
 
     True host utilizations and each chain's latency before jitter depend on
     the offered rates alone, so they are computed once per traffic epoch (a
-    run of ticks whose rates are all equal); the rates list and the
+    run of ticks whose rates are all equal), and the rates are looked up only
+    when a tick passes a segment edge; the rates list and the
     utilization dict are the same objects for every tick of an epoch, and
     the caller must not change them. The random draws stay per tick, in
     fixed order: idle-spike noise for hosts at exactly zero load (hosts in
@@ -259,10 +261,14 @@ def _ticks(spec: NetworkSpec, chains: Sequence[Chain], cfg: EngineConfig, seed: 
     sigma = cfg.jitter_sigma
     spike_prob = cfg.idle_spike_prob
     low, high = cfg.idle_spike_range
-    rates = None
+    # every rate is constant between two consecutive edges of the union of all segments
+    edges = sorted({edge for pattern in patterns for seg in pattern.segments for edge in (seg.start_s, seg.end_s)})
+    span = rates = None
     for tick in range(cfg.ticks):
         t = tick * cfg.sample_interval_s
-        tick_rates = [pattern.rate_at(t) for pattern in patterns]
+        if (edge := bisect_right(edges, t)) != span:
+            span = edge
+            tick_rates = [pattern.rate_at(t) for pattern in patterns]
         if tick_rates != rates:
             # a new traffic epoch: every term below is a pure function of the rates
             rates = tick_rates

@@ -18,7 +18,7 @@ import math
 import os
 import time
 from contextlib import suppress
-from dataclasses import dataclass, field, is_dataclass
+from dataclasses import dataclass, field, is_dataclass, replace
 from datetime import datetime
 from io import StringIO
 from json.encoder import encode_basestring_ascii
@@ -337,53 +337,27 @@ def _same_objects(last: list, now: list) -> bool:
     return len(last) == len(now) and all(map(is_, last, now))
 
 
-def _latency_texts(frames) -> dict[int, str]:
-    """By id of a frame's sfc_latency_ms: its values' reprs joined by line breaks, in the map's order.
-
-    Only a non-empty map of str keys and exact, finite float values is
-    rendered: json and csv.writer both write such a float as its repr, so
-    report.json and latency.csv share these texts. Any other map (NaN or an
-    infinity, an int or bool, a float subclass) takes the JSON writer's
-    usual path, and latency.csv writes the repr of each of its values. The
-    ids stay valid while the frames live.
-    """
-    texts = {}
-    for frame in frames:
-        latency = frame.sfc_latency_ms
-        values = latency.values()
-        if (latency and set(map(type, latency)) == {str} and set(map(type, values)) == {float}
-                and math.isfinite(sum(values))):  # the sum of finite floats is NaN or infinite only on overflow
-            texts[id(latency)] = "\n".join(map(repr, values))
-    return texts
+class _Json(tuple):
+    """Chunks of JSON text already written at the level of the value they stand for (see _render_frames)."""
 
 
-def _json_text(value, latency_texts: dict[int, str] | None = None) -> str:
+def _json_text(value) -> str:
     """Exactly what json.dumps writes with sort_keys=True and an indent of 2, for string keys.
 
     A container whose values are all of exact scalar types is a leaf: the C
     encoder writes its items. Every other container, including one holding a
     tuple or a subclass of dict or list, is written here item by item.
-
-    A leaf dict whose keys and values are the very objects, in the same
-    order, of the last leaf dict written under the same parent key at the
-    same level is written from that one's text. A report's frames of one
-    traffic epoch share their value objects, so most frame maps are encoded
-    once. Only identity counts, never equality, so 0.0 and -0.0, 1, 1.0 and
-    True, or two NaN objects never share text. The memo holds the key and
-    value objects themselves, so no id is reused while it lives, and it
-    lives for this one call.
-
-    A dict whose id is in latency_texts (see _latency_texts) is written from
-    those texts instead, with its keys' encodings and sorted order computed
-    once per sequence of the very same key objects.
     """
     out: list[str] = []
-    _write_json(value, 0, out, {}, None, latency_texts or {})
+    _write_json(value, 0, out)
     return "".join(out)
 
 
-def _write_json(value, level: int, out: list[str], memo: dict, key, texts: dict[int, str]) -> None:
-    """Append value's text at level to out; key is the dict key value sits under (a list passes its own)."""
+def _write_json(value, level: int, out: list[str]) -> None:
+    """Append value's text at level to out; a _Json's chunks are appended as they are."""
+    if type(value) is _Json:
+        out += value
+        return
     if isinstance(value, dict):
         opening, closing, values = "{", "}", value.values()
     elif isinstance(value, (list, tuple)):
@@ -396,47 +370,20 @@ def _write_json(value, level: int, out: list[str], memo: dict, key, texts: dict[
         return
     inner = "\n" + "  " * (level + 1)
     out += [opening, inner]
-    joined = texts.get(id(value))
-    objects = [*value, *values] if opening == "{" and joined is None else None  # a dict's keys, then its values
-    last = memo.get((key, level)) if objects else None
-    if joined is not None:
-        out.append(_float_items(value, joined, inner, memo))
-    elif last and _same_objects(last[0], objects):
-        out.append(last[1])
-    elif set(map(type, values)) <= _SCALAR_TYPES:
-        text = _leaf_encoder(level + 1).encode(value)[1:-1]  # without the C encoder's brackets
-        if objects:
-            memo[key, level] = objects, text
-        out.append(text)
+    if set(map(type, values)) <= _SCALAR_TYPES:
+        out.append(_leaf_encoder(level + 1).encode(value)[1:-1])  # without the C encoder's brackets
     elif opening == "{":
         for index, (item_key, item) in enumerate(sorted(value.items())):
             if index:
                 out += [",", inner]
             out += [encode_basestring_ascii(item_key), ": "]
-            _write_json(item, level + 1, out, memo, item_key, texts)
+            _write_json(item, level + 1, out)
     else:
         for index, item in enumerate(value):
             if index:
                 out += [",", inner]
-            _write_json(item, level + 1, out, memo, key, texts)
+            _write_json(item, level + 1, out)
     out += ["\n", "  " * level, closing]
-
-
-def _float_items(value: dict, joined: str, inner: str, memo: dict) -> str:
-    """A str-keyed dict's items, sorted by key, as the C encoder writes them; joined holds its values' texts.
-
-    The encoded keys and their sorted order are kept in memo (under a str,
-    where every other entry's key is a tuple) for the last key sequence,
-    recognised by the identity of its key objects.
-    """
-    keys = [*value]
-    last = memo.get("float keys")
-    if last is None or not _same_objects(last[0], keys):
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        last = memo["float keys"] = keys, [encode_basestring_ascii(keys[i]) + ": " for i in order], order
-    _, prefixes, order = last
-    parts = joined.split("\n")
-    return ("," + inner).join(map(add, prefixes, map(parts.__getitem__, order)))
 
 
 def report_from_dict(data) -> ExperimentReport:
@@ -488,9 +435,8 @@ def outcomes_csv(report: ExperimentReport) -> str:
 def _field_texts(values) -> dict[str, str]:
     """Each value as csv.writer writes it as one field of a row, quoted only where needed.
 
-    latency_csv and cpu_csv write their lines directly: an id's field text
-    comes from here, and a number is written with repr, as csv.writer writes
-    a float.
+    _render_frames writes the CSV lines directly: an id's field text comes
+    from here, and a number is written with repr, as csv.writer writes a float.
     """
     buffer = StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -504,54 +450,109 @@ def _field_texts(values) -> dict[str, str]:
     return texts
 
 
-def latency_csv(report: ExperimentReport, latency_texts: dict[int, str] | None = None) -> str:
+# between the items of a frame's map in report.json; a plain frame's item is
+# _FRAME_JSON with its maps' items and its timestamp between the parts
+_MAP_ITEM_SEPARATOR = ",\n        "
+_FRAME_JSON = ('{\n      "host_cpu": {\n        ', '\n      },\n      "link_bw_mbps": {\n        ',
+               '\n      },\n      "sfc_latency_ms": {\n        ', '\n      },\n      "timestamp_s": ', "\n    }")
+
+
+def _plain(mapping) -> bool:
+    """A non-empty map of str keys and exact, finite floats, which json and csv.writer both write as repr."""
+    values = mapping.values()
+    return (bool(mapping) and set(map(type, mapping)) == {str} and set(map(type, values)) == {float}
+            and math.isfinite(sum(values)))  # the sum of finite floats is NaN or infinite only on overflow
+
+
+def _plain_items(memo: dict, kind: str, mapping):
+    """(key and value objects, sorted keys, values' reprs in that order, JSON items) of a plain map, else None.
+
+    memo holds the last plain map of each kind; a map of the very same key
+    and value objects, in the same order, gets that map's entry. Only
+    identity counts, never equality, so 0.0 and -0.0 never share text. The
+    entry holds the objects themselves, so no id is reused while it lives.
+    """
+    objects = [*mapping, *mapping.values()]
+    last = memo.get(kind)
+    if last is not None and _same_objects(last[0], objects):
+        return last
+    if not _plain(mapping):
+        return None
+    keys = sorted(mapping)
+    reprs = [repr(mapping[key]) for key in keys]
+    items = _MAP_ITEM_SEPARATOR.join([f"{encode_basestring_ascii(key)}: {text}" for key, text in zip(keys, reprs)])
+    memo[kind] = last = objects, keys, reprs, items
+    return last
+
+
+def _render_frames(report: ExperimentReport) -> tuple[list[_Json], list[str], list[str]]:
+    """Each frame's report.json item (at the level of the report's frames), latency.csv and cpu.csv lines.
+
+    A frame is plain when its timestamp is an exact, finite float and its
+    three maps are plain (see _plain). Each of its numbers' repr is then
+    taken once for all three files. Its host_cpu and link_bw_mbps items, and
+    its cpu.csv rows after the timestamp, are the last frame's where the map
+    holds the very same objects (see _plain_items), as the frames of one
+    traffic epoch do. The latency keys' encodings, their sorted order and
+    the accepted ids' positions are found once per sequence of the very same
+    key objects. Any other frame is written as json.dumps and csv.writer
+    write it: its report.json item by _write_json, each CSV number as repr.
+    """
+    accepted = [o.sfcr_id for o in report.outcomes if o.accepted]
+    id_texts = _field_texts(accepted)
+    id_fields = [f",{id_texts[sfc_id]}," for sfc_id in accepted]
+    host_texts = _field_texts(set().union(*(frame.host_cpu for frame in report.frames)))
+    json_items, latency_lines, cpu_lines = [], [], []
+    memo: dict = {}
+    cpu_entry = cpu_rows = None
+    keys: list = []  # the last plain frame's latency keys
+    for frame in report.frames:
+        cpu = _plain_items(memo, "cpu", frame.host_cpu)
+        links = _plain_items(memo, "links", frame.link_bw_mbps)
+        latency, stamp = frame.sfc_latency_ms, repr(frame.timestamp_s)
+        if (cpu and links and type(frame.timestamp_s) is float and math.isfinite(frame.timestamp_s)
+                and _plain(latency)):
+            if not _same_objects(keys, [*latency]):
+                keys = [*latency]
+                order = sorted(range(len(keys)), key=keys.__getitem__)
+                prefixes = [encode_basestring_ascii(keys[index]) + ": " for index in order]
+                position = {key: index for index, key in enumerate(keys)}
+                columns = [position[sfc_id] for sfc_id in accepted]
+            reprs = [*map(repr, latency.values())]
+            items = _MAP_ITEM_SEPARATOR.join(map(add, prefixes, map(reprs.__getitem__, order)))
+            json_items.append(_Json((_FRAME_JSON[0], cpu[3], _FRAME_JSON[1], links[3], _FRAME_JSON[2], items,
+                                     _FRAME_JSON[3], stamp, _FRAME_JSON[4])))
+            picked = map(reprs.__getitem__, columns)
+            if cpu is not cpu_entry:
+                cpu_entry, cpu_rows = cpu, [f",{host_texts[host]},{text}\n" for host, text in zip(cpu[1], cpu[2])]
+            rows = cpu_rows
+        else:
+            chunks: list[str] = []
+            _write_json(_jsonable(frame), 2, chunks)
+            json_items.append(_Json(chunks))
+            picked = [repr(latency[sfc_id]) for sfc_id in accepted]
+            rows = [f",{host_texts[host]},{frame.host_cpu[host]!r}\n" for host in sorted(frame.host_cpu)]
+        latency_lines.append(stamp + ("\n" + stamp).join(map(add, id_fields, picked)) + "\n" if accepted else "")
+        cpu_lines.append(stamp.join(["", *rows]))
+    return json_items, latency_lines, cpu_lines
+
+
+def latency_csv(report: ExperimentReport, chunks: list[str] | None = None) -> str | list[str]:
     """latency.csv: one row per (frame, accepted SFC), in outcome order.
 
-    A frame's numbers are the reprs of its sfc_latency_ms values, taken from
-    latency_texts (see _latency_texts) where it holds them. Each accepted
-    id's position among a map's keys is found once per sequence of the very
-    same key objects.
+    Given chunks, the frames' lines from _render_frames, the file is its
+    header and those chunks, unjoined; alone, this renders the frames itself.
     """
-    latency_texts = latency_texts or {}
-    accepted = [o.sfcr_id for o in report.outcomes if o.accepted]
-    texts = _field_texts(accepted)
-    lines = ["timestamp_s,sfc_id,latency_ms\n"]
-    last: list = []  # the last frame's latency keys
-    columns: list[tuple[str, int]] = []  # per accepted id: (",<id>,", its position among those keys)
-    for frame in report.frames:
-        latency = frame.sfc_latency_ms
-        keys = [*latency]
-        if not _same_objects(last, keys):
-            last = keys
-            position = {key: index for index, key in enumerate(keys)}
-            columns = [(f",{texts[sfc_id]},", position[sfc_id]) for sfc_id in accepted]
-        joined = latency_texts.get(id(latency))
-        values = joined.split("\n") if joined is not None else [*map(repr, latency.values())]
-        timestamp = repr(frame.timestamp_s)
-        lines += [f"{timestamp}{prefix}{values[index]}\n" for prefix, index in columns]
-    return "".join(lines)
+    if chunks is None:
+        return "".join(latency_csv(report, _render_frames(report)[1]))
+    return ["timestamp_s,sfc_id,latency_ms\n", *chunks]
 
 
-def cpu_csv(report: ExperimentReport) -> str:
-    """cpu.csv: one row per (frame, host), hosts sorted.
-
-    A frame's host_cpu whose keys and values are the very objects, in the
-    same order, of the last frame's is written with that frame's row texts
-    after the timestamp; frames of one traffic epoch share their value
-    objects, except on an idle spike.
-    """
-    texts = _field_texts(set().union(*(frame.host_cpu for frame in report.frames)))
-    lines = ["timestamp_s,host_id,utilization\n"]
-    last: list = []  # the last frame's hosts, then their values
-    suffixes: list[str] = []
-    for frame in report.frames:
-        cpu = frame.host_cpu
-        objects = [*cpu, *cpu.values()]
-        if not _same_objects(last, objects):
-            last = objects
-            suffixes = [f",{texts[host]},{cpu[host]!r}\n" for host in sorted(cpu)]
-        lines += map(repr(frame.timestamp_s).__add__, suffixes)
-    return "".join(lines)
+def cpu_csv(report: ExperimentReport, chunks: list[str] | None = None) -> str | list[str]:
+    """cpu.csv: one row per (frame, host), hosts sorted; chunks as for latency_csv."""
+    if chunks is None:
+        return "".join(cpu_csv(report, _render_frames(report)[2]))
+    return ["timestamp_s,host_id,utilization\n", *chunks]
 
 
 def trace_csv(report: ExperimentReport) -> str:
@@ -583,24 +584,27 @@ def histogram_csv(report: ExperimentReport, bin_width_ms: float) -> str:
     return _csv_text(["sfc_id", "bin_lower_ms", "count"], rows)
 
 
-def csv_files(report: ExperimentReport, latency_texts: dict[int, str] | None = None) -> dict[str, str]:
-    """A report's CSV files by name; trace.csv only for a GA run. latency_texts goes to latency_csv."""
+def csv_files(report: ExperimentReport, rendered: tuple | None = None) -> dict[str, str | list[str]]:
+    """A report's CSV files by name; trace.csv only for a GA run. rendered is _render_frames's result, if any."""
+    _, latency, cpu = rendered or (None, None, None)
     files = {
         "outcomes.csv": outcomes_csv(report),
-        "latency.csv": latency_csv(report, latency_texts),
-        "cpu.csv": cpu_csv(report),
+        "latency.csv": latency_csv(report, latency),
+        "cpu.csv": cpu_csv(report, cpu),
     }
     if report.trace is not None:
         files["trace.csv"] = trace_csv(report)
     return files
 
 
-def write_atomically(directory, files: dict[str, str]) -> list[Path]:
-    """Write name -> text files into directory, each through a temporary file and os.replace.
+def write_atomically(directory, files: dict[str, str | list[str]]) -> list[Path]:
+    """Write name -> content files into directory, each through a temporary file and os.replace.
 
-    A file lands whole or not at all; a reader never sees a partial one. On
-    failure the temporary file of the file being written is removed, as far
-    as that is possible, before the IoError is raised.
+    A content is a str or a list of str chunks, written one after another,
+    so no file's whole text need be held in memory. A file lands whole or
+    not at all; a reader never sees a partial one. On failure the temporary
+    file of the file being written is removed, as far as that is possible,
+    before the IoError is raised.
     """
     directory = Path(directory)
     written = []
@@ -610,7 +614,8 @@ def write_atomically(directory, files: dict[str, str]) -> list[Path]:
         for name, content in files.items():
             target = directory / name
             temp = directory / (name + ".tmp")
-            temp.write_text(content, "utf-8")
+            with open(temp, "w", encoding="utf-8") as file:
+                file.writelines([content] if isinstance(content, str) else content)
             os.replace(temp, target)
             written.append(target)
     except OSError as exc:
@@ -624,13 +629,17 @@ def write_atomically(directory, files: dict[str, str]) -> list[Path]:
 def write_report(report: ExperimentReport, directory, formats=("json", "csv")) -> list[Path]:
     """Write report files; every file lands atomically or not at all.
 
-    Each latency sample's text is rendered once for report.json and
-    latency.csv both (see _latency_texts).
+    The frames are rendered once, in one pass, for report.json, latency.csv
+    and cpu.csv (see _render_frames), and each file is written as chunks.
     """
-    latency_texts = _latency_texts(report.frames)
-    files: dict[str, str] = {}
+    rendered = _render_frames(report)
+    files: dict[str, str | list[str]] = {}
     if "json" in formats:
-        files[REPORT_FILENAME] = _json_text(report_to_dict(report), latency_texts) + "\n"
+        document = report_to_dict(replace(report, frames=()))
+        document["frames"] = rendered[0]
+        files[REPORT_FILENAME] = chunks = []
+        _write_json(document, 0, chunks)
+        chunks.append("\n")
     if "csv" in formats:
-        files.update(csv_files(report, latency_texts))
+        files.update(csv_files(report, rendered))
     return write_atomically(directory, files)

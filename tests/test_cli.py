@@ -191,6 +191,19 @@ def test_report_command_ga_trace(scenario_dir, tmp_path):
     assert (tmp_path / "trace.csv").is_file()
 
 
+@pytest.mark.parametrize("scenario", ["exp1.json", "ga_small.json"])
+def test_report_command_writes_the_csvs_of_run_byte_for_byte(scenario_dir, tmp_path, scenario):
+    """Frames read back from report.json share no objects, unlike those of run: both must write the same CSVs."""
+    assert run_cli("run", "--config", str(scenario_dir / scenario), "--output-dir", str(tmp_path / "run"),
+                   "--quiet") == 0
+    assert run_cli("report", "--report", str(tmp_path / "run" / "report.json"),
+                   "--output-dir", str(tmp_path / "agg"), "--quiet") == 0
+    names = sorted(path.name for path in (tmp_path / "run").glob("*.csv"))
+    assert names == ["cpu.csv", "latency.csv", "outcomes.csv"] + (["trace.csv"] if scenario == "ga_small.json" else [])
+    for name in names:
+        assert (tmp_path / "agg" / name).read_bytes() == (tmp_path / "run" / name).read_bytes(), name
+
+
 def test_report_missing_file_exits_2(tmp_path, capsys):
     assert run_cli("report", "--report", str(tmp_path / "none.json")) == 2
     assert "error: io:" in capsys.readouterr().err

@@ -1,15 +1,19 @@
 """The report writers against the standard library's writers: same text for any input."""
 
 import csv
+import dataclasses
+import errno
 import json
 import random
+import tracemalloc
 from io import StringIO
 
 import pytest
 
 from rasesim import experiment
-from rasesim.experiment import (ExperimentReport, SfcOutcome, _json_text, _latency_texts, cpu_csv, csv_files,
-                                latency_csv, report_to_dict, write_report)
+from rasesim.errors import IoError
+from rasesim.experiment import (ExperimentReport, SfcOutcome, _json_text, _plain, cpu_csv, csv_files, latency_csv,
+                                load_config, report_to_dict, run_experiment, write_atomically, write_report)
 from rasesim.telemetry import TelemetryFrame
 
 # a quote, a comma, line breaks, a backslash, a control character and non-ASCII text
@@ -229,15 +233,20 @@ def _csv_references(report: ExperimentReport) -> dict[str, str]:
     }
 
 
+def _is_plain_frame(frame: TelemetryFrame) -> bool:
+    maps = (frame.host_cpu, frame.link_bw_mbps, frame.sfc_latency_ms)
+    return type(frame.timestamp_s) is float and all(map(_plain, maps))
+
+
 @pytest.mark.parametrize("formats", [("json",), ("csv",), ("json", "csv")])
 def test_write_report_equals_json_dumps_and_csv_writer(tmp_path, formats):
-    """Latency texts rendered once for both files, and each writer's own path for any other map."""
-    covered = {"shared texts": 0, "own path": 0}
+    """Plain frames rendered once for all three files, and the standard writers' path for any other frame."""
+    covered = {"plain": 0, "fallback": 0}
     for seed in range(80):
         report = _latency_report(random.Random(seed))
-        shared = len(_latency_texts(report.frames))
-        covered["shared texts"] += shared
-        covered["own path"] += len(report.frames) - shared
+        plain = sum(map(_is_plain_frame, report.frames))
+        covered["plain"] += plain
+        covered["fallback"] += len(report.frames) - plain
         written = write_report(report, tmp_path / str(seed), formats)
         files = {path.name: path.read_bytes().decode("utf-8") for path in written}
         expected = {}
@@ -262,9 +271,9 @@ def test_write_report_writes_latency_csv_through_the_module_level_writer(tmp_pat
     """A wrapper around rasesim.experiment.latency_csv, as a profiler installs one, sees each latency.csv."""
     calls = []
 
-    def counted(report, latency_texts=None):
-        calls.append(latency_texts)
-        return latency_csv(report, latency_texts)
+    def counted(report, chunks=None):
+        calls.append(chunks)
+        return latency_csv(report, chunks)
 
     monkeypatch.setattr(experiment, "latency_csv", counted)
     for seed in range(20):
@@ -283,3 +292,98 @@ def test_a_latency_map_with_keys_other_than_str_is_written_by_the_encoder(tmp_pa
     write_report(report, tmp_path, ("json",))
     expected = json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n"
     assert (tmp_path / "report.json").read_text("utf-8") == expected
+
+
+def _simulated(scenario_dir, duplicates: int = 1, sample_interval_s: float = 1.0) -> ExperimentReport:
+    """exp1's report: 4 SFCRs per duplicate over three traffic epochs of 20 s, sampled every sample_interval_s."""
+    cfg = load_config(scenario_dir / "exp1.json")
+    engine = dataclasses.replace(cfg.engine, sample_interval_s=sample_interval_s)
+    return run_experiment(dataclasses.replace(cfg, duplicates=duplicates, engine=engine))
+
+
+def _assert_written_as_the_standard_library_writes(report: ExperimentReport, directory) -> dict[str, str]:
+    written = write_report(report, directory)
+    files = {path.name: path.read_bytes().decode("utf-8") for path in written}
+    assert files == {"report.json": json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n",
+                     **_csv_references(report)}
+    return files
+
+
+def test_plain_and_fallback_frames_mixed_in_one_traffic_epoch(scenario_dir, tmp_path):
+    """A frame written by the standard writers' path between frames of shared objects leaves no text behind."""
+    report = _simulated(scenario_dir)
+    frames = list(report.frames)
+    first = frames[0]
+    host, link, sfc_id = next(iter(first.host_cpu)), next(iter(first.link_bw_mbps)), next(iter(first.sfc_latency_ms))
+    assert all(frame.host_cpu[host] is first.host_cpu[host] for frame in frames[:20]), "one epoch shares objects"
+    variants = {
+        2: {"sfc_latency_ms": {**frames[2].sfc_latency_ms, sfc_id: 7}},
+        4: {"host_cpu": {**frames[4].host_cpu, host: Millis(0.5)}},
+        6: {"link_bw_mbps": {**frames[6].link_bw_mbps, link: float("inf")}},
+        8: {"timestamp_s": 8},
+        10: {"link_bw_mbps": {}},
+        12: {"host_cpu": {**frames[12].host_cpu, host: -0.0}},  # plain, but not the shared object
+        13: {"sfc_latency_ms": {**frames[13].sfc_latency_ms, sfc_id: float("nan")}},
+    }
+    for tick, change in variants.items():
+        frames[tick] = dataclasses.replace(frames[tick], **change)
+    assert [_is_plain_frame(frame) for frame in frames[:14]] == [tick not in variants or tick == 12
+                                                                for tick in range(14)]
+    report = dataclasses.replace(report, frames=tuple(frames))
+    files = _assert_written_as_the_standard_library_writes(report, tmp_path)
+    assert f"4.0,{host},Millis(0.5)\n" in files["cpu.csv"] and files["cpu.csv"].count("Millis") == 1
+
+
+def test_zero_frames_and_no_accepted_sfc_write_headers_only(scenario_dir, tmp_path):
+    report = _simulated(scenario_dir)
+    no_frames = dataclasses.replace(report, frames=(), mean_latency_ms=None)
+    files = _assert_written_as_the_standard_library_writes(no_frames, tmp_path / "no-frames")
+    assert files["latency.csv"] == "timestamp_s,sfc_id,latency_ms\n"
+    assert files["cpu.csv"] == "timestamp_s,host_id,utilization\n"
+    assert json.loads(files["report.json"])["frames"] == []
+
+    nothing_accepted = _simulated(scenario_dir, duplicates=0)
+    assert nothing_accepted.frames and not nothing_accepted.outcomes
+    files = _assert_written_as_the_standard_library_writes(nothing_accepted, tmp_path / "none-accepted")
+    assert files["latency.csv"] == "timestamp_s,sfc_id,latency_ms\n"
+    assert files["cpu.csv"].count("\n") == 1 + 10 * len(nothing_accepted.frames)
+
+
+def test_a_frame_mutated_after_simulate_is_written_as_it_is_now(scenario_dir, tmp_path):
+    report = _simulated(scenario_dir)
+    frames = report.frames
+    host, link, sfc_id = next(iter(frames[0].host_cpu)), next(iter(frames[0].link_bw_mbps)), report.outcomes[0].sfcr_id
+    frames[3].host_cpu[host] = 0.5
+    frames[4].link_bw_mbps[link] += 1.0
+    frames[5].sfc_latency_ms[sfc_id] = 1.25
+    frames[6].host_cpu[host] = frames[6].host_cpu.pop(host)  # the same objects in another order
+    frames[7].sfc_latency_ms["added"] = 2.5
+    files = _assert_written_as_the_standard_library_writes(report, tmp_path)
+    assert f"3.0,{host},0.5\n" in files["cpu.csv"] and f"5.0,{sfc_id},1.25\n" in files["latency.csv"]
+
+
+def test_an_os_error_partway_through_a_chunked_write_leaves_no_temporary_file(tmp_path):
+    (tmp_path / "b.csv").write_text("old\n")
+
+    def chunks():
+        yield "x" * 100_000  # beyond the text layer's buffer, so part of the file reaches the disk
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    with pytest.raises(IoError, match="No space left on device"):
+        write_atomically(tmp_path, {"a.csv": ["a\n", "b\n"], "b.csv": chunks()})
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["a.csv", "b.csv"]
+    assert (tmp_path / "a.csv").read_text() == "a\nb\n" and (tmp_path / "b.csv").read_text() == "old\n"
+
+
+def test_write_report_holds_little_more_than_the_bytes_it_writes(scenario_dir, tmp_path):
+    """No file's whole text is joined: the traced peak stays near the size of the files written."""
+    report = _simulated(scenario_dir, duplicates=3, sample_interval_s=0.2)
+    assert len(report.frames) == 300
+    tracemalloc.start()
+    try:
+        written = write_report(report, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = sum(path.stat().st_size for path in written)
+    assert peak <= 1.3 * size, (peak, size)
