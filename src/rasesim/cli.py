@@ -18,11 +18,11 @@ from pathlib import Path
 from .errors import ConfigError, RaseSimError
 from .experiment import (
     _json_text,
-    csv_files,
     generate_requests,
     histogram_csv,
     load_config,
     read_report,
+    report_files,
     resolve_output_dir,
     run_experiment,
     run_solver,
@@ -179,7 +179,7 @@ def _cmd_report(args) -> int:
     report_path = Path(args.report)
     report = read_report(report_path)
     directory = _pinned_output_dir(args) or report_path.parent
-    files = csv_files(report)
+    files = report_files(report, ("csv",))
     files["histogram.csv"] = histogram_csv(report, args.bin_width)
     for target in write_atomically(directory, files):
         _say(args, f"wrote {target}")

@@ -52,7 +52,7 @@ from .solver import (
     ga_solve,
     solve_simple_dijkstra,
 )
-from .telemetry import TelemetryFrame, mean_latency
+from .telemetry import TelemetryFrame, bin_latencies, mean_latency
 from .topology import NetworkSpec, SubstrateNetwork, build_network
 
 REPORT_FILENAME = "report.json"
@@ -168,16 +168,11 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
     return ExperimentConfig(network, catalog, templates, duplicates, solver, engine, output, seed, digest)
 
 
-def _field_dict(obj) -> dict:
-    """A dataclass instance's fields by document key; the values are shared, not copied."""
-    return {key: getattr(obj, f.name) for key, f in json_fields(type(obj)).items()}
-
-
 _SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
 
 
 def _jsonable(value):
-    """Dataclasses as _field_dict dicts and tuples as lists, recursively; dicts and scalars are shared.
+    """Dataclasses as dicts by document key and tuples as lists, recursively; dicts and scalars are shared.
 
     Unlike dataclasses.asdict nothing is deep-copied, which matters for a
     report's frames.
@@ -201,7 +196,7 @@ def _config_digest(network, catalog, templates, duplicates, solver, engine, seed
         "engine": engine,
         "seed": seed,
     }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=_field_dict)
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=_jsonable)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -537,24 +532,6 @@ def _render_frames(report: ExperimentReport) -> tuple[list[_Json], list[str], li
     return json_items, latency_lines, cpu_lines
 
 
-def latency_csv(report: ExperimentReport, chunks: list[str] | None = None) -> str | list[str]:
-    """latency.csv: one row per (frame, accepted SFC), in outcome order.
-
-    Given chunks, the frames' lines from _render_frames, the file is its
-    header and those chunks, unjoined; alone, this renders the frames itself.
-    """
-    if chunks is None:
-        return "".join(latency_csv(report, _render_frames(report)[1]))
-    return ["timestamp_s,sfc_id,latency_ms\n", *chunks]
-
-
-def cpu_csv(report: ExperimentReport, chunks: list[str] | None = None) -> str | list[str]:
-    """cpu.csv: one row per (frame, host), hosts sorted; chunks as for latency_csv."""
-    if chunks is None:
-        return "".join(cpu_csv(report, _render_frames(report)[2]))
-    return ["timestamp_s,host_id,utilization\n", *chunks]
-
-
 def trace_csv(report: ExperimentReport) -> str:
     rows = [
         [g.generation, g.mean_acceptance, g.min_acceptance, g.max_acceptance,
@@ -572,8 +549,6 @@ def trace_csv(report: ExperimentReport) -> str:
 
 def histogram_csv(report: ExperimentReport, bin_width_ms: float) -> str:
     """Binned latency counts per accepted SFC, in outcome order."""
-    from .telemetry import bin_latencies
-
     rows = []
     for outcome in report.outcomes:
         if not outcome.accepted:
@@ -582,19 +557,6 @@ def histogram_csv(report: ExperimentReport, bin_width_ms: float) -> str:
         for lower_edge, count in histogram.bins:
             rows.append([outcome.sfcr_id, lower_edge, count])
     return _csv_text(["sfc_id", "bin_lower_ms", "count"], rows)
-
-
-def csv_files(report: ExperimentReport, rendered: tuple | None = None) -> dict[str, str | list[str]]:
-    """A report's CSV files by name; trace.csv only for a GA run. rendered is _render_frames's result, if any."""
-    _, latency, cpu = rendered or (None, None, None)
-    files = {
-        "outcomes.csv": outcomes_csv(report),
-        "latency.csv": latency_csv(report, latency),
-        "cpu.csv": cpu_csv(report, cpu),
-    }
-    if report.trace is not None:
-        files["trace.csv"] = trace_csv(report)
-    return files
 
 
 def write_atomically(directory, files: dict[str, str | list[str]]) -> list[Path]:
@@ -626,20 +588,32 @@ def write_atomically(directory, files: dict[str, str | list[str]]) -> list[Path]
     return sorted(written)
 
 
-def write_report(report: ExperimentReport, directory, formats=("json", "csv")) -> list[Path]:
-    """Write report files; every file lands atomically or not at all.
+def report_files(report: ExperimentReport, formats=("json", "csv")) -> dict[str, str | list[str]]:
+    """A report's files by name, as write_atomically takes them, for the asked formats.
 
-    The frames are rendered once, in one pass, for report.json, latency.csv
-    and cpu.csv (see _render_frames), and each file is written as chunks.
+    "json" gives report.json; "csv" gives outcomes.csv, latency.csv (one row
+    per frame and accepted SFC, in outcome order), cpu.csv (one row per frame
+    and host, hosts sorted) and, for a GA run, trace.csv. The frames are
+    rendered once, in one pass, for report.json, latency.csv and cpu.csv
+    (see _render_frames), and those three files are lists of chunks.
     """
-    rendered = _render_frames(report)
+    json_items, latency_lines, cpu_lines = _render_frames(report)
     files: dict[str, str | list[str]] = {}
     if "json" in formats:
         document = report_to_dict(replace(report, frames=()))
-        document["frames"] = rendered[0]
+        document["frames"] = json_items
         files[REPORT_FILENAME] = chunks = []
         _write_json(document, 0, chunks)
         chunks.append("\n")
     if "csv" in formats:
-        files.update(csv_files(report, rendered))
-    return write_atomically(directory, files)
+        files["outcomes.csv"] = outcomes_csv(report)
+        files["latency.csv"] = ["timestamp_s,sfc_id,latency_ms\n", *latency_lines]
+        files["cpu.csv"] = ["timestamp_s,host_id,utilization\n", *cpu_lines]
+        if report.trace is not None:
+            files["trace.csv"] = trace_csv(report)
+    return files
+
+
+def write_report(report: ExperimentReport, directory, formats=("json", "csv")) -> list[Path]:
+    """Write report_files(report, formats) into directory; every file lands atomically or not at all."""
+    return write_atomically(directory, report_files(report, formats))

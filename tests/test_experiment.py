@@ -12,12 +12,11 @@ from rasesim.errors import ConfigError
 from rasesim.experiment import (
     OutputSettings,
     SolverSettings,
-    cpu_csv,
     generate_requests,
-    latency_csv,
     load_config,
     outcomes_csv,
     read_report,
+    report_files,
     report_from_dict,
     report_to_dict,
     run_experiment,
@@ -352,9 +351,10 @@ def test_trace_csv_shape(scenario_dir, tmp_path):
 
 def test_csv_helpers_have_stable_headers(scenario_dir):
     report = run_experiment(load_scenario(scenario_dir, "exp1.json"))
+    files = report_files(report, ("csv",))
     assert outcomes_csv(report).splitlines()[0] == "sfcr_id,accepted,reason"
-    assert latency_csv(report).splitlines()[0] == "timestamp_s,sfc_id,latency_ms"
-    assert cpu_csv(report).splitlines()[0] == "timestamp_s,host_id,utilization"
+    assert "".join(files["latency.csv"]).splitlines()[0] == "timestamp_s,sfc_id,latency_ms"
+    assert "".join(files["cpu.csv"]).splitlines()[0] == "timestamp_s,host_id,utilization"
 
 
 def test_duplicates_zero_yields_empty_run(scenario_dir, tmp_path):

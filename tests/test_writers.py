@@ -12,8 +12,9 @@ import pytest
 
 from rasesim import experiment
 from rasesim.errors import IoError
-from rasesim.experiment import (ExperimentReport, SfcOutcome, _json_text, _plain, cpu_csv, csv_files, latency_csv,
-                                load_config, report_to_dict, run_experiment, write_atomically, write_report)
+from rasesim.cli import main
+from rasesim.experiment import (ExperimentReport, SfcOutcome, _json_text, _plain, load_config, report_files,
+                                report_to_dict, run_experiment, write_atomically, write_report)
 from rasesim.telemetry import TelemetryFrame
 
 # a quote, a comma, line breaks, a backslash, a control character and non-ASCII text
@@ -88,14 +89,20 @@ def _report(rng: random.Random) -> ExperimentReport:
     return ExperimentReport("digest", outcomes, None, None, tuple(frames), None)
 
 
+def _csv_texts(report: ExperimentReport) -> dict[str, str]:
+    """report_files's CSV files, each joined into one text."""
+    return {name: "".join(content) for name, content in report_files(report, ("csv",)).items()}
+
+
 def test_latency_and_cpu_csv_equal_csv_writer():
     for seed in range(20):
         report = _report(random.Random(seed))
         accepted = [o.sfcr_id for o in report.outcomes if o.accepted]
-        assert latency_csv(report) == _csv_reference(
+        files = _csv_texts(report)
+        assert files["latency.csv"] == _csv_reference(
             ["timestamp_s", "sfc_id", "latency_ms"],
             [[f.timestamp_s, i, f.sfc_latency_ms[i]] for f in report.frames for i in accepted])
-        assert cpu_csv(report) == _csv_reference(
+        assert files["cpu.csv"] == _csv_reference(
             ["timestamp_s", "host_id", "utilization"],
             [[f.timestamp_s, h, f.host_cpu[h]] for f in report.frames for h in sorted(f.host_cpu)])
 
@@ -156,7 +163,7 @@ def test_json_text_writes_lookalike_values_of_one_key_apart():
 def test_cpu_csv_reuses_rows_only_for_the_same_objects():
     for seed in range(200):
         report = ExperimentReport("digest", (), None, None, tuple(_shared_frames(random.Random(seed), 8, True)), None)
-        assert cpu_csv(report) == _csv_reference(
+        assert _csv_texts(report)["cpu.csv"] == _csv_reference(
             ["timestamp_s", "host_id", "utilization"],
             [[f.timestamp_s, h, f.host_cpu[h]] for f in report.frames for h in sorted(f.host_cpu)]), seed
 
@@ -261,29 +268,29 @@ def test_write_report_equals_json_dumps_and_csv_writer(tmp_path, formats):
 def test_each_writer_called_alone_equals_the_standard_library():
     for seed in range(80):
         report = _latency_report(random.Random(seed))
-        expected = _csv_references(report)
-        assert csv_files(report) == expected, seed
-        assert latency_csv(report) == expected["latency.csv"], seed
+        assert _csv_texts(report) == _csv_references(report), seed
         assert _json_text(report_to_dict(report)) == json.dumps(report_to_dict(report), sort_keys=True, indent=2)
 
 
-def test_write_report_writes_latency_csv_through_the_module_level_writer(tmp_path, monkeypatch):
-    """A wrapper around rasesim.experiment.latency_csv, as a profiler installs one, sees each latency.csv."""
+def test_write_report_and_the_report_command_render_the_frames_once(scenario_dir, tmp_path, monkeypatch):
+    """One _render_frames call per write_report, whatever the formats, and per `rasesim report`."""
     calls = []
+    render_frames = experiment._render_frames
 
-    def counted(report, chunks=None):
-        calls.append(chunks)
-        return latency_csv(report, chunks)
+    def counted(report):
+        calls.append(report)
+        return render_frames(report)
 
-    monkeypatch.setattr(experiment, "latency_csv", counted)
-    for seed in range(20):
-        report = _latency_report(random.Random(seed))
-        written = write_report(report, tmp_path / str(seed))
-        assert len(calls) == seed + 1 and calls[-1] is not None, seed
-        files = {path.name: path.read_bytes().decode("utf-8") for path in written}
-        expected = {"report.json": json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n",
-                    **_csv_references(report)}
-        assert files == expected, seed
+    monkeypatch.setattr(experiment, "_render_frames", counted)
+    report = _simulated(scenario_dir)
+    for formats in (("json",), ("csv",), ("json", "csv")):
+        calls.clear()
+        write_report(report, tmp_path / "-".join(formats), formats)
+        assert len(calls) == 1, formats
+    calls.clear()
+    assert main(["report", "--report", str(tmp_path / "json" / "report.json"), "--quiet"]) == 0
+    assert len(calls) == 1
+    assert (tmp_path / "json" / "histogram.csv").is_file()
 
 
 def test_a_latency_map_with_keys_other_than_str_is_written_by_the_encoder(tmp_path):
