@@ -14,15 +14,25 @@ So the memoised path is the answer whenever all of its links clear the
 floor, only a shortfall on one of them runs the floored search, and no
 charge, release, rollback or copy ever invalidates an entry.
 
-A memo miss is answered from the source's shortest-path tree: one floor-0
-search from the source, run until every node is settled, once per source
-per network. The search reads the destination only when it pops it, so
-each node settles with the very key a search for it would return, and its
-settled path extends its parent's by one link. The tree keeps, per node
-index, the parent index, the link index and the settle-time delay, and a
-path is walked back from them. Copies share the trees as they share the
-memo; a tree is published only once complete, so two threads racing on a
-cold source only build the same tree twice.
+A tree-shaped network (a connected spec with one link fewer than it has
+nodes) has exactly one simple path per pair, so that path is the minimum
+whatever the tie-break, and a floor it fails leaves no path at all. There
+a memo miss walks both ends up one rooted parent map, built by one
+breadth-first search at the first miss, to their lowest common ancestor,
+and sums the delay from 0.0 in path order; a floored miss is a NoPathError
+without a search.
+
+On any other network a memo miss is answered from the source's
+shortest-path tree: one floor-0 search from the source, run until every
+node is settled, once per source per network. The search reads the
+destination only when it pops it, so each node settles with the very key a
+search for it would return, and its settled path extends its parent's by
+one link. The tree keeps, per node index, the parent index, the link index
+and the settle-time delay, and a path is walked back from them.
+
+Copies share the parent map and the trees as they share the memo; each is
+published only once complete, so two threads racing on a cold network or
+source only build the same one twice.
 
 A floored search first checks both ends: if no link at the source, or none
 at the destination, clears the floor, there is no path and nothing is
@@ -68,7 +78,8 @@ def shortest_path(net: SubstrateNetwork, src: str, dst: str, min_bandwidth_mbps:
     """Minimum-delay simple path using only links with enough residual bandwidth.
 
     The pair's memoised all-links path when its links clear the floor, else
-    a search over the links that do. A miss fills the memo from src's tree.
+    a search over the links that do, or on a tree no path. A miss fills the
+    memo from the rooted parent map on a tree, else from src's tree.
     """
     if not net.has_node(src):
         raise UnknownNodeError(f"unknown node {src!r}")
@@ -83,16 +94,61 @@ def shortest_path(net: SubstrateNetwork, src: str, dst: str, min_bandwidth_mbps:
     residual = net.bandwidth.units
     best = net._routes.get((src, dst))
     if best is None:
-        best = net._routes[src, dst] = _tree_path(net, src, dst)
+        best = net._routes[src, dst] = (_unique_path if net._is_tree else _tree_path)(net, src, dst)
     for link in best.links:
         if not residual[link] >= floor:  # the search's test, so a NaN floor fails here too
             break
     else:
         return best
-    path = _search(net, src, dst, floor)
+    path = None if net._is_tree else _search(net, src, dst, floor)
     if path is None:
         raise NoPathError(f"no route from {src!r} to {dst!r} with >= {show(min_bandwidth_mbps)} Mbps residual")
     return path
+
+
+def _unique_path(net: SubstrateNetwork, src: str, dst: str) -> Path:
+    """The one simple path from src to dst on a tree: both ends walked up the rooted map to where they meet."""
+    rooted = net._rooted.get("map")
+    if rooted is None:
+        rooted = net._rooted["map"] = _root(net)  # published complete
+    parents, links, depths = rooted
+    index, node_ids, link_ids, delay_ms = net._node_index, net._node_ids, net._link_ids, net._delay_ms
+    up, down = index[src], index[dst]
+    rising, falling = [up], [down]  # src to the meeting node; dst up to just below it
+    while depths[up] > depths[down]:
+        up = parents[up]
+        rising.append(up)
+    while depths[down] > depths[up]:
+        down = parents[down]
+        falling.append(down)
+    while up != down:
+        up, down = parents[up], parents[down]
+        rising.append(up)
+        falling.append(down)
+    falling.pop()  # the meeting node, already last in rising
+    falling.reverse()
+    route = [link_ids[links[node]] for node in rising[:-1]] + [link_ids[links[node]] for node in falling]
+    delay = 0.0
+    for link in route:  # the left fold in path order that _settle does
+        delay += delay_ms[link]
+    return Path(tuple(node_ids[node] for node in rising + falling), tuple(route), delay)
+
+
+def _root(net: SubstrateNetwork) -> tuple[array, array, array]:
+    """Per node index, the parent index, the index of the link to the parent and the depth, rooted at the first node."""
+    index, link_index, size = net._node_index, net._link_index, len(net._node_ids)
+    parents, links, depths = array("i", [-1]) * size, array("i", [-1]) * size, array("i", [0]) * size
+    root = net._node_ids[0]
+    queue, reached = [root], {root}
+    for node in queue:  # grows as it is read: a breadth-first search
+        here = index[node]
+        for neighbor, link in net._adjacency[node]:
+            if neighbor not in reached:
+                reached.add(neighbor)
+                queue.append(neighbor)
+                there = index[neighbor]
+                parents[there], links[there], depths[there] = here, link_index[link], depths[here] + 1
+    return parents, links, depths
 
 
 def _tree_path(net: SubstrateNetwork, src: str, dst: str) -> Path:

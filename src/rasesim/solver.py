@@ -8,6 +8,7 @@ as it found it.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from concurrent.futures import ThreadPoolExecutor
@@ -209,38 +210,62 @@ def _unit_table(net: SubstrateNetwork, exact: Sequence[Demands]) -> UnitTable:
 
 
 def _embed_all(net: SubstrateNetwork, sfcrs: Sequence[SFCRequest], table: UnitTable,
-               candidates: Callable[[int, int], Sequence[str]]) -> EmbeddingScheme:
+               genes: Callable[[int, int], str] | None = None) -> EmbeddingScheme:
     """Place and route each SFCR in order, charging net; the one embedding loop of both solvers.
 
-    Position k of request i goes to the host, among candidates(i, k), that
-    fits both its CPU and memory demand and has the most residual CPU; ties
-    go to the first listed, and an id with no residuals (a switch) never
-    fits. Consecutive placements are then linked by bandwidth-filtered
-    shortest paths. A request that cannot be placed or routed has its
-    charges added back and is recorded as a rejection; later requests still
-    embed. Charges and rollbacks are integer -= and += on the residual
-    units; a table made at other scales than net's is converted afresh.
+    Position k of request i goes to genes(i, k) if that id fits both its
+    CPU and memory demand (an id with no residuals, a switch, never fits).
+    Without genes it goes to the host with the most residual CPU among
+    those that fit, ties to the lowest host id: a lazy heap of (-residual
+    CPU units, rank in sorted host ids, host) gets a fresh entry whenever a
+    host's CPU is charged or rolled back, drops an entry whose CPU is stale
+    when it reaches the top, and sets aside valid tops that lack memory
+    until the position is placed. Consecutive placements are then linked by
+    bandwidth-filtered shortest paths. A request that cannot be placed or
+    routed has its charges added back and is recorded as a rejection;
+    later requests still embed. Charges and rollbacks are integer -= and +=
+    on the residual units; a table made at other scales than net's is
+    converted afresh, before the heap reads a residual.
     """
     if table.scales != _scales(net):
         table = _unit_table(net, table.exact)
     cpu_left, memory_left, bandwidth_left = net.cpu.units, net.memory.units, net.bandwidth.units
+    # greedy's candidates; decoding has one per position and leaves the heap empty
+    ranks = {} if genes is not None else {host: rank for rank, host in enumerate(sorted(net.host_ids()))}
+    heap = [(-cpu_left[host], rank, host) for host, rank in ranks.items()]
+    heapq.heapify(heap)
     outcomes: list[SfcPlacement | SfcRejection] = []
     for i, (sfcr, (bandwidth, positions)) in enumerate(zip(sfcrs, table.rows, strict=True)):
         undo: list[tuple[dict[str, int], str, int]] = []
         placed: list[str] = []
         for k, (cpu_need, memory_need) in enumerate(positions):
-            # residuals are never negative, so the first host that fits beats -1
-            host, best_left = None, -1
-            for candidate in candidates(i, k):
-                left = cpu_left.get(candidate, -1)
-                if left > best_left and left >= cpu_need and memory_left[candidate] >= memory_need:
-                    host, best_left = candidate, left
+            if genes is not None:
+                host = genes(i, k)
+                if not (cpu_left.get(host, -1) >= cpu_need and memory_left[host] >= memory_need):
+                    host = None
+            else:
+                host, aside = None, []
+                while heap:
+                    negative, _, candidate = heap[0]
+                    if -negative != cpu_left[candidate]:
+                        heapq.heappop(heap)
+                    elif -negative < cpu_need:
+                        break
+                    elif memory_left[candidate] >= memory_need:
+                        host = candidate
+                        break
+                    else:
+                        aside.append(heapq.heappop(heap))
+                for entry in aside:
+                    heapq.heappush(heap, entry)
             if host is None:
                 reason = f"NoFeasibleHost(position={k})"
                 break
             if cpu_need:
                 cpu_left[host] -= cpu_need
                 undo.append((cpu_left, host, cpu_need))
+                if genes is None:
+                    heapq.heappush(heap, (-cpu_left[host], ranks[host], host))
             if memory_need:
                 memory_left[host] -= memory_need
                 undo.append((memory_left, host, memory_need))
@@ -268,6 +293,8 @@ def _embed_all(net: SubstrateNetwork, sfcrs: Sequence[SFCRequest], table: UnitTa
         else:
             for units, key, amount in undo:
                 units[key] += amount
+                if units is cpu_left and genes is None:
+                    heapq.heappush(heap, (-units[key], ranks[key], key))
             outcomes.append(SfcRejection(sfcr.sfcr_id, reason))
     return EmbeddingScheme(tuple(outcomes))
 
@@ -275,13 +302,13 @@ def _embed_all(net: SubstrateNetwork, sfcrs: Sequence[SFCRequest], table: UnitTa
 def solve_simple_dijkstra(net: SubstrateNetwork, sfcrs: Sequence[SFCRequest], catalog: Catalog) -> EmbeddingScheme:
     """Greedy solver: max-residual-CPU placement, shortest-path linking.
 
-    SFCRs are embedded in submission order with every host, in id order, as
-    a candidate for every position: each VNF goes to the host with the most
-    residual CPU among those that fit it (ties to the lowest host id). The
-    net is mutated in place with the accepted chains' charges.
+    SFCRs are embedded in submission order with every host as a candidate
+    for every position: each VNF goes to the host with the most residual
+    CPU among those that fit it (ties to the lowest host id), taken from a
+    lazy max-residual heap rather than a scan over the hosts. The net is
+    mutated in place with the accepted chains' charges.
     """
-    hosts = sorted(net.host_ids())
-    return _embed_all(net, sfcrs, _unit_table(net, _demand_table(sfcrs, catalog)), lambda i, k: hosts)
+    return _embed_all(net, sfcrs, _unit_table(net, _demand_table(sfcrs, catalog)))
 
 
 def decode_chromosome(net: SubstrateNetwork, sfcrs: Sequence[SFCRequest], catalog: Catalog,
@@ -299,7 +326,7 @@ def decode_chromosome(net: SubstrateNetwork, sfcrs: Sequence[SFCRequest], catalo
         raise GeneCountMismatchError(f"chromosome has {len(chromosome)} genes, requests need {first[-1]}")
     if demands is None:
         demands = _unit_table(net, _demand_table(sfcrs, catalog))
-    return _embed_all(net, sfcrs, demands, lambda i, k: (chromosome[first[i] + k],))
+    return _embed_all(net, sfcrs, demands, lambda i, k: chromosome[first[i] + k])
 
 
 def verify_scheme(spec: NetworkSpec, sfcrs: Sequence[SFCRequest], catalog: Catalog,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -53,6 +54,18 @@ def ladder_spec(hosts: int, cpus: int = 4, memory: float = 8192.0) -> NetworkSpe
     links = [("core", agg, 100000, 0.5) for agg in aggs]
     links += [(f"agg{i // 10}", host, 10000, round(0.1 + 0.01 * (i % 7), 2)) for i, host in enumerate(host_ids)]
     return spec_of([(h, cpus, memory) for h in host_ids], links, switches=["core", *aggs], ingress="core")
+
+
+def dual_homed_ladder_spec(hosts: int, cpus: int = 4, memory: float = 8192.0) -> NetworkSpec:
+    """ladder_spec with a second core switch, core2, linked like core to every aggregation switch: not a tree.
+
+    Every route between aggregation switches has an equal-delay twin through
+    core2, which the node-sequence tie-break turns down.
+    """
+    spec = ladder_spec(hosts, cpus, memory)
+    aggs = [switch for switch in spec.switches if switch != "core"]
+    return dataclasses.replace(spec, switches=(*spec.switches, "core2"),
+                               links=(*spec.links, *(LinkSpec("core2", agg, 100000, 0.5) for agg in aggs)))
 
 
 def random_scenario(rng: random.Random):

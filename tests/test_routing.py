@@ -12,7 +12,7 @@ from rasesim.routing import NoPathError, Path, UnknownNodeError, _search, _tree_
 from rasesim.solver import solve_simple_dijkstra
 from rasesim.topology import HostSpec, LinkSpec, NetworkSpec, build_network, link_id
 
-from helpers import ladder_spec, spec_of
+from helpers import dual_homed_ladder_spec, ladder_spec, spec_of
 from oracles import brute_force_shortest_path, random_connected_graph
 
 
@@ -234,12 +234,13 @@ def test_warm_memo_still_refuses_a_floor_no_link_clears(floor, shown):
     assert str(caught.value) == f"no route from 'A' to 'C' with >= {shown} Mbps residual"
 
 
-def test_copies_racing_on_one_memo_answer_as_a_fresh_network():
-    """Threads on copies of one network fill and read its route memo at once; each answers as alone."""
-    rng = random.Random(77)
-    nodes, edges = random_connected_graph(rng)
-    spec = _graph_to_network(nodes, edges)
-    charges = [(link_id(a, b), bandwidth / 2) for a, b, _, bandwidth in rng.sample(edges, len(edges) // 2)]
+def _race_copies(spec, rng):
+    """Threads on copies of one cold network fill and read what it shares at once, against a lone one.
+
+    Each thread must answer as the lone network does; returns (lone, shared) to compare what they filled.
+    """
+    nodes = [host.id for host in spec.hosts] + list(spec.switches)
+    charges = [(l.link_id, l.bandwidth_mbps / 2) for l in rng.sample(spec.links, len(spec.links) // 2)]
     queries = [(*rng.sample(nodes, 2), rng.choice((0.0, 5.0, 10.0, 50.0))) for _ in range(300)]
 
     def charged():
@@ -272,8 +273,28 @@ def test_copies_racing_on_one_memo_answer_as_a_fresh_network():
     finally:
         sys.setswitchinterval(interval)
     assert results == [expected] * 4
+    return alone, shared
+
+
+def test_copies_racing_on_one_memo_answer_as_a_fresh_network():
+    """Threads on copies of one network fill and read its route memo at once; each answers as alone."""
+    rng = random.Random(77)
+    alone, shared = _race_copies(_graph_to_network(*random_connected_graph(rng)), rng)
+    assert not shared._is_tree
     # whichever racer published a source's tree, it is the complete tree a lone network builds
     assert shared._trees == alone._trees
+
+
+def test_copies_racing_on_a_cold_tree_answer_as_a_fresh_network():
+    """As above on a tree-shaped spec, where the racers share one parent map instead of trees.
+
+    The 221-node ladder makes the map's build long enough for a thread switch inside it.
+    """
+    spec = ladder_spec(200)
+    alone, shared = _race_copies(spec, random.Random(78))
+    assert shared._is_tree and shared._trees == {}
+    # whichever racer published the parent map, it is the complete map a lone network builds
+    assert shared._rooted == alone._rooted and len(alone._rooted["map"][0]) == 221
 
 
 def _count_settles(monkeypatch):
@@ -358,8 +379,11 @@ def test_a_floor_both_ends_clear_still_searches_the_middle(monkeypatch, cut, exp
 
 
 def test_one_tree_per_source_is_shared_by_every_copy(monkeypatch):
-    """Copies made before the first query share the tree that any of them builds."""
-    net = build_network(ladder_spec(30))
+    """Copies made before the first query share the tree that any of them builds.
+
+    The ladder is dual-homed, so it is no tree and its routes come from per-source trees.
+    """
+    net = build_network(dual_homed_ladder_spec(30))
     first, second = net.copy(), net.copy()
     runs = _count_settles(monkeypatch)
     paths = [shortest_path(first, "h000", "h011", 1.0), shortest_path(net, "h000", "h025", 1.0),
@@ -372,13 +396,68 @@ def test_one_tree_per_source_is_shared_by_every_copy(monkeypatch):
 def test_ladder_greedy_solve_from_trees_matches_one_search_per_pair(monkeypatch):
     """200 hosts, 800 requests: the greedy scheme is outcome for outcome the one from per-pair searches.
 
-    The ladder repeats its access delays every seven hosts, so equal-delay
-    routes abound and the tie-break decides many of them.
+    The ladder repeats its access delays every seven hosts, and its second
+    core switch gives every route between aggregation switches an
+    equal-delay twin, so the tie-break decides many of them.
     """
-    spec, catalog = ladder_spec(200), default_catalog()
+    spec, catalog = dual_homed_ladder_spec(200), default_catalog()
     sfcrs = generate_sfcrs(default_sfcr_templates(), 100)
     from_trees = solve_simple_dijkstra(build_network(spec), sfcrs, catalog)
     monkeypatch.setattr(routing, "_tree_path", lambda net, src, dst: _search(net, src, dst, 0))
     per_pair = solve_simple_dijkstra(build_network(spec), sfcrs, catalog)
     for tree_outcome, pair_outcome in zip(from_trees.outcomes, per_pair.outcomes, strict=True):
         assert tree_outcome == pair_outcome
+
+
+def test_greedy_solve_on_a_tree_shaped_ladder_runs_no_settle(monkeypatch):
+    """On ladder_spec(200), a tree, every route is the unique path: no search and no per-source tree."""
+    net = build_network(ladder_spec(200))
+    runs = _count_settles(monkeypatch)
+    scheme = solve_simple_dijkstra(net, generate_sfcrs(default_sfcr_templates(), 100), default_catalog())
+    assert scheme.accepted() and net._routes
+    assert runs == [] and net._trees == {}
+
+
+def _random_tree(rng, max_nodes=8):
+    """A random tree-shaped network: the spanning edges of a random connected graph, delays from {0, 0.1, 0.2, 0.3}.
+
+    0.1 + 0.2 != 0.3, so the order of the float sum shows in the bits.
+    """
+    nodes, edges = random_connected_graph(rng, max_nodes=max_nodes)
+    edges = [(a, b, rng.choice((0.0, 0.1, 0.2, 0.3)), bandwidth) for a, b, _, bandwidth in edges[:len(nodes) - 1]]
+    return nodes, edges
+
+
+def test_unique_paths_on_trees_equal_the_tree_walk_bit_for_bit(monkeypatch):
+    """Every ordered pair's unique path is _tree_path's at floor 0; above it, the memoised path or no path."""
+    rng = random.Random(31337)
+    runs = _count_settles(monkeypatch)
+    for _ in range(40):
+        nodes, edges = _random_tree(rng)
+        spec = _graph_to_network(nodes, edges)
+        reference = build_network(spec)
+        expected = {(src, dst): _tree_path(reference, src, dst) for src in nodes for dst in nodes}
+        net = build_network(spec)
+        assert net._is_tree
+        runs.clear()  # the reference's settles
+        for (src, dst), walked in expected.items():
+            path = shortest_path(net, src, dst, 0)
+            assert (path.nodes, path.links) == (walked.nodes, walked.links)
+            assert path.total_propagation_ms.hex() == walked.total_propagation_ms.hex()
+        links = [link_id(a, b) for a, b, _, _ in edges]
+        for link in rng.sample(links, len(links) // 2):
+            _charge(net, link, rng)
+        residual = net.residual_bandwidth
+        current = [(a, b, delay, residual[link_id(a, b)]) for a, b, delay, _ in edges]
+        for src, dst in expected:
+            if src == dst:
+                continue
+            floor = rng.choice((1.0, 5.0, 7.5, 10.0, 50.0))
+            memoised = shortest_path(net, src, dst, 0)
+            if brute_force_shortest_path(nodes, current, src, dst, floor) is None:
+                with pytest.raises(NoPathError) as caught:
+                    shortest_path(net, src, dst, floor)
+                assert str(caught.value) == f"no route from {src!r} to {dst!r} with >= {floor:g} Mbps residual"
+            else:
+                assert shortest_path(net, src, dst, floor) is memoised
+        assert runs == [] and net._trees == {}

@@ -141,6 +141,48 @@ def test_greedy_memory_constraint_excludes_host():
     assert scheme.accepted()[0].hosts == ("h2",)
 
 
+def test_greedy_tops_that_lack_memory_are_set_aside_and_win_a_later_position():
+    """h1 and h2 hold the most CPU but only 64 MB: set aside for beta's 128 MB, back for the next position."""
+    spec = spec_of([("h1", 8, 64), ("h2", 8, 64), ("h3", 4, 1024), ("h4", 4, 1024)],
+                   [("sw", h, 100, 0.5) for h in ("h1", "h2", "h3", "h4")],
+                   switches=("sw",), ingress="sw", egress="h4")
+    requests = [sfcr("r1", ["beta", "gamma"]), sfcr("r2", ["beta", "alpha"]), sfcr("r3", ["alpha"])]
+    scheme = solve_simple_dijkstra(build_network(spec), requests, small_catalog())
+    # r1: beta 1 CPU to h3 (tie with h4), gamma to h1 (tie with h2), leaving h1 32 MB; r2: beta to h4, alpha
+    # to h2 (8 > 7.8 CPU), leaving it no memory; r3: h2 and h1 set aside again, h3 and h4 tie at 3 CPUs
+    assert [p.hosts for p in scheme.accepted()] == [("h3", "h1"), ("h4", "h2"), ("h3",)]
+
+
+def test_greedy_host_rolled_back_wins_the_next_request():
+    """r1's alpha takes 2.5 CPU from h1, its beta fits nowhere; once rolled back, h1 again has the most CPU."""
+    spec = spec_of([("h1", 4, 1024), ("h2", 2, 1024)], [("sw", "h1", 100, 0.5), ("sw", "h2", 100, 0.5)],
+                   switches=("sw",), ingress="sw", egress="h2")
+    net = build_network(spec)
+    scheme = solve_simple_dijkstra(net, [sfcr("r1", ["alpha", "beta"], rps=50.0), sfcr("r2", ["alpha"], rps=20.0)],
+                                   small_catalog())
+    assert scheme.outcomes[0] == SfcRejection("r1", "NoFeasibleHost(position=1)")
+    assert scheme.accepted()[0].hosts == ("h1",)
+
+
+def test_greedy_after_a_non_dyadic_charge_equals_the_decode_of_its_placements():
+    """A third of a CPU charged on h2 makes the CPU scale a multiple of 3; the heap's order still holds exactly."""
+    spec = star_net(host_count=3, cpus=2)
+    requests = [sfcr(f"r{i}", ["alpha"]) for i in range(14)]  # a hair above 0.5 CPU each, as 0.05 is
+    greedy_net, decode_net = build_network(spec), build_network(spec)
+    for net in (greedy_net, decode_net):
+        net.allocate_cpu("h2", Fraction(1, 3))
+    greedy = solve_simple_dijkstra(greedy_net, requests, small_catalog())
+    assert greedy_net.cpu.scale % 3 == 0
+    # h2's 5/3 CPU is below h1's and h3's 2 until each has taken one request, then above their 1.5, and so
+    # on down; after nine, no host has another 0.5 left
+    assert [p.hosts[0] for p in greedy.accepted()] == ["h1", "h3", "h2"] * 3
+    chromosome = tuple(o.hosts[0] if isinstance(o, SfcPlacement) else "sw" for o in greedy.outcomes)
+    decoded = decode_chromosome(decode_net, requests, small_catalog(), chromosome)
+    assert decoded.accept_flags() == greedy.accept_flags()
+    assert decoded.accepted() == greedy.accepted()
+    assert decode_net.residual_snapshot() == greedy_net.residual_snapshot()
+
+
 def test_greedy_routing_failure_rolls_back_everything():
     # bandwidth floor of 10 can never be met towards the egress
     spec = spec_of([("h1", 8, 1024), ("h2", 8, 1024)],
