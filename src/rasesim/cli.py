@@ -58,17 +58,7 @@ def _bin_width(text: str) -> float:
     return width
 
 
-def _worker_count(text: str) -> int:
-    try:
-        count = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return count
-
-
-def _add_common(parser, *, config=True, seed=False, output_dir=False, parallel=False):
+def _add_common(parser, *, config=True, seed=False, output_dir=False):
     if config:
         parser.add_argument("--config", required=True, help="experiment config file (JSON)")
     if seed:
@@ -77,9 +67,6 @@ def _add_common(parser, *, config=True, seed=False, output_dir=False, parallel=F
         parser.add_argument("--output-dir", default=None,
                             help=f"pin the output directory (else ${OUTPUT_DIR_ENV}, else a "
                                  "timestamped subdirectory of the config's output directory)")
-    if parallel:
-        parser.add_argument("--parallel", type=_worker_count, default=1,
-                            help="max concurrent GA candidate evaluations, >= 1")
     parser.add_argument("--quiet", action="store_true", help="suppress informational output")
 
 
@@ -88,13 +75,13 @@ def _build_parser() -> _Parser:
     commands = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     run = commands.add_parser("run", help="run the full experiment and write report files")
-    _add_common(run, seed=True, output_dir=True, parallel=True)
+    _add_common(run, seed=True, output_dir=True)
     run.add_argument("--format", choices=("csv", "json", "both"), default=None,
                      help="override the config's output formats")
     run.set_defaults(handler=_cmd_run)
 
     solve = commands.add_parser("solve", help="run the solver only and print outcomes")
-    _add_common(solve, seed=True, parallel=True)
+    _add_common(solve, seed=True)
     solve.set_defaults(handler=_cmd_solve)
 
     generate = commands.add_parser("generate", help="materialize SFCRs from templates to a file")
@@ -126,7 +113,7 @@ def _say(args, message: str) -> None:
 
 def _cmd_run(args) -> int:
     cfg = load_config(args.config, seed_override=args.seed)
-    report = run_experiment(cfg, parallel=args.parallel)
+    report = run_experiment(cfg)
     if args.format is None:
         formats = cfg.output.formats
     elif args.format == "both":
@@ -149,7 +136,7 @@ def _cmd_solve(args) -> int:
     cfg = load_config(args.config, seed_override=args.seed)
     sfcrs = generate_requests(cfg)
     net = build_network(cfg.network)
-    scheme, _trace, solve_seconds = run_solver(cfg, net, sfcrs, parallel=args.parallel)
+    scheme, _trace, solve_seconds = run_solver(cfg, net, sfcrs)
     for outcome in scheme.outcomes:
         if isinstance(outcome, SfcRejection):
             _say(args, f"{outcome.sfcr_id} rejected {outcome.reason}")

@@ -44,6 +44,7 @@ from .solver import (
     EvolutionTrace,
     Fitness,
     GAParams,
+    InvalidParamsError,
     SfcPlacement,
     _demand_table,
     _unit_table,
@@ -261,7 +262,13 @@ def generate_requests(cfg: ExperimentConfig) -> list[SFCRequest]:
 
 
 def run_solver(cfg: ExperimentConfig, net: SubstrateNetwork, sfcrs, parallel: int = 1):
-    """Solve stage only: returns (scheme, trace-or-None, wall-clock seconds)."""
+    """Solve stage only: returns (scheme, trace-or-None, wall-clock seconds).
+
+    parallel exists only because bench/lifecycle.py passes 1; any other value
+    is an InvalidParamsError. GA candidates are evaluated one after another.
+    """
+    if parallel != 1:
+        raise InvalidParamsError(f"parallel must be 1, got {parallel}")
     trace: EvolutionTrace | None = None
     started = time.perf_counter()
     if not sfcrs:
@@ -270,13 +277,17 @@ def run_solver(cfg: ExperimentConfig, net: SubstrateNetwork, sfcrs, parallel: in
         scheme = solve_simple_dijkstra(net, sfcrs, cfg.catalog)
     else:
         evaluator = build_ga_evaluator(net, sfcrs, cfg.catalog, cfg.engine)
-        result = ga_solve(net, sfcrs, cfg.catalog, cfg.solver.ga, evaluator, cfg.seed, parallel)
+        result = ga_solve(net, sfcrs, cfg.catalog, cfg.solver.ga, evaluator, cfg.seed)
         scheme, trace = result.best_scheme, result.trace
     return scheme, trace, time.perf_counter() - started
 
 
 def run_experiment(cfg: ExperimentConfig, parallel: int = 1) -> ExperimentReport:
-    """Execute the full lifecycle deterministically from cfg.seed."""
+    """Execute the full lifecycle deterministically from cfg.seed.
+
+    parallel exists only because bench/lifecycle.py passes 1; it goes on to
+    run_solver, which refuses any other value.
+    """
     sfcrs = generate_requests(cfg)
     net = build_network(cfg.network)
     scheme, trace, solve_seconds = run_solver(cfg, net, sfcrs, parallel)

@@ -31,8 +31,9 @@ one link. The tree keeps, per node index, the parent index, the link index
 and the settle-time delay, and a path is walked back from them.
 
 Copies share the parent map and the trees as they share the memo; each is
-published only once complete, so two threads racing on a cold network or
-source only build the same one twice.
+published only once complete, so two threads of a library caller racing on
+a cold network or source only build the same one twice. The package itself
+starts no threads.
 
 A floored search first checks both ends: if no link at the source, or none
 at the destination, clears the floor, there is no path and nothing is

@@ -2,9 +2,9 @@
 
 All randomness in a run flows from one user-supplied seed. Sub-streams
 (SFCR generation, GA generations, per-candidate evaluations, the telemetry
-engine) get their own seeds derived here, so parallel and serial execution
-draw identical numbers. Built-in hash() is salted per process and must never
-be used for this.
+engine) get their own seeds derived here, so the numbers each draws do not
+depend on the order in which they are evaluated. Built-in hash() is salted
+per process and must never be used for this.
 """
 
 import hashlib

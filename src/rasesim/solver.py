@@ -11,7 +11,6 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -518,19 +517,10 @@ def _population_stats(generation: int, population: Sequence[Chromosome],
 
 
 def _evaluate(population: Sequence[Chromosome], evaluator: Evaluator, seed: int, generation: int,
-              parallel: int, cached: Mapping[int, Fitness]) -> list[Fitness]:
-    """Evaluate a population; results merge by index so parallelism is invisible."""
-    pending = [i for i in range(len(population)) if i not in cached]
-    seeds = {i: derive_seed(seed, "eval", generation, i) for i in pending}
-    results: dict[int, Fitness] = dict(cached)
-    if parallel > 1 and len(pending) > 1:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            for i, fitness in zip(pending, pool.map(lambda i: evaluator(population[i], seeds[i]), pending)):
-                results[i] = fitness
-    else:
-        for i in pending:
-            results[i] = evaluator(population[i], seeds[i])
-    return [results[i] for i in range(len(population))]
+              cached: Mapping[int, Fitness]) -> list[Fitness]:
+    """Evaluate a population in index order; a carried elite keeps its cached fitness."""
+    return [cached[i] if i in cached else evaluator(chromosome, derive_seed(seed, "eval", generation, i))
+            for i, chromosome in enumerate(population)]
 
 
 def random_chromosome(hosts: Sequence[str], gene_count: int, rng: random.Random) -> Chromosome:
@@ -538,27 +528,25 @@ def random_chromosome(hosts: Sequence[str], gene_count: int, rng: random.Random)
 
 
 def ga_solve(net: SubstrateNetwork, sfcrs: Sequence[SFCRequest], catalog: Catalog, params: GAParams,
-             evaluator: Evaluator, seed: int, parallel: int = 1) -> GAResult:
+             evaluator: Evaluator, seed: int) -> GAResult:
     """Evolve placements: elitism, tournament selection, crossover, mutation.
 
     The initial population samples every gene uniformly over hosts. Each
     candidate evaluation receives a seed derived from (seed, generation,
-    index), so traces are identical under any evaluation concurrency. The
+    index), so the trace does not depend on the order of evaluation. The
     best chromosome ever evaluated is decoded into the caller's net and
     returned with the full per-generation trace. The evaluator may read
     and copy net: nothing is charged to it before the last evaluation.
     """
     if not sfcrs:
         raise InvalidParamsError("ga_solve needs at least one SFCR")
-    if parallel < 1:
-        raise InvalidParamsError(f"parallel must be >= 1, got {parallel}")
     hosts = sorted(net.host_ids())
     gene_count = sum(len(s.chain) for s in sfcrs)
     mutation_rate = params.mutation_rate if params.mutation_rate is not None else 1.0 / gene_count
 
     init_rng = random.Random(derive_seed(seed, "ga-init"))
     population = [random_chromosome(hosts, gene_count, init_rng) for _ in range(params.population)]
-    fitnesses = _evaluate(population, evaluator, seed, 0, parallel, {})
+    fitnesses = _evaluate(population, evaluator, seed, 0, {})
     trace = [_population_stats(0, population, fitnesses)]
     best_chromosome = trace[0].best
     best_fitness = trace[0].best_fitness
@@ -577,7 +565,7 @@ def ga_solve(net: SubstrateNetwork, sfcrs: Sequence[SFCRequest], catalog: Catalo
             if len(next_population) < params.population:
                 next_population.append(mutate(child_b, mutation_rate, hosts, rng))
         population = next_population
-        fitnesses = _evaluate(population, evaluator, seed, generation, parallel, carried)
+        fitnesses = _evaluate(population, evaluator, seed, generation, carried)
         stats = _population_stats(generation, population, fitnesses)
         trace.append(stats)
         if compare_fitness(stats.best_fitness, best_fitness) > 0:

@@ -217,7 +217,8 @@ class SubstrateNetwork:
 
     Single-writer: mutate a given instance from one thread only. copy()
     yields an independent network (shared immutable spec, private residuals)
-    that is safe to use in parallel with the original. Copies also share what
+    that a library caller may use in parallel with the original; the package
+    itself starts no threads. Copies also share what
     routing.shortest_path fills: the route memo, one all-links path per
     (source, destination) pair, and what it is answered from over the node
     and link indexes made here. On a tree-shaped spec (one link fewer than

@@ -1,5 +1,6 @@
 import pytest
 
+from rasesim.experiment import generate_requests, load_config, run_experiment, run_solver
 from rasesim.solver import (
     Fitness,
     GAParams,
@@ -119,24 +120,20 @@ def test_identical_seeds_give_identical_traces(small_problem):
     assert runs[0].best_chromosome == runs[1].best_chromosome
 
 
-def test_parallel_evaluation_matches_serial(small_problem):
-    spec, catalog, requests = small_problem
-    params = GAParams(population=8, generations=4)
-    serial = ga_solve(build_network(spec), requests, catalog, params,
-                      path_delay_evaluator(spec, requests, catalog), seed=13, parallel=1)
-    threaded = ga_solve(build_network(spec), requests, catalog, params,
-                        path_delay_evaluator(spec, requests, catalog), seed=13, parallel=4)
-    assert serial.trace == threaded.trace
+@pytest.mark.parametrize("parallel", [0, 2])
+def test_run_solver_refuses_any_worker_count_but_one(scenario_dir, parallel):
+    cfg = load_config(scenario_dir / "ga_small.json")
+    net = build_network(cfg.network)
+    with pytest.raises(InvalidParamsError, match=f"parallel must be 1, got {parallel}"):
+        run_solver(cfg, net, generate_requests(cfg), parallel)
+    assert net.residual_snapshot() == build_network(cfg.network).residual_snapshot()
+    with pytest.raises(InvalidParamsError, match=f"parallel must be 1, got {parallel}"):
+        run_experiment(cfg, parallel=parallel)
 
 
-@pytest.mark.parametrize("parallel", [0, -3])
-def test_fewer_than_one_worker_is_invalid(small_problem, parallel):
-    spec, catalog, requests = small_problem
-    net = build_network(spec)
-    with pytest.raises(InvalidParamsError, match="parallel must be >= 1"):
-        ga_solve(net, requests, catalog, GAParams(population=4, generations=1),
-                 path_delay_evaluator(spec, requests, catalog), seed=13, parallel=parallel)
-    assert net.residual_snapshot() == build_network(spec).residual_snapshot()
+def test_run_experiment_with_one_worker_is_the_default_run(scenario_dir):
+    cfg = load_config(scenario_dir / "ga_small.json")
+    assert run_experiment(cfg, parallel=1) == run_experiment(cfg)
 
 
 def test_best_scheme_is_decoded_into_callers_network(small_problem):

@@ -75,7 +75,7 @@ def test_ga_and_random_search_find_what_the_reference_finds(engine_cfg):
 
     def both(make):
         evaluator = make(build_network(spec), sfcrs, catalog, engine_cfg)
-        return (ga_solve(build_network(spec), sfcrs, catalog, params, evaluator, seed=11, parallel=2),
+        return (ga_solve(build_network(spec), sfcrs, catalog, params, evaluator, seed=11),
                 random_search(build_network(spec), sfcrs, 40, evaluator, seed=11))
 
     assert both(build_ga_evaluator) == both(reference_ga_evaluator)
