@@ -348,6 +348,14 @@ def test_parallel_flag_is_an_unrecognized_argument(scenario_dir, tmp_path, capsy
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "solve"])
+def test_help_no_longer_offers_parallel(capsys, command):
+    assert run_cli(command, "--help") == 0
+    out = capsys.readouterr().out
+    assert "--seed" in out
+    assert "--parallel" not in out
+
+
 def _edited_exp1(scenario_dir, tmp_path, edit):
     data = json.loads((scenario_dir / "exp1.json").read_text())
     edit(data)

@@ -8,10 +8,12 @@ from rasesim.solver import (
     acceptance_ratio,
     compare_fitness,
     decode_chromosome,
+    _evaluate,
     ga_solve,
     random_search,
     solve_simple_dijkstra,
 )
+from rasesim.seeding import derive_seed
 from rasesim.telemetry import LatencyOverflowError
 from rasesim.topology import build_network
 
@@ -120,7 +122,7 @@ def test_identical_seeds_give_identical_traces(small_problem):
     assert runs[0].best_chromosome == runs[1].best_chromosome
 
 
-@pytest.mark.parametrize("parallel", [0, 2])
+@pytest.mark.parametrize("parallel", [0, -3, 2])
 def test_run_solver_refuses_any_worker_count_but_one(scenario_dir, parallel):
     cfg = load_config(scenario_dir / "ga_small.json")
     net = build_network(cfg.network)
@@ -134,6 +136,29 @@ def test_run_solver_refuses_any_worker_count_but_one(scenario_dir, parallel):
 def test_run_experiment_with_one_worker_is_the_default_run(scenario_dir):
     cfg = load_config(scenario_dir / "ga_small.json")
     assert run_experiment(cfg, parallel=1) == run_experiment(cfg)
+
+
+def test_ga_solve_takes_no_worker_count(small_problem):
+    spec, catalog, requests = small_problem
+    with pytest.raises(TypeError, match="parallel"):
+        ga_solve(build_network(spec), requests, catalog, GAParams(population=4, generations=1),
+                 path_delay_evaluator(spec, requests, catalog), seed=13, parallel=1)
+
+
+def test_evaluate_seeds_each_uncached_candidate_by_its_index():
+    """Candidates are evaluated in index order, each with the seed of (seed, generation, index);
+    a cached fitness is returned in place without calling the evaluator."""
+    population = [("h1",), ("h2",), ("h3",), ("h4",)]
+    elite = Fitness(1.0, 0.5)
+    calls = []
+
+    def evaluator(chromosome, eval_seed):
+        calls.append((chromosome, eval_seed))
+        return Fitness(0.5, float(len(calls)))
+
+    fitnesses = _evaluate(population, evaluator, 9, 3, {2: elite})
+    assert calls == [(population[i], derive_seed(9, "eval", 3, i)) for i in (0, 1, 3)]
+    assert fitnesses == [Fitness(0.5, 1.0), Fitness(0.5, 2.0), elite, Fitness(0.5, 3.0)]
 
 
 def test_best_scheme_is_decoded_into_callers_network(small_problem):
