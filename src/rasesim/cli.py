@@ -10,6 +10,7 @@ Errors print a single line `error: <stage>: <message>` to stderr.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import sys
@@ -17,7 +18,6 @@ from pathlib import Path
 
 from .errors import ConfigError, RaseSimError
 from .experiment import (
-    _json_text,
     generate_requests,
     histogram_csv,
     load_config,
@@ -156,7 +156,7 @@ def _cmd_generate(args) -> int:
         "seed": derive_seed(cfg.seed, "sfcrs"),
         "sfcrs": [template_to_dict(s) for s in sfcrs],
     }
-    text = _json_text(payload) + "\n"
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     for target in write_atomically(directory, {"sfcrs_generated.json": text}):
         _say(args, f"wrote {target}")
     return 0

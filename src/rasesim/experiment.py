@@ -11,7 +11,6 @@ stay reproducible.
 from __future__ import annotations
 
 import csv
-import functools
 import hashlib
 import json
 import math
@@ -328,68 +327,9 @@ def report_to_dict(report: ExperimentReport) -> dict:
     return _jsonable(report)
 
 
-@functools.cache
-def _leaf_encoder(level: int) -> json.JSONEncoder:
-    """Writes a container of scalars whose items sit at `level`, as the indenting encoder would.
-
-    Without an indent the encoder runs in C; the line break and indent go
-    into its item separator instead.
-    """
-    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * level, ": "))
-
-
 def _same_objects(last: list, now: list) -> bool:
     """Whether two lists hold the very same objects in the same order; equal values do not count."""
     return len(last) == len(now) and all(map(is_, last, now))
-
-
-class _Json(tuple):
-    """Chunks of JSON text already written at the level of the value they stand for (see _render_frames)."""
-
-
-def _json_text(value) -> str:
-    """Exactly what json.dumps writes with sort_keys=True and an indent of 2, for string keys.
-
-    A container whose values are all of exact scalar types is a leaf: the C
-    encoder writes its items. Every other container, including one holding a
-    tuple or a subclass of dict or list, is written here item by item.
-    """
-    out: list[str] = []
-    _write_json(value, 0, out)
-    return "".join(out)
-
-
-def _write_json(value, level: int, out: list[str]) -> None:
-    """Append value's text at level to out; a _Json's chunks are appended as they are."""
-    if type(value) is _Json:
-        out += value
-        return
-    if isinstance(value, dict):
-        opening, closing, values = "{", "}", value.values()
-    elif isinstance(value, (list, tuple)):
-        opening, closing, values = "[", "]", value
-    else:
-        out.append(_leaf_encoder(level).encode(value))
-        return
-    if not value:
-        out.append(opening + closing)
-        return
-    inner = "\n" + "  " * (level + 1)
-    out += [opening, inner]
-    if set(map(type, values)) <= _SCALAR_TYPES:
-        out.append(_leaf_encoder(level + 1).encode(value)[1:-1])  # without the C encoder's brackets
-    elif opening == "{":
-        for index, (item_key, item) in enumerate(sorted(value.items())):
-            if index:
-                out += [",", inner]
-            out += [encode_basestring_ascii(item_key), ": "]
-            _write_json(item, level + 1, out)
-    else:
-        for index, item in enumerate(value):
-            if index:
-                out += [",", inner]
-            _write_json(item, level + 1, out)
-    out += ["\n", "  " * level, closing]
 
 
 def report_from_dict(data) -> ExperimentReport:
@@ -456,22 +396,27 @@ def _field_texts(values) -> dict[str, str]:
     return texts
 
 
-# between the items of a frame's map in report.json; a plain frame's item is
-# _FRAME_JSON with its maps' items and its timestamp between the parts
-_MAP_ITEM_SEPARATOR = ",\n        "
-_FRAME_JSON = ('{\n      "host_cpu": {\n        ', '\n      },\n      "link_bw_mbps": {\n        ',
-               '\n      },\n      "sfc_latency_ms": {\n        ', '\n      },\n      "timestamp_s": ', "\n    }")
+# before each frame's item in report.json; report_files drops the first frame's
+_FRAME_SEPARATOR = ",\n    "
+# a plain frame's item is _FRAME_JSON with its maps' texts and its timestamp between the parts
+_FRAME_JSON = ('{\n      "host_cpu": ', ',\n      "link_bw_mbps": ', ',\n      "sfc_latency_ms": ',
+               ',\n      "timestamp_s": ', "\n    }")
+
+
+def _map_json(items) -> str:
+    """A frame map's text in report.json from its "key: value" items, in key order."""
+    return "{\n        " + ",\n        ".join(items) + "\n      }" if items else "{}"
 
 
 def _plain(mapping) -> bool:
-    """A non-empty map of str keys and exact, finite floats, which json and csv.writer both write as repr."""
+    """A map of str keys and exact, finite floats, which json and csv.writer both write as repr."""
     values = mapping.values()
-    return (bool(mapping) and set(map(type, mapping)) == {str} and set(map(type, values)) == {float}
+    return (set(map(type, mapping)) <= {str} and set(map(type, values)) <= {float}
             and math.isfinite(sum(values)))  # the sum of finite floats is NaN or infinite only on overflow
 
 
 def _plain_items(memo: dict, kind: str, mapping):
-    """(key and value objects, sorted keys, values' reprs in that order, JSON items) of a plain map, else None.
+    """(key and value objects, sorted keys, values' reprs in that order, JSON text) of a plain map, else None.
 
     memo holds the last plain map of each kind; a map of the very same key
     and value objects, in the same order, gets that map's entry. Only
@@ -486,61 +431,60 @@ def _plain_items(memo: dict, kind: str, mapping):
         return None
     keys = sorted(mapping)
     reprs = [repr(mapping[key]) for key in keys]
-    items = _MAP_ITEM_SEPARATOR.join([f"{encode_basestring_ascii(key)}: {text}" for key, text in zip(keys, reprs)])
-    memo[kind] = last = objects, keys, reprs, items
+    text = _map_json([f"{encode_basestring_ascii(key)}: {value}" for key, value in zip(keys, reprs)])
+    memo[kind] = last = objects, keys, reprs, text
     return last
 
 
-def _render_frames(report: ExperimentReport) -> tuple[list[_Json], list[str], list[str]]:
-    """Each frame's report.json item (at the level of the report's frames), latency.csv and cpu.csv lines.
+def _render_frames(report: ExperimentReport) -> tuple[list[str], list[str], list[str]]:
+    """report.json's chunks of the frames, each frame's item after a _FRAME_SEPARATOR; latency.csv and cpu.csv lines.
 
     A frame is plain when its timestamp is an exact, finite float and its
-    three maps are plain (see _plain). Each of its numbers' repr is then
-    taken once for all three files. Its host_cpu and link_bw_mbps items, and
-    its cpu.csv rows after the timestamp, are the last frame's where the map
-    holds the very same objects (see _plain_items), as the frames of one
-    traffic epoch do. The latency keys' encodings, their sorted order and
-    the accepted ids' positions are found once per sequence of the very same
-    key objects. Any other frame is written as json.dumps and csv.writer
-    write it: its report.json item by _write_json, each CSV number as repr.
+    three maps are plain (see _plain), empty ones too. Each of its numbers'
+    repr is then taken once for all three files. Its host_cpu and
+    link_bw_mbps texts, and its cpu.csv rows after the timestamp, are the
+    last frame's where the map holds the very same objects (see
+    _plain_items), as the frames of one traffic epoch do. The latency keys'
+    encodings, their sorted order and the accepted ids' positions are found
+    once per sequence of the very same key objects. Any other frame is
+    written as json.dumps and csv.writer write it: its report.json item by
+    json.dumps, each CSV number as repr.
     """
     accepted = [o.sfcr_id for o in report.outcomes if o.accepted]
     id_texts = _field_texts(accepted)
     id_fields = [f",{id_texts[sfc_id]}," for sfc_id in accepted]
     host_texts = _field_texts(set().union(*(frame.host_cpu for frame in report.frames)))
-    json_items, latency_lines, cpu_lines = [], [], []
+    json_chunks, latency_lines, cpu_lines = [], [], []
     memo: dict = {}
-    cpu_entry = cpu_rows = None
-    keys: list = []  # the last plain frame's latency keys
+    cpu_entry = cpu_rows = keys = None  # keys: the last plain frame's latency keys
     for frame in report.frames:
         cpu = _plain_items(memo, "cpu", frame.host_cpu)
         links = _plain_items(memo, "links", frame.link_bw_mbps)
         latency, stamp = frame.sfc_latency_ms, repr(frame.timestamp_s)
         if (cpu and links and type(frame.timestamp_s) is float and math.isfinite(frame.timestamp_s)
                 and _plain(latency)):
-            if not _same_objects(keys, [*latency]):
+            if keys is None or not _same_objects(keys, [*latency]):
                 keys = [*latency]
                 order = sorted(range(len(keys)), key=keys.__getitem__)
                 prefixes = [encode_basestring_ascii(keys[index]) + ": " for index in order]
                 position = {key: index for index, key in enumerate(keys)}
                 columns = [position[sfc_id] for sfc_id in accepted]
             reprs = [*map(repr, latency.values())]
-            items = _MAP_ITEM_SEPARATOR.join(map(add, prefixes, map(reprs.__getitem__, order)))
-            json_items.append(_Json((_FRAME_JSON[0], cpu[3], _FRAME_JSON[1], links[3], _FRAME_JSON[2], items,
-                                     _FRAME_JSON[3], stamp, _FRAME_JSON[4])))
+            items = _map_json([*map(add, prefixes, map(reprs.__getitem__, order))])
+            json_chunks += (_FRAME_SEPARATOR, _FRAME_JSON[0], cpu[3], _FRAME_JSON[1], links[3], _FRAME_JSON[2], items,
+                            _FRAME_JSON[3], stamp, _FRAME_JSON[4])
             picked = map(reprs.__getitem__, columns)
             if cpu is not cpu_entry:
                 cpu_entry, cpu_rows = cpu, [f",{host_texts[host]},{text}\n" for host, text in zip(cpu[1], cpu[2])]
             rows = cpu_rows
         else:
-            chunks: list[str] = []
-            _write_json(_jsonable(frame), 2, chunks)
-            json_items.append(_Json(chunks))
+            item = json.dumps(_jsonable(frame), indent=2, sort_keys=True)
+            json_chunks += (_FRAME_SEPARATOR, item.replace("\n", "\n    "))  # at the level of the report's frames
             picked = [repr(latency[sfc_id]) for sfc_id in accepted]
             rows = [f",{host_texts[host]},{frame.host_cpu[host]!r}\n" for host in sorted(frame.host_cpu)]
         latency_lines.append(stamp + ("\n" + stamp).join(map(add, id_fields, picked)) + "\n" if accepted else "")
         cpu_lines.append(stamp.join(["", *rows]))
-    return json_items, latency_lines, cpu_lines
+    return json_chunks, latency_lines, cpu_lines
 
 
 def trace_csv(report: ExperimentReport) -> str:
@@ -608,14 +552,14 @@ def report_files(report: ExperimentReport, formats=("json", "csv")) -> dict[str,
     rendered once, in one pass, for report.json, latency.csv and cpu.csv
     (see _render_frames), and those three files are lists of chunks.
     """
-    json_items, latency_lines, cpu_lines = _render_frames(report)
+    json_chunks, latency_lines, cpu_lines = _render_frames(report)
     files: dict[str, str | list[str]] = {}
     if "json" in formats:
-        document = report_to_dict(replace(report, frames=()))
-        document["frames"] = json_items
-        files[REPORT_FILENAME] = chunks = []
-        _write_json(document, 0, chunks)
-        chunks.append("\n")
+        text = json.dumps(report_to_dict(replace(report, frames=())), indent=2, sort_keys=True)
+        # the one top-level line of the frames: a JSON string holds no raw line break, a deeper line more indent
+        head, tail = text.split('\n  "frames": []')
+        files[REPORT_FILENAME] = ([head, '\n  "frames": [\n    ', *json_chunks[1:], "\n  ]", tail, "\n"]
+                                  if json_chunks else [text, "\n"])
     if "csv" in formats:
         files["outcomes.csv"] = outcomes_csv(report)
         files["latency.csv"] = ["timestamp_s,sfc_id,latency_ms\n", *latency_lines]

@@ -10,7 +10,8 @@ import pytest
 
 import rasesim
 from rasesim.cli import main
-from rasesim.experiment import _jsonable
+from rasesim.experiment import _jsonable, generate_requests, load_config, template_to_dict
+from rasesim.seeding import derive_seed
 
 from helpers import ladder_spec
 
@@ -167,9 +168,13 @@ def test_unpinned_output_goes_to_timestamped_subdir(exp1, tmp_path, monkeypatch)
 
 def test_generate_materializes_sfcrs(exp1, tmp_path):
     assert run_cli("generate", "--config", exp1, "--output-dir", str(tmp_path)) == 0
-    data = json.loads((tmp_path / "sfcrs_generated.json").read_text())
+    text = (tmp_path / "sfcrs_generated.json").read_bytes().decode("utf-8")
+    data = json.loads(text)
     assert "seed" in data
     assert [s["id"] for s in data["sfcrs"]] == ["web-basic-1", "secure-web-1", "media-cdn-1", "deep-inspect-1"]
+    cfg = load_config(exp1)
+    payload = {"seed": derive_seed(cfg.seed, "sfcrs"), "sfcrs": [template_to_dict(s) for s in generate_requests(cfg)]}
+    assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def test_report_command_reaggregates(exp1, tmp_path):

@@ -13,9 +13,10 @@ import pytest
 from rasesim import experiment
 from rasesim.errors import IoError
 from rasesim.cli import main
-from rasesim.experiment import (ExperimentReport, SfcOutcome, _json_text, _plain, load_config, report_files,
-                                report_to_dict, run_experiment, write_atomically, write_report)
+from rasesim.experiment import (ExperimentReport, SfcOutcome, _plain, load_config, report_files, report_to_dict,
+                                run_experiment, write_atomically, write_report)
 from rasesim.telemetry import TelemetryFrame
+from rasesim.topology import HostSpec, NetworkSpec
 
 # a quote, a comma, line breaks, a backslash, a control character and non-ASCII text
 AWKWARD = ['plain', 'a,b', 'say "hi"', 'two\nlines', 'cr\rlf\r\n', 'back\\slash', 'tab\t\x00',
@@ -23,47 +24,6 @@ AWKWARD = ['plain', 'a,b', 'say "hi"', 'two\nlines', 'cr\rlf\r\n', 'back\\slash'
 
 FLOATS = [0.0, -0.0, 0.1, -2.5, 1e-7, 1e16, 1e22, -1e300, 1.7976931348623157e308, 5e-324, -1e-310,
           float("nan"), float("inf"), float("-inf")]
-
-
-def _scalar(rng: random.Random):
-    kind = rng.randrange(6)
-    if kind == 0:
-        return rng.choice(FLOATS) if rng.random() < 0.5 else rng.uniform(-1e3, 1e3)
-    if kind == 1:
-        return rng.choice((0, -1, 7, 2**63, -(10**30)))
-    if kind == 2:
-        return rng.choice((True, False))
-    if kind == 3:
-        return None
-    return rng.choice(AWKWARD) + rng.choice(AWKWARD)
-
-
-def _document(rng: random.Random, depth: int = 0):
-    """A random JSON document with string keys: dicts, lists and tuples, empty ones too."""
-    if depth >= 4 or rng.random() < 0.3:
-        return _scalar(rng)
-    size = rng.choice((0, 1, 2, 3, 6))
-    # half the containers hold scalars only, the leaves the C encoder writes
-    leaf = rng.random() < 0.5
-    items = [_scalar(rng) if leaf else _document(rng, depth + 1) for _ in range(size)]
-    kind = rng.randrange(3)
-    if kind == 0:
-        return {rng.choice(AWKWARD) + str(i) + rng.choice(AWKWARD): item for i, item in enumerate(items)}
-    return items if kind == 1 else tuple(items)
-
-
-def test_json_text_equals_json_dumps_on_random_documents():
-    for seed in range(400):
-        document = _document(random.Random(seed))
-        assert _json_text(document) == json.dumps(document, sort_keys=True, indent=2), seed
-
-
-def test_json_text_keeps_tuples_and_subclasses_inside_leaves_indented():
-    class Mapping(dict):
-        pass
-
-    document = {"t": [1, (2, 3)], "d": {"x": Mapping(y=1.5)}, "l": [[], {}, [0.5]]}
-    assert _json_text(document) == json.dumps(document, sort_keys=True, indent=2)
 
 
 def _csv_reference(header, rows) -> str:
@@ -109,21 +69,23 @@ def test_latency_and_cpu_csv_equal_csv_writer():
 
 # Values equal to another but not the same object, whose texts differ or must be written afresh: a writer
 # that reused a map's text on == instead of on identity would write the first one's text for the second.
-# The CSV writers take numbers only.
-def _lookalikes(numbers_only: bool = False):
+# The CSV writers take numbers only; "floats" keeps the exact finite floats, which the plain path writes.
+def _lookalikes(kind: str = "any"):
     numbers = [float("0.0"), float("-0.0"), 1, float("1"), True, False, 0, float("nan"), float("nan")]
-    return numbers if numbers_only else numbers + [None, "1", "true"]
+    if kind == "floats":
+        return [value for value in numbers if type(value) is float and value == value]
+    return numbers if kind == "numbers" else numbers + [None, "1", "true"]
 
 
-def _similar_maps(rng: random.Random, count: int, numbers_only: bool = False) -> list[dict]:
+def _similar_maps(rng: random.Random, count: int, kind: str = "any") -> list[dict]:
     """count maps over one key list: each the last one's objects, or those with a lookalike or swap."""
     keys = [rng.choice(AWKWARD) + str(i) for i in range(rng.randrange(1, 5))]
-    maps = [dict(zip(keys, (rng.choice(_lookalikes(numbers_only)) for _ in keys)))]
+    maps = [dict(zip(keys, (rng.choice(_lookalikes(kind)) for _ in keys)))]
     for _ in range(count - 1):
         current = dict(maps[-1])  # the same key and value objects, in a dict of its own
         change = rng.randrange(4)
         if change == 1:
-            current[rng.choice(keys)] = rng.choice(_lookalikes(numbers_only))
+            current[rng.choice(keys)] = rng.choice(_lookalikes(kind))
         elif change == 2 and len(keys) > 1:
             first, second = rng.sample(keys, 2)
             current[first], current[second] = current[second], current[first]
@@ -133,36 +95,47 @@ def _similar_maps(rng: random.Random, count: int, numbers_only: bool = False) ->
     return maps
 
 
-def _shared_frames(rng: random.Random, count: int, numbers_only: bool = False) -> list[TelemetryFrame]:
-    cpu, links, latency = (_similar_maps(rng, count, numbers_only) for _ in range(3))
+def _shared_frames(rng: random.Random, count: int, kind: str = "any") -> list[TelemetryFrame]:
+    cpu, links, latency = (_similar_maps(rng, count, kind) for _ in range(3))
     return [TelemetryFrame(float(tick), cpu[tick], links[tick], latency[tick]) for tick in range(count)]
 
 
-def test_json_text_reuses_text_only_for_the_same_objects():
+def _assert_report_json_equals_json_dumps(report: ExperimentReport, note=None) -> None:
+    written = "".join(report_files(report, ("json",))["report.json"])
+    assert written == json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n", note
+
+
+def test_report_json_reuses_text_only_for_the_same_objects():
+    plain = 0
     for seed in range(200):
         rng = random.Random(seed)
-        maps = _similar_maps(rng, 8)
-        shared = maps[0]
-        # consecutive list items, siblings under other keys, and one map at several depths and keys
-        report = ExperimentReport("digest", (), None, None, tuple(_shared_frames(rng, 6)), None)
-        document = {"maps": maps, "same": [shared, shared], "a": {"m": shared},
-                    "b": {"c": {"m": shared}, "m": dict(shared)}, "report": report_to_dict(report)}
-        assert _json_text(document) == json.dumps(document, sort_keys=True, indent=2), seed
+        frames = _shared_frames(rng, 8, ("floats", "numbers", "any")[seed % 3])
+        shared = frames[0].host_cpu
+        # one map object as another kind of map, and again after frames of other maps
+        frames += [TelemetryFrame(8.0, shared, shared, {}), TelemetryFrame(9.0, {}, shared, shared)]
+        plain += sum(map(_is_plain_frame, frames))
+        _assert_report_json_equals_json_dumps(ExperimentReport("digest", (), None, None, tuple(frames), None), seed)
+    assert plain >= 100, plain
 
 
-def test_json_text_writes_lookalike_values_of_one_key_apart():
+def _frames_of(maps: list[dict]) -> ExperimentReport:
+    """A report whose frame i holds maps[i]'s key and value objects in each of its three maps."""
+    frames = tuple(TelemetryFrame(float(tick), dict(m), dict(m), dict(m)) for tick, m in enumerate(maps))
+    return ExperimentReport("digest", (), None, None, frames, None)
+
+
+def test_report_json_writes_lookalike_values_of_one_key_apart():
     zero, minus_zero, one, one_float = float("0.0"), float("-0.0"), 1, float("1")
     nan, other_nan = float("nan"), float("nan")
-    for values in ([zero, minus_zero, zero], [one, one_float, True, one], [nan, other_nan], ["1", one, "1"]):
-        document = [{"x": value, "y": zero} for value in values]
-        assert _json_text(document) == json.dumps(document, sort_keys=True, indent=2)
-    swapped = [{"x": zero, "y": minus_zero}, {"x": minus_zero, "y": zero}]
-    assert _json_text(swapped) == json.dumps(swapped, sort_keys=True, indent=2)
+    for values in ([zero, minus_zero, zero], [one, one_float, True, one], [nan, other_nan]):
+        _assert_report_json_equals_json_dumps(_frames_of([{"x": value, "y": zero} for value in values]), values)
+    _assert_report_json_equals_json_dumps(_frames_of([{"x": zero, "y": minus_zero}, {"x": minus_zero, "y": zero}]))
 
 
 def test_cpu_csv_reuses_rows_only_for_the_same_objects():
     for seed in range(200):
-        report = ExperimentReport("digest", (), None, None, tuple(_shared_frames(random.Random(seed), 8, True)), None)
+        frames = tuple(_shared_frames(random.Random(seed), 8, "numbers"))
+        report = ExperimentReport("digest", (), None, None, frames, None)
         assert _csv_texts(report)["cpu.csv"] == _csv_reference(
             ["timestamp_s", "host_id", "utilization"],
             [[f.timestamp_s, h, f.host_cpu[h]] for f in report.frames for h in sorted(f.host_cpu)]), seed
@@ -269,7 +242,6 @@ def test_each_writer_called_alone_equals_the_standard_library():
     for seed in range(80):
         report = _latency_report(random.Random(seed))
         assert _csv_texts(report) == _csv_references(report), seed
-        assert _json_text(report_to_dict(report)) == json.dumps(report_to_dict(report), sort_keys=True, indent=2)
 
 
 def test_write_report_and_the_report_command_render_the_frames_once(scenario_dir, tmp_path, monkeypatch):
@@ -328,20 +300,30 @@ def test_plain_and_fallback_frames_mixed_in_one_traffic_epoch(scenario_dir, tmp_
         4: {"host_cpu": {**frames[4].host_cpu, host: Millis(0.5)}},
         6: {"link_bw_mbps": {**frames[6].link_bw_mbps, link: float("inf")}},
         8: {"timestamp_s": 8},
-        10: {"link_bw_mbps": {}},
+        10: {"link_bw_mbps": {}},  # plain: an empty map is written as "{}"
         12: {"host_cpu": {**frames[12].host_cpu, host: -0.0}},  # plain, but not the shared object
         13: {"sfc_latency_ms": {**frames[13].sfc_latency_ms, sfc_id: float("nan")}},
     }
     for tick, change in variants.items():
         frames[tick] = dataclasses.replace(frames[tick], **change)
-    assert [_is_plain_frame(frame) for frame in frames[:14]] == [tick not in variants or tick == 12
+    assert [_is_plain_frame(frame) for frame in frames[:14]] == [tick not in variants or tick in (10, 12)
                                                                 for tick in range(14)]
     report = dataclasses.replace(report, frames=tuple(frames))
     files = _assert_written_as_the_standard_library_writes(report, tmp_path)
     assert f"4.0,{host},Millis(0.5)\n" in files["cpu.csv"] and files["cpu.csv"].count("Millis") == 1
 
 
-def test_zero_frames_and_no_accepted_sfc_write_headers_only(scenario_dir, tmp_path):
+def _json_dumps_calls(report: ExperimentReport, monkeypatch) -> int:
+    """How often report_files calls json.dumps to write report.json: once for the document, once per other frame."""
+    calls = []
+    dumps = json.dumps
+    with monkeypatch.context() as patch:
+        patch.setattr(experiment.json, "dumps", lambda *args, **kwargs: calls.append(args) or dumps(*args, **kwargs))
+        report_files(report, ("json",))
+    return len(calls)
+
+
+def test_zero_frames_and_no_accepted_sfc_write_headers_only(scenario_dir, tmp_path, monkeypatch):
     report = _simulated(scenario_dir)
     no_frames = dataclasses.replace(report, frames=(), mean_latency_ms=None)
     files = _assert_written_as_the_standard_library_writes(no_frames, tmp_path / "no-frames")
@@ -354,6 +336,17 @@ def test_zero_frames_and_no_accepted_sfc_write_headers_only(scenario_dir, tmp_pa
     files = _assert_written_as_the_standard_library_writes(nothing_accepted, tmp_path / "none-accepted")
     assert files["latency.csv"] == "timestamp_s,sfc_id,latency_ms\n"
     assert files["cpu.csv"].count("\n") == 1 + 10 * len(nothing_accepted.frames)
+    assert _json_dumps_calls(nothing_accepted, monkeypatch) == 1  # its empty latency maps are plain
+
+    # one host, which is both ingress and egress: no link, so every frame's link_bw_mbps is empty
+    cfg = load_config(scenario_dir / "exp1.json")
+    one_host = run_experiment(dataclasses.replace(cfg, network=NetworkSpec((HostSpec("h01", 64, 65536.0),), (), (),
+                                                                           "h01", "h01")))
+    assert all(o.accepted for o in one_host.outcomes) and one_host.outcomes
+    assert all(frame.link_bw_mbps == {} and frame.sfc_latency_ms for frame in one_host.frames)
+    files = _assert_written_as_the_standard_library_writes(one_host, tmp_path / "one-host")
+    assert files["latency.csv"].count("\n") == 1 + len(one_host.outcomes) * len(one_host.frames)
+    assert _json_dumps_calls(one_host, monkeypatch) == 1
 
 
 def test_a_frame_mutated_after_simulate_is_written_as_it_is_now(scenario_dir, tmp_path):
