@@ -105,6 +105,61 @@ def _assert_report_json_equals_json_dumps(report: ExperimentReport, note=None) -
     assert written == json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n", note
 
 
+def _scalar(rng: random.Random):
+    kind = rng.randrange(6)
+    if kind == 0:
+        return rng.choice(FLOATS) if rng.random() < 0.5 else rng.uniform(-1e3, 1e3)
+    if kind == 1:
+        return rng.choice((0, -1, 7, 2**63, -(10**30)))
+    if kind == 2:
+        return rng.choice((True, False))
+    if kind == 3:
+        return None
+    return rng.choice(AWKWARD) + rng.choice(AWKWARD)
+
+
+def _document(rng: random.Random, depth: int = 0):
+    """A random JSON document with string keys: dicts, lists and tuples, empty ones too."""
+    if depth >= 4 or rng.random() < 0.3:
+        return _scalar(rng)
+    size = rng.choice((0, 1, 2, 3, 6))
+    items = [_document(rng, depth + 1) for _ in range(size)]
+    kind = rng.randrange(3)
+    if kind == 0:
+        return {rng.choice(AWKWARD) + str(i) + rng.choice(AWKWARD): item for i, item in enumerate(items)}
+    return items if kind == 1 else tuple(items)
+
+
+# a top-level line of the document without frames, as a string and as a key; escaped, it cannot match that line
+SPLICE_LINE = '\n  "frames": []'
+
+
+def test_report_json_equals_json_dumps_on_random_documents():
+    """Frames whose maps hold random documents go through json.dumps and are placed into the document intact."""
+    for seed in range(400):
+        rng = random.Random(seed)
+        frames = []
+        for tick in range(rng.randrange(4)):
+            # a map of random documents, or now and then a plain map between them
+            maps = [{rng.choice(AWKWARD + [SPLICE_LINE]) + str(i): _document(rng) for i in range(rng.randrange(4))}
+                    if rng.random() < 0.8 else {"h": rng.uniform(0, 1)} for _ in range(3)]
+            frames.append(TelemetryFrame(rng.choice((float(tick), _scalar(rng))), *maps))
+        digest = rng.choice(AWKWARD + [SPLICE_LINE])
+        _assert_report_json_equals_json_dumps(ExperimentReport(digest, (), None, None, tuple(frames), None), seed)
+
+
+def test_report_json_keeps_tuples_and_subclasses_inside_frames_indented():
+    class Mapping(dict):
+        pass
+
+    latency = {"s": (1.5, 2.5), "d": {"x": Mapping(y=1.5)}, "l": [[], {}, [0.5]]}
+    nested = TelemetryFrame(0.5, {"t": [1, (2, 3)]}, Mapping(y=1.5), latency)
+    plain = TelemetryFrame(1.0, Mapping(h=0.25), Mapping(), {"s": 2.5})
+    assert not _is_plain_frame(nested) and _is_plain_frame(plain)
+    outcomes = (SfcOutcome("s", True, ""),)
+    _assert_report_json_equals_json_dumps(ExperimentReport("digest", outcomes, 1.0, 2.5, (nested, plain), None))
+
+
 def test_report_json_reuses_text_only_for_the_same_objects():
     plain = 0
     for seed in range(200):
