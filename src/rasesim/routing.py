@@ -14,26 +14,28 @@ So the memoised path is the answer whenever all of its links clear the
 floor, only a shortfall on one of them runs the floored search, and no
 charge, release, rollback or copy ever invalidates an entry.
 
+Every memo miss is answered from one rooted tree: per node index, the
+parent index, the index of the link to the parent and the depth. The path
+climbs both ends to where they meet and sums the delay from 0.0 in path
+order. Each tree is built once per root per network, at the first miss that
+needs it.
+
 A tree-shaped network (a connected spec with one link fewer than it has
 nodes) has exactly one simple path per pair, so that path is the minimum
 whatever the tie-break, and a floor it fails leaves no path at all. There
-a memo miss walks both ends up one rooted parent map, built by one
-breadth-first search at the first miss, to their lowest common ancestor,
-and sums the delay from 0.0 in path order; a floored miss is a NoPathError
-without a search.
+every pair is walked in one tree rooted at the first node, built by one
+breadth-first search; a floored miss is a NoPathError without a search.
 
-On any other network a memo miss is answered from the source's
-shortest-path tree: one floor-0 search from the source, run until every
-node is settled, once per source per network. The search reads the
-destination only when it pops it, so each node settles with the very key a
-search for it would return, and its settled path extends its parent's by
-one link. The tree keeps, per node index, the parent index, the link index
-and the settle-time delay, and a path is walked back from them.
+On any other network the root is the source, and its tree is the source's
+shortest-path tree: one floor-0 search from it, run until every node is
+settled, with the hop count as depth. The search reads the destination only
+when it pops it, so each node settles with the very key a search for it
+would return, and its settled path extends its parent's by one link; the
+walk's left fold over that path is the sum the search made.
 
-Copies share the parent map and the trees as they share the memo; each is
-published only once complete, so two threads of a library caller racing on
-a cold network or source only build the same one twice. The package itself
-starts no threads.
+Copies share the trees as they share the memo; each tree is published only
+once complete, so two threads of a library caller racing on a cold root only
+build the same one twice. The package itself starts no threads.
 
 A floored search first checks both ends: if no link at the source, or none
 at the destination, clears the floor, there is no path and nothing is
@@ -80,7 +82,8 @@ def shortest_path(net: SubstrateNetwork, src: str, dst: str, min_bandwidth_mbps:
 
     The pair's memoised all-links path when its links clear the floor, else
     a search over the links that do, or on a tree no path. A miss fills the
-    memo from the rooted parent map on a tree, else from src's tree.
+    memo from the tree rooted at the first node on a tree-shaped network,
+    else from src's shortest-path tree.
     """
     if not net.has_node(src):
         raise UnknownNodeError(f"unknown node {src!r}")
@@ -95,7 +98,7 @@ def shortest_path(net: SubstrateNetwork, src: str, dst: str, min_bandwidth_mbps:
     residual = net.bandwidth.units
     best = net._routes.get((src, dst))
     if best is None:
-        best = net._routes[src, dst] = (_unique_path if net._is_tree else _tree_path)(net, src, dst)
+        best = net._routes[src, dst] = _tree_path(net, net._node_ids[0] if net._is_tree else src, src, dst)
     for link in best.links:
         if not residual[link] >= floor:  # the search's test, so a NaN floor fails here too
             break
@@ -107,12 +110,12 @@ def shortest_path(net: SubstrateNetwork, src: str, dst: str, min_bandwidth_mbps:
     return path
 
 
-def _unique_path(net: SubstrateNetwork, src: str, dst: str) -> Path:
-    """The one simple path from src to dst on a tree: both ends walked up the rooted map to where they meet."""
-    rooted = net._rooted.get("map")
-    if rooted is None:
-        rooted = net._rooted["map"] = _root(net)  # published complete
-    parents, links, depths = rooted
+def _tree_path(net: SubstrateNetwork, root: str, src: str, dst: str) -> Path:
+    """The path from src to dst in root's tree, built at its first miss: both ends climbed to where they meet."""
+    tree = net._trees.get(root)
+    if tree is None:
+        tree = net._trees[root] = _tree(net, root)  # published complete
+    parents, links, depths = tree
     index, node_ids, link_ids, delay_ms = net._node_index, net._node_ids, net._link_ids, net._delay_ms
     up, down = index[src], index[dst]
     rising, falling = [up], [down]  # src to the meeting node; dst up to just below it
@@ -135,45 +138,30 @@ def _unique_path(net: SubstrateNetwork, src: str, dst: str) -> Path:
     return Path(tuple(node_ids[node] for node in rising + falling), tuple(route), delay)
 
 
-def _root(net: SubstrateNetwork) -> tuple[array, array, array]:
-    """Per node index, the parent index, the index of the link to the parent and the depth, rooted at the first node."""
+def _tree(net: SubstrateNetwork, root: str) -> tuple[array, array, array]:
+    """Per node index, the parent index, the index of the link to the parent and the depth, rooted at root.
+
+    A breadth-first search on a tree-shaped network; elsewhere root's floor-0
+    shortest-path tree, with the hop count as depth.
+    """
     index, link_index, size = net._node_index, net._link_index, len(net._node_ids)
     parents, links, depths = array("i", [-1]) * size, array("i", [-1]) * size, array("i", [0]) * size
-    root = net._node_ids[0]
-    queue, reached = [root], {root}
-    for node in queue:  # grows as it is read: a breadth-first search
-        here = index[node]
-        for neighbor, link in net._adjacency[node]:
-            if neighbor not in reached:
-                reached.add(neighbor)
-                queue.append(neighbor)
+    if net._is_tree:
+        queue = [root]
+        for node in queue:  # grows as it is read; on a tree every neighbor but the parent is a child
+            here = index[node]
+            for neighbor, link in net._adjacency[node]:
                 there = index[neighbor]
-                parents[there], links[there], depths[there] = here, link_index[link], depths[here] + 1
-    return parents, links, depths
-
-
-def _tree_path(net: SubstrateNetwork, src: str, dst: str) -> Path:
-    """The floor-0 path from src to dst, walked back through src's tree, built at its first miss."""
-    index, node_ids = net._node_index, net._node_ids
-    tree = net._trees.get(src)
-    if tree is None:
-        link_index, size = net._link_index, len(node_ids)
-        parents, links, delays = array("i", [-1]) * size, array("i", [-1]) * size, array("d", [0.0]) * size
+                if there != parents[here]:
+                    queue.append(neighbor)
+                    parents[there], links[there], depths[there] = here, link_index[link], depths[here] + 1
+    else:
         # residuals are never negative, so floor 0 shows every link, and the spec is connected
-        for delay, _hops, nodes, route in _settle(net, src, 0):
+        for _delay, hops, nodes, route in _settle(net, root, 0):
             if route:
                 node = index[nodes[-1]]
-                parents[node], links[node], delays[node] = index[nodes[-2]], link_index[route[-1]], delay
-        tree = net._trees[src] = (parents, links, delays)  # published complete
-    parents, links, delays = tree
-    link_ids, root = net._link_ids, index[src]
-    node = target = index[dst]
-    nodes, route = [dst], []
-    while node != root:
-        route.append(link_ids[links[node]])
-        node = parents[node]
-        nodes.append(node_ids[node])
-    return Path(tuple(reversed(nodes)), tuple(reversed(route)), delays[target])
+                parents[node], links[node], depths[node] = index[nodes[-2]], link_index[route[-1]], hops
+    return parents, links, depths
 
 
 def _search(net: SubstrateNetwork, src: str, dst: str, floor: int | float) -> Path | None:

@@ -220,15 +220,15 @@ class SubstrateNetwork:
     that a library caller may use in parallel with the original; the package
     itself starts no threads. Copies also share what
     routing.shortest_path fills: the route memo, one all-links path per
-    (source, destination) pair, and what it is answered from over the node
-    and link indexes made here. On a tree-shaped spec (one link fewer than
-    nodes) that is one parent map rooted at the first node; on any other,
-    one floor-0 shortest-path tree per source. All are pure functions of
-    the spec and their containers exist from __init__, so copies made at
-    any time share them. The parent map and each tree are published only
-    once complete, so two threads racing on a cold network or source only
-    build the same one twice, as two racing on a memo entry only compute
-    the same path twice.
+    (source, destination) pair, and the rooted trees it is answered from,
+    kept by root as arrays over the node and link indexes made here. On a
+    tree-shaped spec (one link fewer than nodes) one tree, rooted at the
+    first node, serves every pair; on any other, each source roots its own
+    floor-0 shortest-path tree. All are pure functions of the spec and their
+    containers exist from __init__, so copies made at any time share them.
+    Each tree is published only once complete, so two threads racing on a
+    cold root only build the same one twice, as two racing on a memo entry
+    only compute the same path twice.
     """
 
     def __init__(self, spec: NetworkSpec):
@@ -251,15 +251,13 @@ class SubstrateNetwork:
         self._node_index = {node: i for i, node in enumerate(self._node_ids)}
         self._link_ids = tuple(key for key, _ in links)
         self._link_index = {key: i for i, key in enumerate(self._link_ids)}
-        self._trees: dict[str, tuple] = {}  # (parents, links, delays) arrays by source, filled by shortest_path
+        self._trees: dict[str, tuple] = {}  # (parents, links, depths) arrays by root, filled by shortest_path
         # the spec is connected, so it is a tree exactly when it has one link fewer than nodes
         self._is_tree = len(self._link_ids) == len(self._node_ids) - 1
-        self._rooted: dict[str, tuple] = {}  # "map": (parents, links, depths) arrays on a tree, filled by shortest_path
 
     def copy(self) -> "SubstrateNetwork":
         clone = object.__new__(SubstrateNetwork)
-        # only the residuals are private; the spec, link maps, adjacency, indexes, route memo, parent map and trees
-        # are shared
+        # only the residuals are private; the spec, link maps, adjacency, indexes, route memo and trees are shared
         clone.__dict__.update(self.__dict__)
         clone.cpu, clone.memory, clone.bandwidth = self.cpu.copy(), self.memory.copy(), self.bandwidth.copy()
         return clone

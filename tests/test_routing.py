@@ -286,15 +286,15 @@ def test_copies_racing_on_one_memo_answer_as_a_fresh_network():
 
 
 def test_copies_racing_on_a_cold_tree_answer_as_a_fresh_network():
-    """As above on a tree-shaped spec, where the racers share one parent map instead of trees.
+    """As above on a tree-shaped spec, where the racers share one tree rooted at the first node.
 
-    The 221-node ladder makes the map's build long enough for a thread switch inside it.
+    The 221-node ladder makes the tree's build long enough for a thread switch inside it.
     """
     spec = ladder_spec(200)
     alone, shared = _race_copies(spec, random.Random(78))
-    assert shared._is_tree and shared._trees == {}
-    # whichever racer published the parent map, it is the complete map a lone network builds
-    assert shared._rooted == alone._rooted and len(alone._rooted["map"][0]) == 221
+    assert shared._is_tree and list(shared._trees) == ["h000"]
+    # whichever racer published the tree, it is the complete tree a lone network builds
+    assert shared._trees == alone._trees and len(alone._trees["h000"][0]) == 221
 
 
 def _count_settles(monkeypatch):
@@ -324,7 +324,7 @@ def test_every_node_of_a_tree_is_the_targeted_search_and_brute_force(delays):
         net = build_network(_graph_to_network(nodes, edges))
         for src in nodes:
             for node in nodes:
-                path = _tree_path(net, src, node)
+                path = _tree_path(net, src, src, node)
                 searched = _search(net, src, node, 0)
                 expected_nodes, expected_delay = brute_force_shortest_path(nodes, edges, src, node, 0.0)
                 assert (path.nodes, path.links) == (searched.nodes, searched.links)
@@ -333,6 +333,7 @@ def test_every_node_of_a_tree_is_the_targeted_search_and_brute_force(delays):
                 bits = path.total_propagation_ms.hex()
                 assert bits == searched.total_propagation_ms.hex() == expected_delay.hex()
         assert len(net._trees) == len(nodes)
+        assert {column.typecode for tree in net._trees.values() for column in tree} == {"i"}
 
 
 def _diamond():
@@ -403,19 +404,19 @@ def test_ladder_greedy_solve_from_trees_matches_one_search_per_pair(monkeypatch)
     spec, catalog = dual_homed_ladder_spec(200), default_catalog()
     sfcrs = generate_sfcrs(default_sfcr_templates(), 100)
     from_trees = solve_simple_dijkstra(build_network(spec), sfcrs, catalog)
-    monkeypatch.setattr(routing, "_tree_path", lambda net, src, dst: _search(net, src, dst, 0))
+    monkeypatch.setattr(routing, "_tree_path", lambda net, root, src, dst: _search(net, src, dst, 0))
     per_pair = solve_simple_dijkstra(build_network(spec), sfcrs, catalog)
     for tree_outcome, pair_outcome in zip(from_trees.outcomes, per_pair.outcomes, strict=True):
         assert tree_outcome == pair_outcome
 
 
 def test_greedy_solve_on_a_tree_shaped_ladder_runs_no_settle(monkeypatch):
-    """On ladder_spec(200), a tree, every route is the unique path: no search and no per-source tree."""
+    """On ladder_spec(200), a tree, every route is the unique path: no search and one tree, at the first node."""
     net = build_network(ladder_spec(200))
     runs = _count_settles(monkeypatch)
     scheme = solve_simple_dijkstra(net, generate_sfcrs(default_sfcr_templates(), 100), default_catalog())
     assert scheme.accepted() and net._routes
-    assert runs == [] and net._trees == {}
+    assert runs == [] and list(net._trees) == ["h000"]
 
 
 def _random_tree(rng, max_nodes=8):
@@ -428,15 +429,35 @@ def _random_tree(rng, max_nodes=8):
     return nodes, edges
 
 
-def test_unique_paths_on_trees_equal_the_tree_walk_bit_for_bit(monkeypatch):
-    """Every ordered pair's unique path is _tree_path's at floor 0; above it, the memoised path or no path."""
+def test_a_tree_rooted_at_any_node_walks_every_pair_as_the_search_does():
+    """On a tree, the walk from any root gives the floor-0 search's path, so the first node serves as the root.
+
+    Every tree stores 4-byte ints only, the 12 bytes per (root, node) pair that the README states.
+    """
+    rng = random.Random(2718)
+    for _ in range(40):
+        nodes, edges = _random_tree(rng)
+        net = build_network(_graph_to_network(nodes, edges))
+        assert net._is_tree
+        for root in nodes:
+            for src in nodes:
+                for dst in nodes:
+                    walked, searched = _tree_path(net, root, src, dst), _search(net, src, dst, 0)
+                    assert (walked.nodes, walked.links) == (searched.nodes, searched.links)
+                    assert walked.total_propagation_ms.hex() == searched.total_propagation_ms.hex()
+        assert list(net._trees) == nodes
+        assert {column.typecode for tree in net._trees.values() for column in tree} == {"i"}
+
+
+def test_unique_paths_on_trees_equal_the_search_bit_for_bit(monkeypatch):
+    """Every ordered pair's unique path is the floor-0 search's; above it, the memoised path or no path."""
     rng = random.Random(31337)
     runs = _count_settles(monkeypatch)
     for _ in range(40):
         nodes, edges = _random_tree(rng)
         spec = _graph_to_network(nodes, edges)
         reference = build_network(spec)
-        expected = {(src, dst): _tree_path(reference, src, dst) for src in nodes for dst in nodes}
+        expected = {(src, dst): _search(reference, src, dst, 0) for src in nodes for dst in nodes}
         net = build_network(spec)
         assert net._is_tree
         runs.clear()  # the reference's settles
@@ -460,4 +481,4 @@ def test_unique_paths_on_trees_equal_the_tree_walk_bit_for_bit(monkeypatch):
                 assert str(caught.value) == f"no route from {src!r} to {dst!r} with >= {floor:g} Mbps residual"
             else:
                 assert shortest_path(net, src, dst, floor) is memoised
-        assert runs == [] and net._trees == {}
+        assert runs == [] and list(net._trees) == [net._node_ids[0]]
