@@ -1,37 +1,33 @@
 """Bandwidth-filtered shortest paths over the substrate.
 
-Edge cost is propagation delay; ties break on hop count, then on the
-lexicographic node-id sequence, so identical inputs always give identical
-paths. Links whose residual bandwidth is below the requested floor are
-invisible to the search.
+Edge cost is propagation delay; ties break on hop count, then on the node-id
+sequence compared from the destination back (each node's parent is the
+smallest id among its optimal predecessors), so identical inputs always give
+identical paths. Links below the requested bandwidth floor are invisible.
 
 Each network memoises, per (source, destination) pair, the best path when
 every link is visible. The search returns the exact minimum of (delay summed
-in path order, hops, node sequence) over the simple paths in the visible
-link set. Any floor leaves visible a subset of all links, and if the
-all-links minimum lies inside that subset it is also the subset's minimum.
-So the memoised path is the answer whenever all of its links clear the
-floor, only a shortfall on one of them runs the floored search, and no
-charge, release, rollback or copy ever invalidates an entry.
+in path order, hops, node sequence from the destination back) over the
+simple paths in the visible link set. Any floor leaves visible a subset of
+all links, and if the all-links minimum lies inside that subset it is also
+the subset's minimum. So the memoised path is the answer whenever all of
+its links clear the floor, only a shortfall on one of them runs the floored
+search, and no charge, release, rollback or copy ever invalidates an entry.
 
 Every memo miss is answered from one rooted tree: per node index, the
-parent index, the index of the link to the parent and the depth. The path
-climbs both ends to where they meet and sums the delay from 0.0 in path
-order. Each tree is built once per root per network, at the first miss that
-needs it.
+parent index, the index of the link to the parent and the depth (hops). It
+is built once per root per network, at the first miss that needs it, by one
+floor-0 search from the root run until every node is settled. The search
+reads the destination only when it pops it, so each node settles with the
+parent a search for it would choose. The path climbs both ends to where
+they meet and sums the delay from 0.0 in path order, as the search does.
 
 A tree-shaped network (a connected spec with one link fewer than it has
 nodes) has exactly one simple path per pair, so that path is the minimum
 whatever the tie-break, and a floor it fails leaves no path at all. There
-every pair is walked in one tree rooted at the first node, built by one
-breadth-first search; a floored miss is a NoPathError without a search.
-
-On any other network the root is the source, and its tree is the source's
-shortest-path tree: one floor-0 search from it, run until every node is
-settled, with the hop count as depth. The search reads the destination only
-when it pops it, so each node settles with the very key a search for it
-would return, and its settled path extends its parent's by one link; the
-walk's left fold over that path is the sum the search made.
+every pair is walked in one tree rooted at the first node, and a floored
+miss is a NoPathError without a search. On any other network the root is
+the source.
 
 Copies share the trees as they share the memo; each tree is published only
 once complete, so two threads of a library caller racing on a cold root only
@@ -141,26 +137,17 @@ def _tree_path(net: SubstrateNetwork, root: str, src: str, dst: str) -> Path:
 def _tree(net: SubstrateNetwork, root: str) -> tuple[array, array, array]:
     """Per node index, the parent index, the index of the link to the parent and the depth, rooted at root.
 
-    A breadth-first search on a tree-shaped network; elsewhere root's floor-0
-    shortest-path tree, with the hop count as depth.
+    root's floor-0 shortest-path tree, with the hop count as depth; on a
+    tree-shaped network it is the network itself, hung from root.
     """
     index, link_index, size = net._node_index, net._link_index, len(net._node_ids)
     parents, links, depths = array("i", [-1]) * size, array("i", [-1]) * size, array("i", [0]) * size
-    if net._is_tree:
-        queue = [root]
-        for node in queue:  # grows as it is read; on a tree every neighbor but the parent is a child
-            here = index[node]
-            for neighbor, link in net._adjacency[node]:
-                there = index[neighbor]
-                if there != parents[here]:
-                    queue.append(neighbor)
-                    parents[there], links[there], depths[there] = here, link_index[link], depths[here] + 1
-    else:
-        # residuals are never negative, so floor 0 shows every link, and the spec is connected
-        for _delay, hops, nodes, route in _settle(net, root, 0):
-            if route:
-                node = index[nodes[-1]]
-                parents[node], links[node], depths[node] = index[nodes[-2]], link_index[route[-1]], hops
+    # residuals are never negative, so floor 0 shows every link, and the spec is connected
+    settled = _settle(net, root, 0)
+    next(settled)  # root itself, with no parent
+    for _delay, hops, node, parent, link in settled:
+        here = index[node]
+        parents[here], links[here], depths[here] = index[parent], link_index[link], hops
     return parents, links, depths
 
 
@@ -169,36 +156,45 @@ def _search(net: SubstrateNetwork, src: str, dst: str, floor: int | float) -> Pa
 
     For src != dst, a path leaves src by one of its links and enters dst by
     one of its links, so a floor that none at either end clears is refused
-    without a search.
+    without a search. Else the path is read back from dst, once it settles,
+    through each settled node's parent and link.
     """
     residual = net.bandwidth.units
     for end in (src, dst):
         if not any(residual[link] >= floor for _, link in net.neighbors(end)):  # NaN clears none
             return None
-    for delay, _hops, nodes, links in _settle(net, src, floor):
-        if nodes[-1] == dst:
-            return Path(nodes, links, delay)
+    via: dict[str, tuple[str | None, str | None]] = {}  # each settled node's parent and link to it
+    for delay, _hops, node, parent, link in _settle(net, src, floor):
+        via[node] = parent, link
+        if node == dst:
+            nodes, links = [dst], []
+            while parent is not None:
+                nodes.append(parent)
+                links.append(link)
+                parent, link = via[parent]
+            return Path(tuple(reversed(nodes)), tuple(reversed(links)), delay)
     return None
 
 
 def _settle(net: SubstrateNetwork, src: str,
-            floor: int | float) -> Iterator[tuple[float, int, tuple[str, ...], tuple[str, ...]]]:
-    """Dijkstra over the links whose residual units are >= floor, yielding each reachable node's key.
+            floor: int | float) -> Iterator[tuple[float, int, str, str | None, str | None]]:
+    """Dijkstra over the links whose residual units are >= floor, yielding each reachable node's entry.
 
-    A key is (total delay, hop count, node sequence, link sequence); its
-    first three make the documented tie-breaking exact under tuple
-    comparison. Keys only grow along a walk, so the first time a node is
-    settled its key is optimal. Nodes are yielded in settle order, src
-    first.
+    An entry is (total delay, hop count, node, parent, link from the
+    parent), src's being (0.0, 0, src, None, None); none holds a path.
+    (delay, hops) only grows along a walk, so the first entry popped for a
+    node has the least, and each optimal predecessor was settled, and pushed
+    its entry, before that pop. Tuple order then picks the smallest parent
+    id: the node sequence compared from the destination back. Nodes are
+    yielded in settle order, src first.
     """
     # the maps behind net.neighbors and net.link_delay_ms, read without a call per edge
     residual, adjacency, delay_ms = net.bandwidth.units, net._adjacency, net._delay_ms
-    heap: list[tuple[float, int, tuple[str, ...], tuple[str, ...]]] = [(0.0, 0, (src,), ())]
+    heap: list[tuple[float, int, str, str | None, str | None]] = [(0.0, 0, src, None, None)]
     settled: set[str] = set()
     while heap:
         entry = heapq.heappop(heap)
-        delay, hops, nodes, links = entry
-        node = nodes[-1]
+        delay, hops, node, _parent, _link = entry
         if node in settled:
             continue
         settled.add(node)
@@ -208,4 +204,4 @@ def _settle(net: SubstrateNetwork, src: str,
                 continue
             if not residual[link] >= floor:  # NaN fails every comparison, so a NaN floor passes no link
                 continue
-            heapq.heappush(heap, (delay + delay_ms[link], hops + 1, nodes + (neighbor,), links + (link,)))
+            heapq.heappush(heap, (delay + delay_ms[link], hops + 1, neighbor, node, link))

@@ -23,13 +23,12 @@ from rasesim.telemetry import TelemetryFrame, mean_latency
 from rasesim.topology import SubstrateNetwork
 
 
-def brute_force_shortest_path(nodes, edges, src, dst, min_bandwidth):
-    """Best simple path by exhaustive enumeration.
+def simple_paths(nodes, edges, src, dst, min_bandwidth):
+    """Every simple path from src to dst, as (node tuple, delay), over the edges with enough bandwidth.
 
-    edges: list of (a, b, delay, residual_bandwidth). Returns (node tuple,
-    delay) under the order (delay, hops, node sequence), or None if no
-    feasible path exists. Delay is accumulated in path order so float sums
-    match an algorithm that walks the same sequence.
+    edges: list of (a, b, delay, residual_bandwidth). Delay is accumulated
+    in path order so float sums match an algorithm that walks the same
+    sequence.
     """
     adjacency = {n: [] for n in nodes}
     for a, b, delay, bandwidth in edges:
@@ -38,25 +37,26 @@ def brute_force_shortest_path(nodes, edges, src, dst, min_bandwidth):
         adjacency[a].append((b, delay))
         adjacency[b].append((a, delay))
 
-    best = None
-
     def visit(node, visited, sequence, delay):
-        nonlocal best
         if node == dst:
-            key = (delay, len(sequence) - 1, sequence)
-            if best is None or key < best:
-                best = key
+            yield sequence, delay
             return
         for neighbor, edge_delay in adjacency[node]:
-            if neighbor in visited:
-                continue
-            visit(neighbor, visited | {neighbor}, sequence + (neighbor,), delay + edge_delay)
+            if neighbor not in visited:
+                yield from visit(neighbor, visited | {neighbor}, sequence + (neighbor,), delay + edge_delay)
 
-    visit(src, {src}, (src,), 0.0)
-    if best is None:
-        return None
-    delay, _hops, sequence = best
-    return sequence, delay
+    return visit(src, {src}, (src,), 0.0)
+
+
+def brute_force_shortest_path(nodes, edges, src, dst, min_bandwidth):
+    """Best simple path by exhaustive enumeration.
+
+    edges: list of (a, b, delay, residual_bandwidth). Returns (node tuple,
+    delay) under the order (delay, hops, node sequence read from dst back
+    to src), or None if no feasible path exists.
+    """
+    return min(simple_paths(nodes, edges, src, dst, min_bandwidth),
+               key=lambda path: (path[1], len(path[0]), path[0][::-1]), default=None)
 
 
 def cpu_packing_outcomes(host_cpus, demands_per_sfcr):

@@ -13,7 +13,7 @@ from rasesim.solver import solve_simple_dijkstra
 from rasesim.topology import HostSpec, LinkSpec, NetworkSpec, build_network, link_id
 
 from helpers import dual_homed_ladder_spec, ladder_spec, spec_of
-from oracles import brute_force_shortest_path, random_connected_graph
+from oracles import brute_force_shortest_path, random_connected_graph, simple_paths
 
 
 def line_net(delays=(1.0, 1.0)):
@@ -75,6 +75,16 @@ def test_tie_broken_lexicographically():
     assert shortest_path(net, "A", "B", 1.0).nodes == ("A", "M", "B")
 
 
+def test_tie_broken_from_the_destination_back():
+    # two 3-hop zero-delay routes S-A-Y-D and S-B-X-D: D's parent is the smaller of X and Y
+    net = build_network(spec_of(
+        [("S", 1, 64), ("A", 1, 64), ("B", 1, 64), ("X", 1, 64), ("Y", 1, 64), ("D", 1, 64)],
+        [("S", "A", 100, 0.0), ("A", "Y", 100, 0.0), ("Y", "D", 100, 0.0),
+         ("S", "B", 100, 0.0), ("B", "X", 100, 0.0), ("X", "D", 100, 0.0)],
+    ))
+    assert shortest_path(net, "S", "D", 1.0).nodes == ("S", "B", "X", "D")
+
+
 def test_deterministic_across_calls():
     net = line_net((0.0, 0.0))
     first = shortest_path(net, "A", "C", 1.0)
@@ -106,6 +116,36 @@ def test_matches_brute_force_on_100_random_graphs():
             assert path.nodes == expected[0]
             assert path.total_propagation_ms == expected[1]
         checked += 1
+
+
+def test_every_pair_of_tied_random_graphs_matches_brute_force():
+    """Delays from {0.0, 0.1, 0.2} tie (delay, hops) often, so the node-sequence rule decides many pairs.
+
+    Some pairs' minimum read from the source differs from the one read from
+    the destination back, so the test tells the two rules apart.
+    """
+    rng = random.Random(8668)
+    split = 0
+    for _ in range(30):
+        nodes, edges = random_connected_graph(rng, max_nodes=8)
+        edges = [(a, b, rng.choice((0.0, 0.1, 0.2)), bandwidth) for a, b, _, bandwidth in edges]
+        net = build_network(_graph_to_network(nodes, edges))
+        for src in nodes:
+            for dst in nodes:
+                if src == dst:
+                    continue
+                for floor in (0.0, 10.0):
+                    expected = brute_force_shortest_path(nodes, edges, src, dst, floor)
+                    forward = min(simple_paths(nodes, edges, src, dst, floor),
+                                  key=lambda path: (path[1], len(path[0]), path[0]), default=None)
+                    split += forward != expected
+                    if expected is None:
+                        with pytest.raises(NoPathError):
+                            shortest_path(net, src, dst, floor)
+                    else:
+                        path = shortest_path(net, src, dst, floor)
+                        assert (path.nodes, path.total_propagation_ms.hex()) == (expected[0], expected[1].hex())
+    assert split
 
 
 def test_returned_path_never_uses_filtered_links():
@@ -410,13 +450,13 @@ def test_ladder_greedy_solve_from_trees_matches_one_search_per_pair(monkeypatch)
         assert tree_outcome == pair_outcome
 
 
-def test_greedy_solve_on_a_tree_shaped_ladder_runs_no_settle(monkeypatch):
-    """On ladder_spec(200), a tree, every route is the unique path: no search and one tree, at the first node."""
+def test_greedy_solve_on_a_tree_shaped_ladder_runs_one_settle(monkeypatch):
+    """On ladder_spec(200), a tree, every route is the unique path: one settle, building one tree at the first node."""
     net = build_network(ladder_spec(200))
     runs = _count_settles(monkeypatch)
     scheme = solve_simple_dijkstra(net, generate_sfcrs(default_sfcr_templates(), 100), default_catalog())
     assert scheme.accepted() and net._routes
-    assert runs == [] and list(net._trees) == ["h000"]
+    assert runs == [("h000", 0)] and list(net._trees) == ["h000"]
 
 
 def _random_tree(rng, max_nodes=8):
@@ -481,4 +521,4 @@ def test_unique_paths_on_trees_equal_the_search_bit_for_bit(monkeypatch):
                 assert str(caught.value) == f"no route from {src!r} to {dst!r} with >= {floor:g} Mbps residual"
             else:
                 assert shortest_path(net, src, dst, floor) is memoised
-        assert runs == [] and list(net._trees) == [net._node_ids[0]]
+        assert runs == [(net._node_ids[0], 0)] and list(net._trees) == [net._node_ids[0]]
