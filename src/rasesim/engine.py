@@ -265,7 +265,7 @@ def _ticks(spec: NetworkSpec, chains: Sequence[Chain], cfg: EngineConfig, seed: 
     edges = sorted({edge for pattern in patterns for seg in pattern.segments for edge in (seg.start_s, seg.end_s)})
     span = rates = None
     for tick in range(cfg.ticks):
-        t = tick * cfg.sample_interval_s
+        t = float(tick * cfg.sample_interval_s)  # a float for an int interval too: the writers take floats
         if (edge := bisect_right(edges, t)) != span:
             span = edge
             tick_rates = [pattern.rate_at(t) for pattern in patterns]

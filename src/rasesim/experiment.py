@@ -116,7 +116,8 @@ def _resolve_section(value, base_dir: Path, parser, what: str):
     if isinstance(value, str):
         target = base_dir / value
         if not target.is_file():
-            raise ConfigError(f"{what}: referenced file {target} does not exist")
+            problem = "is not a file" if target.exists() else "does not exist"
+            raise ConfigError(f"{what}: referenced file {target} {problem}")
         try:
             value = target.read_text("utf-8")
         except (OSError, UnicodeDecodeError) as exc:
@@ -335,19 +336,18 @@ def _same_objects(last: list, now: list) -> bool:
 def report_from_dict(data) -> ExperimentReport:
     """Rebuild a report, checking every value the CSV and histogram writers read.
 
-    A ValueError for a document of another shape.
+    A ValueError for a document of another shape, and for a frame the
+    writers would refuse, with their message (see _check_map).
     """
     report = from_json(ExperimentReport, data, "report")
     if min(report.acceptance_ratio or 0.0, report.mean_latency_ms or 0.0) < 0:
         raise ValueError("report: acceptance_ratio and mean_latency_ms must be non-negative")
     accepted = [o.sfcr_id for o in report.outcomes if o.accepted]
     for i, frame in enumerate(report.frames):
-        if min(frame.timestamp_s, *frame.host_cpu.values(), *frame.link_bw_mbps.values(),
-               *frame.sfc_latency_ms.values()) < 0:
-            raise ValueError(f"report.frames[{i}] holds a negative number")
-        missing = [sfcr_id for sfcr_id in accepted if sfcr_id not in frame.sfc_latency_ms]
-        if missing:
-            raise ValueError(f"report.frames[{i}] has no latency for accepted SFC {missing[0]!r}")
+        _check_map({"timestamp_s": frame.timestamp_s}, f"report.frames[{i}]")
+        _check_map(frame.host_cpu, f"report.frames[{i}].host_cpu")
+        _check_map(frame.link_bw_mbps, f"report.frames[{i}].link_bw_mbps")
+        _check_map(frame.sfc_latency_ms, f"report.frames[{i}].sfc_latency_ms", accepted)
     return report
 
 
@@ -384,21 +384,13 @@ def _field_texts(values) -> dict[str, str]:
     _render_frames writes the CSV lines directly: an id's field text comes
     from here, and a number is written with repr, as csv.writer writes a float.
     """
-    buffer = StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    texts = {}
-    for value in values:
-        # after an empty first field, since a row of one empty field is written as ""
-        writer.writerow(("", value))
-        texts[value] = buffer.getvalue()[1:-1]
-        buffer.seek(0)
-        buffer.truncate()
-    return texts
+    # after an empty first field, since a row of one empty field is written as ""
+    return {value: _csv_text(["", value], ())[1:-1] for value in values}
 
 
 # before each frame's item in report.json; report_files drops the first frame's
 _FRAME_SEPARATOR = ",\n    "
-# a plain frame's item is _FRAME_JSON with its maps' texts and its timestamp between the parts
+# a frame's item is _FRAME_JSON with its maps' texts and its timestamp between the parts
 _FRAME_JSON = ('{\n      "host_cpu": ', ',\n      "link_bw_mbps": ', ',\n      "sfc_latency_ms": ',
                ',\n      "timestamp_s": ', "\n    }")
 
@@ -408,27 +400,37 @@ def _map_json(items) -> str:
     return "{\n        " + ",\n        ".join(items) + "\n      }" if items else "{}"
 
 
-def _plain(mapping) -> bool:
-    """A map of str keys and exact, finite floats, which json and csv.writer both write as repr."""
+def _check_map(mapping, where: str, accepted=()) -> None:
+    """A ValueError naming where unless mapping maps str keys to finite, non-negative floats and has each accepted id.
+
+    The frame contract of the writer and the reader. A finite sum means
+    finite values, so each value is looked at only when the sum is not
+    finite (finite floats can overflow it) or something else is off.
+    """
     values = mapping.values()
-    return (set(map(type, mapping)) <= {str} and set(map(type, values)) <= {float}
-            and math.isfinite(sum(values)))  # the sum of finite floats is NaN or infinite only on overflow
+    if not (set(map(type, mapping)) <= {str} and set(map(type, values)) <= {float}
+            and math.isfinite(sum(values)) and (not values or min(values) >= 0)):
+        for key, value in mapping.items():
+            if type(key) is not str or type(value) is not float or not 0 <= value < math.inf:
+                raise ValueError(f"{where} holds {key!r}: {value!r}, not a str key and a finite, non-negative float")
+    missing = [key for key in accepted if key not in mapping]
+    if missing:
+        raise ValueError(f"{where} has no entry for accepted SFC {missing[0]!r}")
 
 
-def _plain_items(memo: dict, kind: str, mapping):
-    """(key and value objects, sorted keys, values' reprs in that order, JSON text) of a plain map, else None.
+def _map_items(memo: dict, kind: str, mapping, where: str):
+    """(key and value objects, sorted keys, values' reprs in that order, JSON text) of a frame's kind map.
 
-    memo holds the last plain map of each kind; a map of the very same key
-    and value objects, in the same order, gets that map's entry. Only
-    identity counts, never equality, so 0.0 and -0.0 never share text. The
-    entry holds the objects themselves, so no id is reused while it lives.
+    memo holds the last map of each kind, checked (see _check_map); a map of
+    the very same key and value objects, in the same order, gets its entry.
+    Only identity counts, never equality, so 0.0 and -0.0 never share text.
+    The entry holds the objects themselves, so no id is reused while it lives.
     """
     objects = [*mapping, *mapping.values()]
     last = memo.get(kind)
     if last is not None and _same_objects(last[0], objects):
         return last
-    if not _plain(mapping):
-        return None
+    _check_map(mapping, f"{where}.{kind}")
     keys = sorted(mapping)
     reprs = [repr(mapping[key]) for key in keys]
     text = _map_json([f"{encode_basestring_ascii(key)}: {value}" for key, value in zip(keys, reprs)])
@@ -439,51 +441,44 @@ def _plain_items(memo: dict, kind: str, mapping):
 def _render_frames(report: ExperimentReport) -> tuple[list[str], list[str], list[str]]:
     """report.json's chunks of the frames, each frame's item after a _FRAME_SEPARATOR; latency.csv and cpu.csv lines.
 
-    A frame is plain when its timestamp is an exact, finite float and its
-    three maps are plain (see _plain), empty ones too. Each of its numbers'
-    repr is then taken once for all three files. Its host_cpu and
-    link_bw_mbps texts, and its cpu.csv rows after the timestamp, are the
-    last frame's where the map holds the very same objects (see
-    _plain_items), as the frames of one traffic epoch do. The latency keys'
-    encodings, their sorted order and the accepted ids' positions are found
-    once per sequence of the very same key objects. Any other frame is
-    written as json.dumps and csv.writer write it: its report.json item by
-    json.dumps, each CSV number as repr.
+    A frame must read back from report.json as it is: a finite, non-negative
+    float timestamp, maps that _check_map accepts and a latency for each
+    accepted SFC; any other is a ValueError naming it. Each number's repr is
+    taken once for all three files. A map of the last frame's very objects
+    reuses its texts and cpu.csv rows (see _map_items), as the frames of one
+    traffic epoch do, and the latency keys' encodings, order and accepted
+    positions are found and checked once per sequence of the same key objects.
     """
     accepted = [o.sfcr_id for o in report.outcomes if o.accepted]
-    id_texts = _field_texts(accepted)
-    id_fields = [f",{id_texts[sfc_id]}," for sfc_id in accepted]
+    id_fields = [f",{text}," for text in map(_field_texts(accepted).get, accepted)]
     host_texts = _field_texts(set().union(*(frame.host_cpu for frame in report.frames)))
     json_chunks, latency_lines, cpu_lines = [], [], []
     memo: dict = {}
-    cpu_entry = cpu_rows = keys = None  # keys: the last plain frame's latency keys
-    for frame in report.frames:
-        cpu = _plain_items(memo, "cpu", frame.host_cpu)
-        links = _plain_items(memo, "links", frame.link_bw_mbps)
-        latency, stamp = frame.sfc_latency_ms, repr(frame.timestamp_s)
-        if (cpu and links and type(frame.timestamp_s) is float and math.isfinite(frame.timestamp_s)
-                and _plain(latency)):
-            if keys is None or not _same_objects(keys, [*latency]):
-                keys = [*latency]
-                order = sorted(range(len(keys)), key=keys.__getitem__)
-                prefixes = [encode_basestring_ascii(keys[index]) + ": " for index in order]
-                position = {key: index for index, key in enumerate(keys)}
-                columns = [position[sfc_id] for sfc_id in accepted]
-            reprs = [*map(repr, latency.values())]
-            items = _map_json([*map(add, prefixes, map(reprs.__getitem__, order))])
-            json_chunks += (_FRAME_SEPARATOR, _FRAME_JSON[0], cpu[3], _FRAME_JSON[1], links[3], _FRAME_JSON[2], items,
-                            _FRAME_JSON[3], stamp, _FRAME_JSON[4])
-            picked = map(reprs.__getitem__, columns)
-            if cpu is not cpu_entry:
-                cpu_entry, cpu_rows = cpu, [f",{host_texts[host]},{text}\n" for host, text in zip(cpu[1], cpu[2])]
-            rows = cpu_rows
-        else:
-            item = json.dumps(_jsonable(frame), indent=2, sort_keys=True)
-            json_chunks += (_FRAME_SEPARATOR, item.replace("\n", "\n    "))  # at the level of the report's frames
-            picked = [repr(latency[sfc_id]) for sfc_id in accepted]
-            rows = [f",{host_texts[host]},{frame.host_cpu[host]!r}\n" for host in sorted(frame.host_cpu)]
-        latency_lines.append(stamp + ("\n" + stamp).join(map(add, id_fields, picked)) + "\n" if accepted else "")
-        cpu_lines.append(stamp.join(["", *rows]))
+    cpu_entry = cpu_rows = keys = None  # keys: the last frame's latency keys
+    for i, frame in enumerate(report.frames):
+        where, stamp = f"report.frames[{i}]", frame.timestamp_s
+        if type(stamp) is not float or not 0 <= stamp < math.inf:
+            _check_map({"timestamp_s": stamp}, where)
+        cpu = _map_items(memo, "host_cpu", frame.host_cpu, where)
+        links = _map_items(memo, "link_bw_mbps", frame.link_bw_mbps, where)
+        latency, stamp = frame.sfc_latency_ms, repr(stamp)
+        fresh = keys is None or not _same_objects(keys, [*latency])
+        _check_map(latency, where + ".sfc_latency_ms", accepted if fresh else ())
+        if fresh:
+            keys = [*latency]
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+            prefixes = [encode_basestring_ascii(keys[index]) + ": " for index in order]
+            position = {key: index for index, key in enumerate(keys)}
+            columns = [position[sfc_id] for sfc_id in accepted]
+        reprs = [*map(repr, latency.values())]
+        items = _map_json([*map(add, prefixes, map(reprs.__getitem__, order))])
+        json_chunks += (_FRAME_SEPARATOR, _FRAME_JSON[0], cpu[3], _FRAME_JSON[1], links[3], _FRAME_JSON[2], items,
+                        _FRAME_JSON[3], stamp, _FRAME_JSON[4])
+        latency_lines.append(stamp + ("\n" + stamp).join(map(add, id_fields, map(reprs.__getitem__, columns))) + "\n"
+                             if accepted else "")
+        if cpu is not cpu_entry:
+            cpu_entry, cpu_rows = cpu, [f",{host_texts[host]},{text}\n" for host, text in zip(cpu[1], cpu[2])]
+        cpu_lines.append(stamp.join(["", *cpu_rows]))
     return json_chunks, latency_lines, cpu_lines
 
 
@@ -550,7 +545,8 @@ def report_files(report: ExperimentReport, formats=("json", "csv")) -> dict[str,
     per frame and accepted SFC, in outcome order), cpu.csv (one row per frame
     and host, hosts sorted) and, for a GA run, trace.csv. The frames are
     rendered once, in one pass, for report.json, latency.csv and cpu.csv
-    (see _render_frames), and those three files are lists of chunks.
+    (see _render_frames), and those three files are lists of chunks. A frame
+    that read_report could not read back as it is raises a ValueError.
     """
     json_chunks, latency_lines, cpu_lines = _render_frames(report)
     files: dict[str, str | list[str]] = {}
@@ -570,5 +566,8 @@ def report_files(report: ExperimentReport, formats=("json", "csv")) -> dict[str,
 
 
 def write_report(report: ExperimentReport, directory, formats=("json", "csv")) -> list[Path]:
-    """Write report_files(report, formats) into directory; every file lands atomically or not at all."""
+    """Write report_files(report, formats) into directory; every file lands atomically or not at all.
+
+    A frame report_files refuses is a ValueError before any file is written.
+    """
     return write_atomically(directory, report_files(report, formats))

@@ -267,6 +267,14 @@ def test_small_report_is_well_formed(tmp_path):
     assert (tmp_path / "latency.csv").read_text() == "timestamp_s,sfc_id,latency_ms\n0.0,r1,3.5\n"
 
 
+def test_a_frame_of_empty_maps_is_read_back(tmp_path):
+    report = tmp_path / "report.json"
+    empty = {"host_cpu": {}, "link_bw_mbps": {}, "sfc_latency_ms": {}}
+    report.write_text(json.dumps(_small_report(outcome={"accepted": False, "reason": "NoHost"}, frame=empty)))
+    assert run_cli("report", "--report", str(report), "--quiet") == 0
+    assert (tmp_path / "cpu.csv").read_text() == "timestamp_s,host_id,utilization\n"
+
+
 @pytest.mark.parametrize("content", [
     {"config_digest": "x"},
     [1, 2],

@@ -62,6 +62,16 @@ def test_missing_catalog_file_is_config_error(scenario_dir, tmp_path):
     assert not (tmp_path / "results").exists()
 
 
+@pytest.mark.parametrize("section", ["catalog", "sfcrs"])
+def test_a_referenced_directory_is_not_a_file(scenario_dir, tmp_path, section):
+    (tmp_path / "sub").mkdir()
+    for value, problem in (("sub", "is not a file"), ("missing.json", "does not exist")):
+        target = rewrite_config(scenario_dir, tmp_path, "exp1.json", lambda d: d.update({section: value}))
+        with pytest.raises(ConfigError) as error:
+            load_config(target)
+        assert str(error.value) == f"{section}: referenced file {tmp_path / value} {problem}"
+
+
 @pytest.mark.parametrize(
     "mutate,needle",
     [
