@@ -57,6 +57,10 @@ class EngineConfig:
     idle_spike_range: tuple[float, float] = (0.05, 0.15)
 
     def __post_init__(self):
+        # stored as floats, so an int or Fraction from a library caller makes the float frames the writers take
+        for name in ("duration_s", "sample_interval_s", "utilization_cap", "jitter_sigma", "idle_spike_prob"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        object.__setattr__(self, "idle_spike_range", tuple(float(bound) for bound in self.idle_spike_range))
         # every check is a range written so that NaN, which fails every comparison, fails it too
         if not 0 < self.sample_interval_s <= self.duration_s < math.inf:
             raise ValueError("need 0 < sample_interval_s <= duration_s, both finite")

@@ -218,18 +218,10 @@ class SubstrateNetwork:
     Single-writer: mutate a given instance from one thread only. copy()
     yields an independent network (shared immutable spec, private residuals)
     that a library caller may use in parallel with the original; the package
-    itself starts no threads. Copies also share what
-    routing.shortest_path fills: the route memo, one all-links path per
-    (source, destination) pair, and the rooted trees it is answered from,
-    kept by root as arrays over the node and link indexes made here. Each
-    is its root's floor-0 shortest-path tree, built by one search. On a
-    tree-shaped spec (one link fewer than nodes) the tree rooted at the
-    first node serves every pair; on any other, each source roots its own.
-    All are pure functions of the spec and their containers exist from
-    __init__, so copies made at any time share them. Each tree is published
-    only once complete, so two threads racing on a cold root only build the
-    same one twice, as two racing on a memo entry only compute the same path
-    twice.
+    itself starts no threads. Copies also share the route memo and the
+    floor-0 trees that routing.shortest_path fills (see routing): both are
+    pure functions of the spec, and their containers exist from __init__,
+    so copies made at any time share them.
     """
 
     def __init__(self, spec: NetworkSpec):

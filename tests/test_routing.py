@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import sys
 import threading
@@ -6,9 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from rasesim import routing
+from rasesim import routing, solver
 from rasesim.catalog import default_catalog, default_sfcr_templates, generate_sfcrs
-from rasesim.routing import NoPathError, Path, UnknownNodeError, _search, _tree_path, shortest_path
+from rasesim.routing import NoPathError, Path, UnknownNodeError, _tree, _tree_path, shortest_path
 from rasesim.solver import solve_simple_dijkstra
 from rasesim.topology import HostSpec, LinkSpec, NetworkSpec, build_network, link_id
 
@@ -337,22 +338,22 @@ def test_copies_racing_on_a_cold_tree_answer_as_a_fresh_network():
     assert shared._trees == alone._trees and len(alone._trees["h000"][0]) == 221
 
 
-def _count_settles(monkeypatch):
-    """Replace the settle loop with one that records (src, floor) per run; the list of runs."""
+def _count_trees(monkeypatch):
+    """Replace the tree builder with one that records (root, floor) per build; the list of builds."""
     runs = []
-    settle = routing._settle
+    build = routing._tree
 
-    def counted(net, src, floor):
-        runs.append((src, floor))
-        return settle(net, src, floor)
+    def counted(net, root, floor):
+        runs.append((root, floor))
+        return build(net, root, floor)
 
-    monkeypatch.setattr(routing, "_settle", counted)
+    monkeypatch.setattr(routing, "_tree", counted)
     return runs
 
 
 @pytest.mark.parametrize("delays", [(0.1,), (0.1, 0.2), (0.0, 0.1, 0.3)], ids=["one", "two", "three"])
 def test_every_node_of_a_tree_is_the_targeted_search_and_brute_force(delays):
-    """A tree walked back to any node gives exactly what a search for that node alone returns.
+    """A tree walked from its root to any node gives exactly the enumerated minimum, delay bit for bit.
 
     Delays from a tiny set tie (delay, hops) often, so the node-sequence
     tie-break decides; 0.1 + 0.2 != 0.3 makes the order of the float sum show.
@@ -363,17 +364,14 @@ def test_every_node_of_a_tree_is_the_targeted_search_and_brute_force(delays):
         edges = [(a, b, rng.choice(delays), bandwidth) for a, b, _, bandwidth in edges]
         net = build_network(_graph_to_network(nodes, edges))
         for src in nodes:
+            tree = _tree(net, src, 0)
+            assert {column.typecode for column in tree} == {"i"}
             for node in nodes:
-                path = _tree_path(net, src, src, node)
-                searched = _search(net, src, node, 0)
+                path = _tree_path(net, tree, src, node)
                 expected_nodes, expected_delay = brute_force_shortest_path(nodes, edges, src, node, 0.0)
-                assert (path.nodes, path.links) == (searched.nodes, searched.links)
                 assert path.nodes == expected_nodes
                 assert path.links == tuple(link_id(a, b) for a, b in zip(path.nodes, path.nodes[1:]))
-                bits = path.total_propagation_ms.hex()
-                assert bits == searched.total_propagation_ms.hex() == expected_delay.hex()
-        assert len(net._trees) == len(nodes)
-        assert {column.typecode for tree in net._trees.values() for column in tree} == {"i"}
+                assert path.total_propagation_ms.hex() == expected_delay.hex()
 
 
 def _diamond():
@@ -390,7 +388,7 @@ def test_a_floor_no_link_at_an_end_clears_is_refused_without_a_search(monkeypatc
     assert shortest_path(net, "A", "D", 0.0).nodes == ("A", "B", "D")  # the tree is built before counting
     for link in cut:
         net.allocate_bandwidth(link, 95)
-    runs = _count_settles(monkeypatch)
+    runs = _count_trees(monkeypatch)
     with pytest.raises(NoPathError) as caught:
         shortest_path(net, "A", "D", 10.0)
     assert str(caught.value) == "no route from 'A' to 'D' with >= 10 Mbps residual"
@@ -408,7 +406,7 @@ def test_a_floor_both_ends_clear_still_searches_the_middle(monkeypatch, cut, exp
     edges = [(a, b, delay, residual[link_id(a, b)])
              for a, b, delay in (("A", "B", 1.0), ("B", "D", 1.0), ("A", "C", 2.0), ("C", "D", 2.0))]
     oracle = brute_force_shortest_path(["A", "B", "C", "D"], edges, "A", "D", 10.0)
-    runs = _count_settles(monkeypatch)
+    runs = _count_trees(monkeypatch)
     if expected is None:
         assert oracle is None
         with pytest.raises(NoPathError):
@@ -426,7 +424,7 @@ def test_one_tree_per_source_is_shared_by_every_copy(monkeypatch):
     """
     net = build_network(dual_homed_ladder_spec(30))
     first, second = net.copy(), net.copy()
-    runs = _count_settles(monkeypatch)
+    runs = _count_trees(monkeypatch)
     paths = [shortest_path(first, "h000", "h011", 1.0), shortest_path(net, "h000", "h025", 1.0),
              shortest_path(second, "h000", "core", 1.0)]
     assert runs == [("h000", 0)]
@@ -434,8 +432,15 @@ def test_one_tree_per_source_is_shared_by_every_copy(monkeypatch):
                                          ("h000", "agg0", "core", "agg2", "h025"), ("h000", "agg0", "core")]
 
 
+class _Unkept(dict):
+    """A tree cache that keeps nothing, so every route miss builds its source's tree afresh."""
+
+    def __setitem__(self, root, tree):
+        pass
+
+
 def test_ladder_greedy_solve_from_trees_matches_one_search_per_pair(monkeypatch):
-    """200 hosts, 800 requests: the greedy scheme is outcome for outcome the one from per-pair searches.
+    """200 hosts, 400 requests: the greedy scheme is outcome for outcome the one from a fresh tree per pair.
 
     The ladder repeats its access delays every seven hosts, and its second
     core switch gives every route between aggregation switches an
@@ -444,16 +449,69 @@ def test_ladder_greedy_solve_from_trees_matches_one_search_per_pair(monkeypatch)
     spec, catalog = dual_homed_ladder_spec(200), default_catalog()
     sfcrs = generate_sfcrs(default_sfcr_templates(), 100)
     from_trees = solve_simple_dijkstra(build_network(spec), sfcrs, catalog)
-    monkeypatch.setattr(routing, "_tree_path", lambda net, root, src, dst: _search(net, src, dst, 0))
-    per_pair = solve_simple_dijkstra(build_network(spec), sfcrs, catalog)
+    net = build_network(spec)
+    net._trees = _Unkept()
+    runs = _count_trees(monkeypatch)
+    per_pair = solve_simple_dijkstra(net, sfcrs, catalog)
+    assert len(runs) == len(net._routes) and all(floor == 0 for _, floor in runs) and not net._trees
     for tree_outcome, pair_outcome in zip(from_trees.outcomes, per_pair.outcomes, strict=True):
         assert tree_outcome == pair_outcome
+
+
+def test_floored_misses_on_a_mesh_solve_as_the_brute_force_oracle_routes(monkeypatch):
+    """dual_homed_ladder_spec(20) with its core links cut to 60 Mbps: 40 requests wear them down mid-solve.
+
+    Eight memoised paths then fall short of a floor. Four build their
+    source's floored tree, which reaches the destination; the other four
+    have no link at the source that clears the floor, so nothing is built.
+    The scheme is outcome for outcome the one from routing every segment
+    with the brute-force oracle over the current residuals, and only the
+    floor-0 trees are kept.
+    """
+    spec = dual_homed_ladder_spec(20)
+    spec = dataclasses.replace(spec, links=tuple(
+        dataclasses.replace(link, bandwidth_mbps=60) if {link.endpoint_a, link.endpoint_b} & {"core", "core2"} else link
+        for link in spec.links))
+    nodes = [host.id for host in spec.hosts] + list(spec.switches)
+    sfcrs, catalog = generate_sfcrs(default_sfcr_templates(), 10), default_catalog()
+
+    def oracle(net, src, dst, floor):
+        residual = net.residual_bandwidth
+        edges = [(l.endpoint_a, l.endpoint_b, l.propagation_delay_ms, residual[l.link_id]) for l in spec.links]
+        found = brute_force_shortest_path(nodes, edges, src, dst, floor)
+        if found is None:
+            raise NoPathError(f"no route from {src!r} to {dst!r}")
+        return Path(found[0], tuple(link_id(a, b) for a, b in zip(found[0], found[0][1:])), found[1])
+
+    floored = []  # per memoised path that fell short: whether a path was found
+
+    def routed(net, src, dst, floor):
+        try:
+            path = shortest_path(net, src, dst, floor)
+        except NoPathError:
+            floored.append(False)
+            raise
+        if src != dst and path is not net._routes[src, dst]:
+            floored.append(True)
+        return path
+
+    net = build_network(spec)
+    runs = _count_trees(monkeypatch)
+    monkeypatch.setattr(solver, "shortest_path", routed)
+    scheme = solve_simple_dijkstra(net, sfcrs, catalog)
+    monkeypatch.setattr(solver, "shortest_path", oracle)
+    expected = solve_simple_dijkstra(build_network(spec), sfcrs, catalog)
+    assert scheme.outcomes == expected.outcomes
+    assert sorted(floored) == [False] * 4 + [True] * 4
+    assert len([floor for _, floor in runs if floor]) == 4
+    assert all(net._trees[root] == _tree(build_network(spec), root, 0) for root in net._trees)
+    assert len(net._trees) == len([floor for _, floor in runs if not floor])
 
 
 def test_greedy_solve_on_a_tree_shaped_ladder_runs_one_settle(monkeypatch):
     """On ladder_spec(200), a tree, every route is the unique path: one settle, building one tree at the first node."""
     net = build_network(ladder_spec(200))
-    runs = _count_settles(monkeypatch)
+    runs = _count_trees(monkeypatch)
     scheme = solve_simple_dijkstra(net, generate_sfcrs(default_sfcr_templates(), 100), default_catalog())
     assert scheme.accepted() and net._routes
     assert runs == [("h000", 0)] and list(net._trees) == ["h000"]
@@ -470,7 +528,7 @@ def _random_tree(rng, max_nodes=8):
 
 
 def test_a_tree_rooted_at_any_node_walks_every_pair_as_the_search_does():
-    """On a tree, the walk from any root gives the floor-0 search's path, so the first node serves as the root.
+    """On a tree, the walk from any root gives the unique path, delay bit for bit, so the first node serves as the root.
 
     Every tree stores 4-byte ints only, the 12 bytes per (root, node) pair that the README states.
     """
@@ -479,32 +537,32 @@ def test_a_tree_rooted_at_any_node_walks_every_pair_as_the_search_does():
         nodes, edges = _random_tree(rng)
         net = build_network(_graph_to_network(nodes, edges))
         assert net._is_tree
+        expected = {(src, dst): brute_force_shortest_path(nodes, edges, src, dst, 0.0) for src in nodes for dst in nodes}
         for root in nodes:
-            for src in nodes:
-                for dst in nodes:
-                    walked, searched = _tree_path(net, root, src, dst), _search(net, src, dst, 0)
-                    assert (walked.nodes, walked.links) == (searched.nodes, searched.links)
-                    assert walked.total_propagation_ms.hex() == searched.total_propagation_ms.hex()
-        assert list(net._trees) == nodes
-        assert {column.typecode for tree in net._trees.values() for column in tree} == {"i"}
+            tree = _tree(net, root, 0)
+            assert {column.typecode for column in tree} == {"i"}
+            for (src, dst), (expected_nodes, expected_delay) in expected.items():
+                walked = _tree_path(net, tree, src, dst)
+                assert walked.nodes == expected_nodes
+                assert walked.links == tuple(link_id(a, b) for a, b in zip(walked.nodes, walked.nodes[1:]))
+                assert walked.total_propagation_ms.hex() == expected_delay.hex()
 
 
 def test_unique_paths_on_trees_equal_the_search_bit_for_bit(monkeypatch):
-    """Every ordered pair's unique path is the floor-0 search's; above it, the memoised path or no path."""
+    """Every ordered pair's unique path is the enumerated one, delay bit for bit; above it, the memoised path or no path."""
     rng = random.Random(31337)
-    runs = _count_settles(monkeypatch)
+    runs = _count_trees(monkeypatch)
     for _ in range(40):
         nodes, edges = _random_tree(rng)
-        spec = _graph_to_network(nodes, edges)
-        reference = build_network(spec)
-        expected = {(src, dst): _search(reference, src, dst, 0) for src in nodes for dst in nodes}
-        net = build_network(spec)
+        expected = {(src, dst): brute_force_shortest_path(nodes, edges, src, dst, 0.0) for src in nodes for dst in nodes}
+        net = build_network(_graph_to_network(nodes, edges))
         assert net._is_tree
-        runs.clear()  # the reference's settles
-        for (src, dst), walked in expected.items():
+        runs.clear()  # the previous network's build
+        for (src, dst), (expected_nodes, expected_delay) in expected.items():
             path = shortest_path(net, src, dst, 0)
-            assert (path.nodes, path.links) == (walked.nodes, walked.links)
-            assert path.total_propagation_ms.hex() == walked.total_propagation_ms.hex()
+            assert path.nodes == expected_nodes
+            assert path.links == tuple(link_id(a, b) for a, b in zip(path.nodes, path.nodes[1:]))
+            assert path.total_propagation_ms.hex() == expected_delay.hex()
         links = [link_id(a, b) for a, b, _, _ in edges]
         for link in rng.sample(links, len(links) // 2):
             _charge(net, link, rng)

@@ -11,6 +11,7 @@ import errno
 import json
 import random
 import tracemalloc
+from fractions import Fraction
 from io import StringIO
 
 import pytest
@@ -399,6 +400,21 @@ def test_a_run_with_an_int_sample_interval_is_written_and_read_back(scenario_dir
     report = run_experiment(dataclasses.replace(cfg, engine=EngineConfig(duration_s=3, sample_interval_s=1)))
     assert [frame.timestamp_s for frame in report.frames] == [0.0, 1.0, 2.0]
     assert all(type(frame.timestamp_s) is float for frame in report.frames)
+    _assert_written_as_the_standard_library_writes(report, tmp_path)
+    assert read_report(tmp_path / "report.json") == report
+
+
+def test_a_run_with_fraction_engine_settings_is_written_and_read_back(scenario_dir, tmp_path):
+    """An EngineConfig of ints and Fractions is stored as floats, so the capped utilizations it makes are floats."""
+    cfg = load_config(scenario_dir / "exp1.json")
+    engine = EngineConfig(duration_s=3, sample_interval_s=Fraction(1), utilization_cap=Fraction(1, 100),
+                          jitter_sigma=Fraction(1, 20), idle_spike_prob=0, idle_spike_range=(Fraction(1, 20), 1))
+    assert engine == EngineConfig(duration_s=3.0, sample_interval_s=1.0, utilization_cap=0.01, jitter_sigma=0.05,
+                                  idle_spike_prob=0.0, idle_spike_range=(0.05, 1.0))
+    assert all(type(value) is float for value in (*dataclasses.astuple(engine)[:5], *engine.idle_spike_range))
+    report = run_experiment(dataclasses.replace(cfg, engine=engine))
+    assert 0.01 in report.frames[0].host_cpu.values()
+    assert all(type(value) is float for frame in report.frames for value in frame.host_cpu.values())
     _assert_written_as_the_standard_library_writes(report, tmp_path)
     assert read_report(tmp_path / "report.json") == report
 
