@@ -180,12 +180,13 @@ def simulate(net: SubstrateNetwork, scheme: EmbeddingScheme, sfcrs: Sequence[SFC
     once, and the tick loop (_ticks, which the GA's frame-free fitness runs
     too) supplies every tick's utilizations, idle-spike draws and latencies.
     Per-link bandwidth use, counting both directions, is recomputed only when
-    the offered rates change. Every frame has its own dicts, but the frames
-    of one traffic epoch share their value objects: each link's use, and
-    each host's utilization unless it spikes, is the same float object from
-    tick to tick, so the report writers encode such a map once. An
-    EngineError names the first link whose use is beyond the float range.
-    Deterministic given seed.
+    the offered rates change. The frames of one traffic epoch share their
+    maps: every frame holds the epoch's link_bw_mbps dict, and every tick
+    without an idle spike holds the epoch's utilization dict as host_cpu,
+    so the report writers encode such a map once; a spiked tick gets a copy
+    with its spikes applied. Each frame has its own sfc_latency_ms. The
+    frames and their maps are read-only. An EngineError names the first
+    link whose use is beyond the float range. Deterministic given seed.
     """
     # verify_scheme also guarantees that the outcomes line up with sfcrs
     verify_scheme(net.spec, sfcrs, catalog, scheme)
@@ -215,9 +216,8 @@ def simulate(net: SubstrateNetwork, scheme: EmbeddingScheme, sfcrs: Sequence[SFC
                 if not math.isfinite(use):
                     raise EngineError(f"the use of link {link!r} at {t} s is beyond the float range: {use} Mbps")
         # spikes are observation noise only; latency uses true_cpu
-        observed_cpu = dict(true_cpu)
-        observed_cpu.update(spikes)
-        frames.append(TelemetryFrame(t, observed_cpu, dict(link_bw), dict(zip(sfcr_ids, latencies))))
+        host_cpu = {**true_cpu, **dict(spikes)} if spikes else true_cpu
+        frames.append(TelemetryFrame(t, host_cpu, link_bw, dict(zip(sfcr_ids, latencies))))
     return frames
 
 
@@ -245,10 +245,10 @@ def _ticks(spec: NetworkSpec, chains: Sequence[Chain], cfg: EngineConfig, seed: 
     run of ticks whose rates are all equal), and the rates are looked up only
     when a tick passes a segment edge; the rates list and the
     utilization dict are the same objects for every tick of an epoch, and
-    the caller must not change them. The random draws stay per tick, in
-    fixed order: idle-spike noise for hosts at exactly zero load (hosts in
-    declaration order) as [(host, observed utilization)], then one jitter
-    draw per chain. The jitter draws are rng.gauss's values, taken from one
+    the caller must not change them: simulate's frames hold the dict. The
+    random draws stay per tick, in fixed order: idle-spike noise for hosts
+    at exactly zero load (hosts in declaration order) as [(host, observed
+    utilization)], then one jitter draw per chain. The jitter draws are rng.gauss's values, taken from one
     _standard_normals stream, so the second value of a pair carries over
     spike draws and ticks as it would in gauss.
     """

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, is_dataclass, replace
 from datetime import datetime
 from io import StringIO
 from json.encoder import encode_basestring_ascii
-from operator import add, is_
+from operator import is_
 from pathlib import Path
 
 from .catalog import (
@@ -329,7 +329,7 @@ def report_to_dict(report: ExperimentReport) -> dict:
 
 
 def _same_objects(last: list, now: list) -> bool:
-    """Whether two lists hold the very same objects in the same order; equal values do not count."""
+    """Whether two frames' latency key lists hold the very same objects in the same order; equal keys do not count."""
     return len(last) == len(now) and all(map(is_, last, now))
 
 
@@ -419,22 +419,21 @@ def _check_map(mapping, where: str, accepted=()) -> None:
 
 
 def _map_items(memo: dict, kind: str, mapping, where: str):
-    """(key and value objects, sorted keys, values' reprs in that order, JSON text) of a frame's kind map.
+    """(map, sorted keys, values' reprs in that order, JSON text) of a frame's kind map.
 
-    memo holds the last map of each kind, checked (see _check_map); a map of
-    the very same key and value objects, in the same order, gets its entry.
-    Only identity counts, never equality, so 0.0 and -0.0 never share text.
-    The entry holds the objects themselves, so no id is reused while it lives.
+    memo holds the last map of each kind, checked (see _check_map); the very
+    same map object, as the frames of one traffic epoch hold, gets its entry.
+    Only identity counts: an equal map of other objects is rendered anew.
+    The entry holds the map, so its id is not reused while the entry lives.
     """
-    objects = [*mapping, *mapping.values()]
     last = memo.get(kind)
-    if last is not None and _same_objects(last[0], objects):
+    if last is not None and last[0] is mapping:
         return last
     _check_map(mapping, f"{where}.{kind}")
     keys = sorted(mapping)
     reprs = [repr(mapping[key]) for key in keys]
     text = _map_json([f"{encode_basestring_ascii(key)}: {value}" for key, value in zip(keys, reprs)])
-    memo[kind] = last = objects, keys, reprs, text
+    memo[kind] = last = mapping, keys, reprs, text
     return last
 
 
@@ -444,14 +443,17 @@ def _render_frames(report: ExperimentReport) -> tuple[list[str], list[str], list
     A frame must read back from report.json as it is: a finite, non-negative
     float timestamp, maps that _check_map accepts and a latency for each
     accepted SFC; any other is a ValueError naming it. Each number's repr is
-    taken once for all three files. A map of the last frame's very objects
-    reuses its texts and cpu.csv rows (see _map_items), as the frames of one
-    traffic epoch do, and the latency keys' encodings, order and accepted
-    positions are found and checked once per sequence of the same key objects.
+    taken once for all three files. The last frame's very host_cpu or
+    link_bw_mbps map reuses its texts and cpu.csv rows (see _map_items), as
+    the frames of one traffic epoch do. Per run of the same latency key
+    objects, the keys are checked and encoded once, into report.json's and
+    latency.csv's texts with a slot per number, which each frame fills.
     """
     accepted = [o.sfcr_id for o in report.outcomes if o.accepted]
-    id_fields = [f",{text}," for text in map(_field_texts(accepted).get, accepted)]
-    host_texts = _field_texts(set().union(*(frame.host_cpu for frame in report.frames)))
+    # latency.csv's rows of a frame: its timestamp, an id field and a latency in each row's slots
+    rows = [None, None, None, "\n"] * len(accepted)
+    rows[1::4] = [f",{text}," for text in map(_field_texts(accepted).get, accepted)]
+    host_texts: dict[str, str] = {}
     json_chunks, latency_lines, cpu_lines = [], [], []
     memo: dict = {}
     cpu_entry = cpu_rows = keys = None  # keys: the last frame's latency keys
@@ -467,16 +469,21 @@ def _render_frames(report: ExperimentReport) -> tuple[list[str], list[str], list
         if fresh:
             keys = [*latency]
             order = sorted(range(len(keys)), key=keys.__getitem__)
-            prefixes = [encode_basestring_ascii(keys[index]) + ": " for index in order]
+            # the map's text in key order with a slot for each latency; an encoded key holds no NUL
+            parts = _map_json([encode_basestring_ascii(keys[index]) + ": \0" for index in order]).split("\0")
+            items = [None] * (2 * len(parts) - 1)
+            items[::2] = parts
             position = {key: index for index, key in enumerate(keys)}
             columns = [position[sfc_id] for sfc_id in accepted]
         reprs = [*map(repr, latency.values())]
-        items = _map_json([*map(add, prefixes, map(reprs.__getitem__, order))])
-        json_chunks += (_FRAME_SEPARATOR, _FRAME_JSON[0], cpu[3], _FRAME_JSON[1], links[3], _FRAME_JSON[2], items,
-                        _FRAME_JSON[3], stamp, _FRAME_JSON[4])
-        latency_lines.append(stamp + ("\n" + stamp).join(map(add, id_fields, map(reprs.__getitem__, columns))) + "\n"
-                             if accepted else "")
+        items[1::2] = map(reprs.__getitem__, order)
+        rows[0::4] = [stamp] * len(accepted)
+        rows[2::4] = map(reprs.__getitem__, columns)
+        json_chunks += (_FRAME_SEPARATOR, _FRAME_JSON[0], cpu[3], _FRAME_JSON[1], links[3], _FRAME_JSON[2],
+                        "".join(items), _FRAME_JSON[3], stamp, _FRAME_JSON[4])
+        latency_lines.append("".join(rows))
         if cpu is not cpu_entry:
+            host_texts.update(_field_texts(set(cpu[1]).difference(host_texts)))
             cpu_entry, cpu_rows = cpu, [f",{host_texts[host]},{text}\n" for host, text in zip(cpu[1], cpu[2])]
         cpu_lines.append(stamp.join(["", *cpu_rows]))
     return json_chunks, latency_lines, cpu_lines

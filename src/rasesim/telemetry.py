@@ -37,7 +37,11 @@ class LatencyOverflowError(TelemetryError):
 
 @dataclass(frozen=True)
 class TelemetryFrame:
-    """One sampling tick: per-host CPU, per-link bandwidth, per-SFC latency."""
+    """One sampling tick: per-host CPU, per-link bandwidth, per-SFC latency.
+
+    Read-only, maps included: the frames of one traffic epoch from
+    engine.simulate share their host_cpu and link_bw_mbps dicts.
+    """
 
     timestamp_s: float
     host_cpu: dict[str, float]
@@ -85,7 +89,7 @@ def mean_latency(frames: Sequence[TelemetryFrame], accepted_sfc_ids: Iterable[st
     math.fsum keeps the result exact under any frame ordering.
     """
     ids = list(accepted_sfc_ids)
-    samples = [f.sfc_latency_ms[sfc_id] for f in frames for sfc_id in ids if sfc_id in f.sfc_latency_ms]
+    samples = [latency[i] for f in frames for latency in (f.sfc_latency_ms,) for i in ids if i in latency]
     if not samples:
         raise NoSamplesError("no latency samples for the requested SFCs")
     return finite_mean(samples)

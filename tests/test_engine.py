@@ -1,7 +1,5 @@
-import copy
 import math
 import random
-from operator import is_
 from dataclasses import replace
 
 import pytest
@@ -435,38 +433,50 @@ def test_simulate_equals_the_per_tick_reference():
     assert min(covered.values()) >= 5, covered
 
 
-def test_frames_do_not_share_dicts(sim_setup):
-    net, catalog, requests, scheme = sim_setup
-    frames = simulate(net, scheme, requests, catalog, quiet_engine(duration_s=20.0))
-    before = copy.deepcopy(frames)
-    frames[3].link_bw_mbps["h1--sw"] = -1.0
-    frames[3].host_cpu["h1"] = -1.0
-    frames[3].sfc_latency_ms["r1"] = -1.0
-    assert frames[:3] == before[:3] and frames[4:] == before[4:]
-
-
-def test_frames_of_one_traffic_epoch_share_value_objects():
-    """What makes writing a report cheap: within an epoch a frame map repeats the last one's objects."""
+def _two_epoch_setup():
     net = build_network(star_net(host_count=3, cpus=2))
     catalog = small_catalog()
-    # r1's traffic ends at 10 s, so ticks 0-9 and 10-19 are two traffic epochs
+    # r1's traffic ends at 10 s, so ticks 0-9 and 10-19 are two traffic epochs; h3 idles throughout
     requests = [sfcr("r1", ["alpha"], rps=5.0, duration_s=10.0), sfcr("r2", ["beta"], rps=2.0, duration_s=20.0)]
-    scheme = solve_simple_dijkstra(net, requests, catalog)
+    return net, catalog, requests, solve_simple_dijkstra(net, requests, catalog)
+
+
+def test_calm_frames_of_one_traffic_epoch_share_their_maps():
+    """What makes a run small and its report cheap to write: an epoch's calm frames hold one host and one link map."""
+    net, catalog, requests, scheme = _two_epoch_setup()
+    frames = simulate(net, scheme, requests, catalog, quiet_engine(duration_s=20.0, jitter_sigma=0.05))
+    for epoch in (frames[:10], frames[10:]):
+        assert all(f.host_cpu is epoch[0].host_cpu and f.link_bw_mbps is epoch[0].link_bw_mbps for f in epoch)
+    # a new epoch gets new map objects
+    assert frames[10].host_cpu is not frames[9].host_cpu and frames[10].link_bw_mbps is not frames[9].link_bw_mbps
+    assert frames[10].host_cpu != frames[9].host_cpu and frames[10].link_bw_mbps != frames[9].link_bw_mbps
+    # the frames alive together, so distinct ids are distinct dicts
+    assert len({id(f.sfc_latency_ms) for f in frames}) == len(frames)
+
+
+def test_a_spiked_tick_gets_its_own_host_cpu():
+    """A spiked tick's host_cpu is a copy with its spikes; the epoch's map keeps its values for the next calm tick."""
+    net, catalog, requests, scheme = _two_epoch_setup()
     cfg = EngineConfig(duration_s=20.0, sample_interval_s=1.0, jitter_sigma=0.05, idle_spike_prob=0.5)
     frames = simulate(net, scheme, requests, catalog, cfg, 3)
     calm = simulate(net, scheme, requests, catalog, replace(cfg, idle_spike_prob=0.0), 3)
-    spiked = [{h for h in f.host_cpu if f.host_cpu[h] != c.host_cpu[h]} for f, c in zip(frames, calm)]
-    shared_hosts = 0
-    for tick in range(1, len(frames)):
-        last, frame = frames[tick - 1], frames[tick]
-        for name in ("host_cpu", "link_bw_mbps", "sfc_latency_ms"):
-            assert getattr(frame, name) is not getattr(last, name)
-        if tick == 10:
-            assert frame.link_bw_mbps != last.link_bw_mbps
-            continue
-        assert list(frame.link_bw_mbps) == list(last.link_bw_mbps)
-        assert all(map(is_, frame.link_bw_mbps.values(), last.link_bw_mbps.values())), tick
-        calm_hosts = [h for h in frame.host_cpu if h not in spiked[tick] | spiked[tick - 1]]
-        assert all(frame.host_cpu[h] is last.host_cpu[h] for h in calm_hosts), tick
-        shared_hosts += len(calm_hosts)
-    assert any(spiked) and shared_hosts > 0
+    shared_maps, spiked_maps, back_after_spike = [], [], 0
+    for ticks in (range(10), range(10, 20)):
+        true_cpu = calm[ticks[0]].host_cpu
+        shared = None
+        for tick in ticks:
+            host_cpu = frames[tick].host_cpu
+            spikes = {h: v for h, v in host_cpu.items() if v != true_cpu[h]}
+            if not spikes:
+                if shared is None:
+                    shared = host_cpu
+                assert host_cpu is shared, tick
+                back_after_spike += tick > ticks[0] and frames[tick - 1].host_cpu is not shared
+                continue
+            assert host_cpu == {**true_cpu, **spikes} and all(true_cpu[h] == 0.0 for h in spikes), tick
+            assert all(cfg.idle_spike_range[0] <= v <= cfg.idle_spike_range[1] for v in spikes.values()), tick
+            spiked_maps.append(host_cpu)
+        assert shared == true_cpu  # the epoch's map keeps its values through the spiked ticks
+        shared_maps.append(shared)
+    assert back_after_spike > 0 and spiked_maps
+    assert len({id(m) for m in shared_maps + spiked_maps}) == len(shared_maps) + len(spiked_maps)

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -125,3 +126,23 @@ def test_mean_latency_invariant_under_reordering():
     shuffled = frames[:]
     rng.shuffle(shuffled)
     assert mean_latency(shuffled, ["a", "b"]) == expected  # fsum makes this exact
+
+
+def test_mean_latency_is_the_fsum_mean_of_the_present_samples():
+    """Frames may lack some ids and the ids may come as a generator; NoSamplesError where no sample is present."""
+    covered = {"missing": 0, "no samples": 0}
+    for seed in range(200):
+        rng = random.Random(seed)
+        ids = [f"s{i}" for i in range(rng.randint(1, 4))]
+        frames = [frame(t, latency={i: rng.uniform(0, 1e3) for i in ids if rng.random() < 0.6})
+                  for t in range(rng.randint(0, 12))]
+        asked = rng.choices(ids + ["absent"], k=rng.randint(0, 5))  # an id asked twice counts twice
+        samples = [f.sfc_latency_ms[i] for i in asked for f in frames if i in f.sfc_latency_ms]
+        covered["missing"] += len(samples) < len(asked) * len(frames)
+        if not samples:
+            covered["no samples"] += 1
+            with pytest.raises(NoSamplesError):
+                mean_latency(frames, (i for i in asked))
+            continue
+        assert mean_latency(frames, (i for i in asked)) == math.fsum(samples) / len(samples), seed
+    assert min(covered.values()) >= 10, covered

@@ -19,11 +19,14 @@ import pytest
 from rasesim import experiment
 from rasesim.errors import IoError
 from rasesim.cli import main
-from rasesim.engine import EngineConfig
+from rasesim.engine import EngineConfig, simulate
 from rasesim.experiment import (ExperimentReport, SfcOutcome, load_config, read_report, report_files,
                                 report_from_dict, report_to_dict, run_experiment, write_atomically, write_report)
-from rasesim.telemetry import TelemetryFrame
-from rasesim.topology import HostSpec, NetworkSpec
+from rasesim.solver import solve_simple_dijkstra
+from rasesim.telemetry import TelemetryFrame, mean_latency
+from rasesim.topology import HostSpec, NetworkSpec, build_network
+
+from helpers import sfcr, small_catalog, star_net
 
 # a quote, a comma, line breaks, a backslash, a control character and non-ASCII text
 AWKWARD = ['plain', 'a,b', 'say "hi"', 'two\nlines', 'cr\rlf\r\n', 'back\\slash', 'tab\t\x00',
@@ -382,6 +385,45 @@ def test_finite_floats_whose_sum_overflows_are_written(tmp_path):
     files = _assert_written_as_the_standard_library_writes(report, tmp_path)
     assert f"{big!r},r2,{big!r}\n" in files["latency.csv"]
     assert read_report(tmp_path / "report.json") == report
+
+
+def _spiking_run(host_count: int, spike_prob: float, seed: int) -> ExperimentReport:
+    """A simulated run of three traffic epochs on a star whose idle hosts spike at spike_prob."""
+    net = build_network(star_net(host_count=host_count, cpus=2))
+    catalog = small_catalog()
+    # traffic of r1 ends at 4 s and of r2 at 8 s: epochs at ticks 0-3, 4-7 and 8-11, and idle hosts in each
+    requests = [sfcr("r1", ["alpha"], rps=5.0, duration_s=4.0), sfcr("r2", ["beta"], rps=2.0, duration_s=8.0)]
+    scheme = solve_simple_dijkstra(net, requests, catalog)
+    assert all(scheme.accept_flags())
+    cfg = EngineConfig(duration_s=12.0, sample_interval_s=1.0, jitter_sigma=0.05, idle_spike_prob=spike_prob)
+    frames = tuple(simulate(net, scheme, requests, catalog, cfg, seed))
+    outcomes = tuple(SfcOutcome(r.sfcr_id, True, "") for r in requests)
+    return ExperimentReport("digest", outcomes, 1.0, mean_latency(frames, ["r1", "r2"]), frames, None)
+
+
+@pytest.mark.parametrize("spike_prob", [0.0, 0.3, 1.0])
+def test_shared_copied_and_read_back_maps_are_written_alike(spike_prob, tmp_path):
+    """Across spiked ticks, frames of shared maps, of copied maps and read back are written to the same bytes."""
+    host_maps = []
+    for seed in range(6):
+        report = _spiking_run(3 + seed % 3, spike_prob, seed)
+        frames = report.frames
+        assert len({id(frame.link_bw_mbps) for frame in frames}) == 3, "one link map per epoch"
+        host_maps.append(len({id(frame.host_cpu) for frame in frames}))
+        copied = dataclasses.replace(report, frames=tuple(
+            TelemetryFrame(f.timestamp_s, dict(f.host_cpu), dict(f.link_bw_mbps), dict(f.sfc_latency_ms))
+            for f in frames))
+        write_report(report, tmp_path / str(seed))
+        back = read_report(tmp_path / str(seed) / "report.json")
+        expected = {"report.json": _json_reference(report), **_csv_references(report)}
+        for other in (report, copied, back):
+            assert {name: "".join(content) for name, content in report_files(other).items()} == expected, seed
+    # one host map per epoch without spikes and one per tick where every idle host spikes; in between, runs
+    # with calm ticks among the spiked ones
+    if spike_prob in (0.0, 1.0):
+        assert host_maps == [3 if spike_prob == 0.0 else 12] * 6
+    else:
+        assert min(host_maps) > 3 and sum(count < 12 for count in host_maps) >= 3, host_maps
 
 
 def test_a_report_read_back_equals_it_and_is_written_to_the_same_bytes(scenario_dir, tmp_path):
