@@ -18,11 +18,11 @@ from pathlib import Path
 
 from .errors import ConfigError, RaseSimError
 from .experiment import (
+    _report_parts,
     generate_requests,
     histogram_csv,
     load_config,
     read_report,
-    report_files,
     resolve_output_dir,
     run_experiment,
     run_solver,
@@ -166,9 +166,9 @@ def _cmd_report(args) -> int:
     report_path = Path(args.report)
     report = read_report(report_path)
     directory = _pinned_output_dir(args) or report_path.parent
-    files = report_files(report, ("csv",))
+    files, fill = _report_parts(report, ("csv",))
     files["histogram.csv"] = histogram_csv(report, args.bin_width)
-    for target in write_atomically(directory, files):
+    for target in write_atomically(directory, files, fill):
         _say(args, f"wrote {target}")
     return 0
 

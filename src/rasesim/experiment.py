@@ -15,14 +15,16 @@ import hashlib
 import json
 import math
 import os
+import struct
 import time
-from contextlib import suppress
+from contextlib import ExitStack, suppress
 from dataclasses import dataclass, field, is_dataclass, replace
 from datetime import datetime
 from io import StringIO
 from json.encoder import encode_basestring_ascii
 from operator import is_
 from pathlib import Path
+from typing import Iterable
 
 from .catalog import (
     Catalog,
@@ -343,12 +345,30 @@ def report_from_dict(data) -> ExperimentReport:
     if min(report.acceptance_ratio or 0.0, report.mean_latency_ms or 0.0) < 0:
         raise ValueError("report: acceptance_ratio and mean_latency_ms must be non-negative")
     accepted = [o.sfcr_id for o in report.outcomes if o.accepted]
+    frames, memo = [], {}
     for i, frame in enumerate(report.frames):
         _check_map({"timestamp_s": frame.timestamp_s}, f"report.frames[{i}]")
         _check_map(frame.host_cpu, f"report.frames[{i}].host_cpu")
         _check_map(frame.link_bw_mbps, f"report.frames[{i}].link_bw_mbps")
         _check_map(frame.sfc_latency_ms, f"report.frames[{i}].sfc_latency_ms", accepted)
-    return report
+        frames.append(TelemetryFrame(frame.timestamp_s, _shared(memo, "host_cpu", frame.host_cpu),
+                                     _shared(memo, "link_bw_mbps", frame.link_bw_mbps), frame.sfc_latency_ms))
+    return replace(report, frames=tuple(frames))
+
+
+def _shared(memo: dict, kind: str, mapping: dict) -> dict:
+    """The last map of kind if mapping holds its keys in the same order and its floats bit for bit, else mapping.
+
+    0.0 and -0.0 are told apart. memo holds the last map of each kind, so the
+    frames read back share their maps per traffic epoch, as simulate's do,
+    and the writer renders such a map once (see _map_items).
+    """
+    content = [*mapping], struct.pack(f"{len(mapping)}d", *mapping.values())
+    last = memo.get(kind)
+    if last is not None and last[1] == content:
+        return last[0]
+    memo[kind] = mapping, content
+    return mapping
 
 
 def read_report(path) -> ExperimentReport:
@@ -365,11 +385,24 @@ def read_report(path) -> ExperimentReport:
         raise IoError(f"{path}: malformed report: {exc}") from None
 
 
+# what csv.writer quotes in a field, on some supported Python version, or (NUL, before 3.11) refuses
+_CSV_SPECIAL = frozenset(',"\r\n\0')
+
+
 def _csv_text(header: list[str], rows) -> str:
+    """header and rows as csv.writer writes them.
+
+    Rows of two or more str fields without a _CSV_SPECIAL character are
+    joined directly, which is what csv.writer writes for them on every
+    version: its record buffer takes 128 KiB however short the rows, more
+    than write_report holds besides.
+    """
+    rows = [header, *rows]
+    if all(len(row) > 1 and all(type(value) is str and _CSV_SPECIAL.isdisjoint(value) for value in row)
+           for row in rows):
+        return "".join([",".join(row) + "\n" for row in rows])
     buffer = StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
     return buffer.getvalue()
 
 
@@ -388,7 +421,7 @@ def _field_texts(values) -> dict[str, str]:
     return {value: _csv_text(["", value], ())[1:-1] for value in values}
 
 
-# before each frame's item in report.json; report_files drops the first frame's
+# before each frame's item in report.json but the first
 _FRAME_SEPARATOR = ",\n    "
 # a frame's item is _FRAME_JSON with its maps' texts and its timestamp between the parts
 _FRAME_JSON = ('{\n      "host_cpu": ', ',\n      "link_bw_mbps": ', ',\n      "sfc_latency_ms": ',
@@ -437,26 +470,31 @@ def _map_items(memo: dict, kind: str, mapping, where: str):
     return last
 
 
-def _render_frames(report: ExperimentReport) -> tuple[list[str], list[str], list[str]]:
-    """report.json's chunks of the frames, each frame's item after a _FRAME_SEPARATOR; latency.csv and cpu.csv lines.
+def _render_frames(report: ExperimentReport, json_write=None, latency_write=None, cpu_write=None) -> None:
+    """Write each frame's text into the asked files: report.json's item, latency.csv's and cpu.csv's lines.
 
-    A frame must read back from report.json as it is: a finite, non-negative
-    float timestamp, maps that _check_map accepts and a latency for each
-    accepted SFC; any other is a ValueError naming it. Each number's repr is
-    taken once for all three files. The last frame's very host_cpu or
-    link_bw_mbps map reuses its texts and cpu.csv rows (see _map_items), as
-    the frames of one traffic epoch do. Per run of the same latency key
-    objects, the keys are checked and encoded once, into report.json's and
-    latency.csv's texts with a slot per number, which each frame fills.
+    Each write function is called once per frame, with that frame's text of
+    its file (report.json's item after the line break, and the comma of every
+    item but the first). A file not asked for gets None, and its text is not
+    built; latency.csv and cpu.csv are asked for together. A frame must read
+    back from report.json as it is: a finite, non-negative float timestamp,
+    maps that _check_map accepts and a latency for each accepted SFC; any
+    other is a ValueError naming it, whatever the files asked for. Each
+    number's repr is taken once for all three files.
+    The last frame's very host_cpu or link_bw_mbps map reuses its texts and
+    cpu.csv rows (see _map_items), as the frames of one traffic epoch do. Per
+    run of the same latency key objects, the keys are checked and encoded
+    once, into report.json's and latency.csv's texts with a slot per number,
+    which each frame fills.
     """
     accepted = [o.sfcr_id for o in report.outcomes if o.accepted]
     # latency.csv's rows of a frame: its timestamp, an id field and a latency in each row's slots
     rows = [None, None, None, "\n"] * len(accepted)
     rows[1::4] = [f",{text}," for text in map(_field_texts(accepted).get, accepted)]
     host_texts: dict[str, str] = {}
-    json_chunks, latency_lines, cpu_lines = [], [], []
     memo: dict = {}
     cpu_entry = cpu_rows = keys = None  # keys: the last frame's latency keys
+    separator = "\n    "  # before the first frame's item in report.json; _FRAME_SEPARATOR before each later one
     for i, frame in enumerate(report.frames):
         where, stamp = f"report.frames[{i}]", frame.timestamp_s
         if type(stamp) is not float or not 0 <= stamp < math.inf:
@@ -476,17 +514,19 @@ def _render_frames(report: ExperimentReport) -> tuple[list[str], list[str], list
             position = {key: index for index, key in enumerate(keys)}
             columns = [position[sfc_id] for sfc_id in accepted]
         reprs = [*map(repr, latency.values())]
-        items[1::2] = map(reprs.__getitem__, order)
-        rows[0::4] = [stamp] * len(accepted)
-        rows[2::4] = map(reprs.__getitem__, columns)
-        json_chunks += (_FRAME_SEPARATOR, _FRAME_JSON[0], cpu[3], _FRAME_JSON[1], links[3], _FRAME_JSON[2],
-                        "".join(items), _FRAME_JSON[3], stamp, _FRAME_JSON[4])
-        latency_lines.append("".join(rows))
-        if cpu is not cpu_entry:
-            host_texts.update(_field_texts(set(cpu[1]).difference(host_texts)))
-            cpu_entry, cpu_rows = cpu, [f",{host_texts[host]},{text}\n" for host, text in zip(cpu[1], cpu[2])]
-        cpu_lines.append(stamp.join(["", *cpu_rows]))
-    return json_chunks, latency_lines, cpu_lines
+        if json_write is not None:
+            items[1::2] = map(reprs.__getitem__, order)
+            json_write("".join((separator, _FRAME_JSON[0], cpu[3], _FRAME_JSON[1], links[3], _FRAME_JSON[2],
+                                "".join(items), _FRAME_JSON[3], stamp, _FRAME_JSON[4])))
+            separator = _FRAME_SEPARATOR
+        if latency_write is not None:
+            rows[0::4] = [stamp] * len(accepted)
+            rows[2::4] = map(reprs.__getitem__, columns)
+            latency_write("".join(rows))
+            if cpu is not cpu_entry:
+                host_texts.update(_field_texts(set(cpu[1]).difference(host_texts)))
+                cpu_entry, cpu_rows = cpu, [f",{host_texts[host]},{text}\n" for host, text in zip(cpu[1], cpu[2])]
+            cpu_write(stamp.join(["", *cpu_rows]))
 
 
 def trace_csv(report: ExperimentReport) -> str:
@@ -516,65 +556,108 @@ def histogram_csv(report: ExperimentReport, bin_width_ms: float) -> str:
     return _csv_text(["sfc_id", "bin_lower_ms", "count"], rows)
 
 
-def write_atomically(directory, files: dict[str, str | list[str]]) -> list[Path]:
-    """Write name -> content files into directory, each through a temporary file and os.replace.
+def write_atomically(directory, files: dict[str, str | Iterable[str]], fill=None) -> list[Path]:
+    """Write name -> content files into directory, each through a temporary file, and os.replace them all at the end.
 
-    A content is a str or a list of str chunks, written one after another,
-    so no file's whole text need be held in memory. A file lands whole or
-    not at all; a reader never sees a partial one. On failure the temporary
-    file of the file being written is removed, as far as that is possible,
-    before the IoError is raised.
+    A content is a str or an iterable of str chunks, written one after
+    another, so no file's whole text need be held in memory. fill, if given,
+    is then called with each name's write function and writes the rest of
+    the files. Every temporary file stays open until all are written, and
+    only then is each moved into place, so a reader never sees a partial
+    file and the files land together: an exception while writing (an
+    OSError, raised as an IoError, or any other, such as a refused frame's
+    ValueError) leaves no new file, no temporary file and no directory this
+    call made, as far as their removal is possible. Only an error between
+    two of the final renames can leave the files renamed before it. (Each
+    file used to be moved into place as soon as it was written, so a failure
+    partway left the files before it new and the rest old, a directory that
+    mixed two runs.)
     """
     directory = Path(directory)
-    written = []
-    temp = None
+    temps: dict[str, Path] = {}
+    made = []  # the directories this call makes, deepest first
     try:
+        for path in (directory, *directory.parents):
+            if path.exists():
+                break
+            made.append(path)
         directory.mkdir(parents=True, exist_ok=True)
-        for name, content in files.items():
-            target = directory / name
-            temp = directory / (name + ".tmp")
-            with open(temp, "w", encoding="utf-8") as file:
+        with ExitStack() as stack:
+            writes = {}
+            for name, content in files.items():
+                temps[name] = directory / (name + ".tmp")
+                file = stack.enter_context(open(temps[name], "w", encoding="utf-8"))
                 file.writelines([content] if isinstance(content, str) else content)
-            os.replace(temp, target)
-            written.append(target)
-    except OSError as exc:
-        if temp is not None:
+                writes[name] = file.write
+            if fill is not None:
+                fill(writes)
+        for name, temp in temps.items():
+            os.replace(temp, directory / name)
+    except BaseException as exc:
+        for path in temps.values():
             with suppress(OSError):
-                temp.unlink(missing_ok=True)
-        raise IoError(f"cannot write into {directory}: {exc}") from None
-    return sorted(written)
+                path.unlink(missing_ok=True)
+        for path in made:
+            with suppress(OSError):
+                path.rmdir()
+        if isinstance(exc, OSError):
+            raise IoError(f"cannot write into {directory}: {exc}") from None
+        raise
+    return sorted(directory / name for name in files)
+
+
+def _report_parts(report: ExperimentReport, formats):
+    """The asked files' texts before their frames, by name, and a fill that writes the rest (see write_atomically).
+
+    fill(writes) renders the frames once, into report.json, latency.csv and
+    cpu.csv through their write functions (see _render_frames), and ends
+    report.json; the other files are whole before it.
+    """
+    heads: dict[str, str] = {}
+    tail = ""
+    if "json" in formats:
+        text = json.dumps(report_to_dict(replace(report, frames=())), indent=2, sort_keys=True)
+        if report.frames:
+            # the one top-level line of the frames: a JSON string holds no raw line break, a deeper line more indent
+            head, rest = text.split('\n  "frames": []')
+            text, tail = head + '\n  "frames": [', "\n  ]" + rest
+        heads[REPORT_FILENAME] = text
+    if "csv" in formats:
+        heads["outcomes.csv"] = outcomes_csv(report)
+        heads["latency.csv"] = "timestamp_s,sfc_id,latency_ms\n"
+        heads["cpu.csv"] = "timestamp_s,host_id,utilization\n"
+        if report.trace is not None:
+            heads["trace.csv"] = trace_csv(report)
+
+    def fill(writes):
+        _render_frames(report, writes.get(REPORT_FILENAME), writes.get("latency.csv"), writes.get("cpu.csv"))
+        if REPORT_FILENAME in writes:
+            writes[REPORT_FILENAME](tail + "\n")
+
+    return heads, fill
 
 
 def report_files(report: ExperimentReport, formats=("json", "csv")) -> dict[str, str | list[str]]:
-    """A report's files by name, as write_atomically takes them, for the asked formats.
+    """A report's files by name, as write_atomically takes them, for the asked formats: write_report's in memory.
 
     "json" gives report.json; "csv" gives outcomes.csv, latency.csv (one row
     per frame and accepted SFC, in outcome order), cpu.csv (one row per frame
     and host, hosts sorted) and, for a GA run, trace.csv. The frames are
     rendered once, in one pass, for report.json, latency.csv and cpu.csv
-    (see _render_frames), and those three files are lists of chunks. A frame
-    that read_report could not read back as it is raises a ValueError.
+    (see _render_frames), and those three files are lists of chunks, one per
+    frame. A frame that read_report could not read back as it is raises a
+    ValueError.
     """
-    json_chunks, latency_lines, cpu_lines = _render_frames(report)
-    files: dict[str, str | list[str]] = {}
-    if "json" in formats:
-        text = json.dumps(report_to_dict(replace(report, frames=())), indent=2, sort_keys=True)
-        # the one top-level line of the frames: a JSON string holds no raw line break, a deeper line more indent
-        head, tail = text.split('\n  "frames": []')
-        files[REPORT_FILENAME] = ([head, '\n  "frames": [\n    ', *json_chunks[1:], "\n  ]", tail, "\n"]
-                                  if json_chunks else [text, "\n"])
-    if "csv" in formats:
-        files["outcomes.csv"] = outcomes_csv(report)
-        files["latency.csv"] = ["timestamp_s,sfc_id,latency_ms\n", *latency_lines]
-        files["cpu.csv"] = ["timestamp_s,host_id,utilization\n", *cpu_lines]
-        if report.trace is not None:
-            files["trace.csv"] = trace_csv(report)
-    return files
+    heads, fill = _report_parts(report, formats)
+    chunks = {name: [heads[name]] for name in (REPORT_FILENAME, "latency.csv", "cpu.csv") if name in heads}
+    fill({name: lines.append for name, lines in chunks.items()})
+    return {**heads, **chunks}
 
 
 def write_report(report: ExperimentReport, directory, formats=("json", "csv")) -> list[Path]:
-    """Write report_files(report, formats) into directory; every file lands atomically or not at all.
+    """Write report_files(report, formats) into directory, streaming each frame's text to disk as it is rendered.
 
-    A frame report_files refuses is a ValueError before any file is written.
+    The files land together or not at all (see write_atomically): a frame
+    report_files refuses is a ValueError, and no file is written.
     """
-    return write_atomically(directory, report_files(report, formats))
+    return write_atomically(directory, *_report_parts(report, formats))

@@ -77,6 +77,21 @@ def test_latency_and_cpu_csv_equal_csv_writer():
             [[f.timestamp_s, h, f.host_cpu[h]] for f in report.frames for h in sorted(f.host_cpu)])
 
 
+def test_csv_text_equals_csv_writer_on_random_rows():
+    """Rows of plain fields are joined without csv.writer, and must read as it writes them on this version."""
+    alphabet = ['a', ' ', '\t', ',', '"', '\r', '\n', '\x00', '\x0b', 'é', '雪', '😀', "'", '\\', '']
+    rng = random.Random(7)
+    for _ in range(3000):
+        width = rng.randrange(1, 4)
+        header, *rows = [["".join(rng.choices(alphabet, k=rng.randrange(4))) for _ in range(width)]
+                         for _ in range(rng.randrange(1, 4))]
+        try:
+            expected = _csv_reference(header, rows)
+        except csv.Error:  # a NUL before Python 3.11
+            continue
+        assert experiment._csv_text(header, rows) == expected, (header, rows)
+
+
 # Values equal to another but not the same object, whose texts differ or must be written afresh: a writer
 # that reused a map's text on == instead of on identity would write the first one's text for the second.
 def _lookalikes() -> list[float]:
@@ -282,9 +297,9 @@ def test_write_report_and_the_report_command_render_the_frames_once(scenario_dir
     calls = []
     render_frames = experiment._render_frames
 
-    def counted(report):
+    def counted(report, *args):
         calls.append(report)
-        return render_frames(report)
+        return render_frames(report, *args)
 
     monkeypatch.setattr(experiment, "_render_frames", counted)
     report = _simulated(scenario_dir)
@@ -499,7 +514,10 @@ def test_zero_frames_and_no_accepted_sfc_write_headers_only(scenario_dir, tmp_pa
 
 def test_a_frame_mutated_after_simulate_is_written_as_it_is_now(scenario_dir, tmp_path):
     report = _simulated(scenario_dir)
-    frames = report.frames
+    # simulate's maps are read-only and shared across a traffic epoch: each frame gets copies of its own to mutate
+    frames = tuple(TelemetryFrame(f.timestamp_s, dict(f.host_cpu), dict(f.link_bw_mbps), dict(f.sfc_latency_ms))
+                   for f in report.frames)
+    report = dataclasses.replace(report, frames=frames)
     host, link, sfc_id = next(iter(frames[0].host_cpu)), next(iter(frames[0].link_bw_mbps)), report.outcomes[0].sfcr_id
     frames[3].host_cpu[host] = 0.5
     frames[4].link_bw_mbps[link] += 1.0
@@ -508,6 +526,7 @@ def test_a_frame_mutated_after_simulate_is_written_as_it_is_now(scenario_dir, tm
     frames[7].sfc_latency_ms["added"] = 2.5
     files = _assert_written_as_the_standard_library_writes(report, tmp_path)
     assert f"3.0,{host},0.5\n" in files["cpu.csv"] and f"5.0,{sfc_id},1.25\n" in files["latency.csv"]
+    assert f"2.0,{host},0.5\n" not in files["cpu.csv"] and f"4.0,{host},0.5\n" not in files["cpu.csv"]
 
 
 def test_an_os_error_partway_through_a_chunked_write_leaves_no_temporary_file(tmp_path):
@@ -519,8 +538,9 @@ def test_an_os_error_partway_through_a_chunked_write_leaves_no_temporary_file(tm
 
     with pytest.raises(IoError, match="No space left on device"):
         write_atomically(tmp_path, {"a.csv": ["a\n", "b\n"], "b.csv": chunks()})
-    assert sorted(path.name for path in tmp_path.iterdir()) == ["a.csv", "b.csv"]
-    assert (tmp_path / "a.csv").read_text() == "a\nb\n" and (tmp_path / "b.csv").read_text() == "old\n"
+    # the files land together: a.csv, written whole before b.csv failed, is not moved into place either
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["b.csv"]
+    assert (tmp_path / "b.csv").read_text() == "old\n"
 
 
 def test_write_report_holds_little_more_than_the_bytes_it_writes(scenario_dir, tmp_path):
@@ -535,3 +555,73 @@ def test_write_report_holds_little_more_than_the_bytes_it_writes(scenario_dir, t
         tracemalloc.stop()
     size = sum(path.stat().st_size for path in written)
     assert peak <= 1.3 * size, (peak, size)
+
+
+def test_write_report_holds_one_frame_s_text_not_the_run_s(scenario_dir, tmp_path):
+    """write_report streams: its traced peak is a small share of the bytes written and does not grow with the frames."""
+    peaks = []
+    for sample_interval_s, count in ((0.2, 300), (0.1, 600)):
+        report = _simulated(scenario_dir, duplicates=3, sample_interval_s=sample_interval_s)
+        assert len(report.frames) == count
+        # untraced, so the interpreter's one-time caches of the writer's code (Python 3.10's opcache) are made
+        write_report(report, tmp_path / "warm")
+        tracemalloc.start()
+        try:
+            written = write_report(report, tmp_path / str(count))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = sum(path.stat().st_size for path in written)
+        assert peak <= 0.15 * size, (count, peak, size)
+        peaks.append(peak)
+    assert peaks[1] - peaks[0] < 64 * 1024, peaks
+
+
+def test_a_refused_frame_or_an_os_error_leaves_no_file_and_no_directory_it_made(tmp_path):
+    report = _with_second_frame(**REFUSED["nan"])
+    with pytest.raises(ValueError, match=r"^report\.frames\[1\]"):
+        write_report(report, tmp_path / "a" / "b" / "c")
+    assert not list(tmp_path.iterdir())
+
+    (tmp_path / "kept").mkdir()
+    (tmp_path / "kept" / "cpu.csv").write_text("old\n")
+    with pytest.raises(ValueError, match=r"^report\.frames\[1\]"):
+        write_report(report, tmp_path / "kept" / "new")
+    with pytest.raises(ValueError, match=r"^report\.frames\[1\]"):
+        write_report(report, tmp_path / "kept")
+    assert [path.name for path in tmp_path.iterdir()] == ["kept"]
+    assert [path.name for path in (tmp_path / "kept").iterdir()] == ["cpu.csv"]
+    assert (tmp_path / "kept" / "cpu.csv").read_text() == "old\n"
+
+    def fill(writes):
+        writes["a.csv"]("more\n")
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    with pytest.raises(IoError, match="No space left on device"):
+        write_atomically(tmp_path / "x" / "y", {"a.csv": "a\n", "b.csv": ""}, fill)
+    assert [path.name for path in tmp_path.iterdir()] == ["kept"]
+
+
+def _bits(mapping) -> list:
+    return [(key, repr(value)) for key, value in mapping.items()]
+
+
+def test_the_reader_shares_a_map_that_repeats_the_last_frame_s_bit_for_bit(scenario_dir, tmp_path):
+    """read_report holds a map once per run of frames with the same keys, in order, and the same floats."""
+    simulated = _simulated(scenario_dir)
+    write_report(simulated, tmp_path)
+    frames = [TelemetryFrame(float(tick), dict(cpu), dict(cpu), {}) for tick, cpu in enumerate(
+        [{"h1": 0.0, "h2": 0.5}, {"h1": -0.0, "h2": 0.5}, {"h1": -0.0, "h2": 0.5}, {"h2": 0.5, "h1": -0.0},
+         {"h2": 0.5, "h1": -0.0}, {"h1": 0.0, "h2": 0.5}, {}, {}])]
+    by_hand = ExperimentReport("digest", (), None, None, tuple(frames), None)
+    for report, back in ((simulated, read_report(tmp_path / "report.json")),
+                         (by_hand, report_from_dict(report_to_dict(by_hand)))):
+        assert back == report
+        for kind in ("host_cpu", "link_bw_mbps"):
+            maps = [getattr(frame, kind) for frame in back.frames]
+            assert len({id(m) for m in maps}) < len(maps)
+            for last, now in zip(maps, maps[1:]):
+                assert (now is last) == (_bits(now) == _bits(last)), (last, now)
+        assert {name: "".join(content) for name, content in report_files(back).items()} == \
+            {name: "".join(content) for name, content in report_files(report).items()}
+    assert len({id(frame.host_cpu) for frame in back.frames}) == 5
