@@ -10,7 +10,6 @@ stay reproducible.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
@@ -20,11 +19,9 @@ import time
 from contextlib import ExitStack, suppress
 from dataclasses import dataclass, field, is_dataclass, replace
 from datetime import datetime
-from io import StringIO
 from json.encoder import encode_basestring_ascii
 from operator import is_
 from pathlib import Path
-from typing import Iterable
 
 from .catalog import (
     Catalog,
@@ -385,40 +382,26 @@ def read_report(path) -> ExperimentReport:
         raise IoError(f"{path}: malformed report: {exc}") from None
 
 
-# what csv.writer quotes in a field, on some supported Python version, or (NUL, before 3.11) refuses
-_CSV_SPECIAL = frozenset(',"\r\n\0')
+def _csv_field(value) -> str:
+    """value's text as one CSV field: str(value) (repr for a float), quoted if it holds a comma, a quote, CR or LF.
+
+    RFC 4180's minimal quoting, with each quote doubled, the one rule of every
+    report file on every Python version.
+    """
+    text = str(value)
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _csv_text(header: list[str], rows) -> str:
-    """header and rows as csv.writer writes them.
-
-    Rows of two or more str fields without a _CSV_SPECIAL character are
-    joined directly, which is what csv.writer writes for them on every
-    version: its record buffer takes 128 KiB however short the rows, more
-    than write_report holds besides.
-    """
-    rows = [header, *rows]
-    if all(len(row) > 1 and all(type(value) is str and _CSV_SPECIAL.isdisjoint(value) for value in row)
-           for row in rows):
-        return "".join([",".join(row) + "\n" for row in rows])
-    buffer = StringIO()
-    csv.writer(buffer, lineterminator="\n").writerows(rows)
-    return buffer.getvalue()
+    """header and rows, each row's _csv_field texts joined by commas and ended by a line break."""
+    return "".join([",".join(map(_csv_field, row)) + "\n" for row in [header, *rows]])
 
 
 def outcomes_csv(report: ExperimentReport) -> str:
     rows = [[o.sfcr_id, "true" if o.accepted else "false", o.reason] for o in report.outcomes]
     return _csv_text(["sfcr_id", "accepted", "reason"], rows)
-
-
-def _field_texts(values) -> dict[str, str]:
-    """Each value as csv.writer writes it as one field of a row, quoted only where needed.
-
-    _render_frames writes the CSV lines directly: an id's field text comes
-    from here, and a number is written with repr, as csv.writer writes a float.
-    """
-    # after an empty first field, since a row of one empty field is written as ""
-    return {value: _csv_text(["", value], ())[1:-1] for value in values}
 
 
 # before each frame's item in report.json but the first
@@ -490,8 +473,7 @@ def _render_frames(report: ExperimentReport, json_write=None, latency_write=None
     accepted = [o.sfcr_id for o in report.outcomes if o.accepted]
     # latency.csv's rows of a frame: its timestamp, an id field and a latency in each row's slots
     rows = [None, None, None, "\n"] * len(accepted)
-    rows[1::4] = [f",{text}," for text in map(_field_texts(accepted).get, accepted)]
-    host_texts: dict[str, str] = {}
+    rows[1::4] = [f",{_csv_field(sfc_id)}," for sfc_id in accepted]
     memo: dict = {}
     cpu_entry = cpu_rows = keys = None  # keys: the last frame's latency keys
     separator = "\n    "  # before the first frame's item in report.json; _FRAME_SEPARATOR before each later one
@@ -524,8 +506,7 @@ def _render_frames(report: ExperimentReport, json_write=None, latency_write=None
             rows[2::4] = map(reprs.__getitem__, columns)
             latency_write("".join(rows))
             if cpu is not cpu_entry:
-                host_texts.update(_field_texts(set(cpu[1]).difference(host_texts)))
-                cpu_entry, cpu_rows = cpu, [f",{host_texts[host]},{text}\n" for host, text in zip(cpu[1], cpu[2])]
+                cpu_entry, cpu_rows = cpu, [f",{_csv_field(host)},{text}\n" for host, text in zip(cpu[1], cpu[2])]
             cpu_write(stamp.join(["", *cpu_rows]))
 
 
@@ -556,22 +537,18 @@ def histogram_csv(report: ExperimentReport, bin_width_ms: float) -> str:
     return _csv_text(["sfc_id", "bin_lower_ms", "count"], rows)
 
 
-def write_atomically(directory, files: dict[str, str | Iterable[str]], fill=None) -> list[Path]:
-    """Write name -> content files into directory, each through a temporary file, and os.replace them all at the end.
+def write_atomically(directory, files: dict[str, str], fill=None) -> list[Path]:
+    """Write name -> text files into directory, each through a temporary file, and os.replace them all at the end.
 
-    A content is a str or an iterable of str chunks, written one after
-    another, so no file's whole text need be held in memory. fill, if given,
-    is then called with each name's write function and writes the rest of
-    the files. Every temporary file stays open until all are written, and
+    fill, if given, is then called with each name's write function and
+    writes the rest of the files, so no file's whole text need be held in
+    memory. Every temporary file stays open until all are written, and
     only then is each moved into place, so a reader never sees a partial
     file and the files land together: an exception while writing (an
     OSError, raised as an IoError, or any other, such as a refused frame's
     ValueError) leaves no new file, no temporary file and no directory this
     call made, as far as their removal is possible. Only an error between
-    two of the final renames can leave the files renamed before it. (Each
-    file used to be moved into place as soon as it was written, so a failure
-    partway left the files before it new and the rest old, a directory that
-    mixed two runs.)
+    two of the final renames can leave the files renamed before it.
     """
     directory = Path(directory)
     temps: dict[str, Path] = {}
@@ -584,10 +561,10 @@ def write_atomically(directory, files: dict[str, str | Iterable[str]], fill=None
         directory.mkdir(parents=True, exist_ok=True)
         with ExitStack() as stack:
             writes = {}
-            for name, content in files.items():
+            for name, text in files.items():
                 temps[name] = directory / (name + ".tmp")
                 file = stack.enter_context(open(temps[name], "w", encoding="utf-8"))
-                file.writelines([content] if isinstance(content, str) else content)
+                file.write(text)
                 writes[name] = file.write
             if fill is not None:
                 fill(writes)
@@ -638,7 +615,7 @@ def _report_parts(report: ExperimentReport, formats):
 
 
 def report_files(report: ExperimentReport, formats=("json", "csv")) -> dict[str, str | list[str]]:
-    """A report's files by name, as write_atomically takes them, for the asked formats: write_report's in memory.
+    """A report's files by name, for the asked formats: write_report's in memory.
 
     "json" gives report.json; "csv" gives outcomes.csv, latency.csv (one row
     per frame and accepted SFC, in outcome order), cpu.csv (one row per frame

@@ -208,6 +208,23 @@ def test_report_command_writes_the_csvs_of_run_byte_for_byte(scenario_dir, tmp_p
         assert (tmp_path / "agg" / name).read_bytes() == (tmp_path / "run" / name).read_bytes(), name
 
 
+def test_ids_with_a_nul_and_a_lone_cr_are_written_alike_on_every_version(scenario_dir, tmp_path):
+    """One CSV field rule: a lone CR is quoted, a NUL is written as it is, and report re-renders the same bytes."""
+    config = json.loads((scenario_dir / "exp1.json").read_text("utf-8"))
+    sfcrs = json.loads((scenario_dir / "sfcrs.json").read_text("utf-8"))
+    sfcrs["sfcrs"][0]["id"], sfcrs["sfcrs"][1]["id"] = "a\u0000x", "cr\rid"
+    config.update(catalog=str(scenario_dir / "catalog.json"), sfcrs=sfcrs)
+    path = tmp_path / "awkward.json"
+    path.write_text(json.dumps(config), "utf-8")
+    assert run_cli("run", "--config", str(path), "--output-dir", str(tmp_path / "run"), "--quiet") == 0
+    outcomes = (tmp_path / "run" / "outcomes.csv").read_bytes()
+    assert b'\n"cr\rid-1",true,\n' in outcomes and b"\na\x00x-1,true,\n" in outcomes
+    assert run_cli("report", "--report", str(tmp_path / "run" / "report.json"),
+                   "--output-dir", str(tmp_path / "agg"), "--quiet") == 0
+    for name in ("latency.csv", "cpu.csv", "outcomes.csv"):
+        assert (tmp_path / "agg" / name).read_bytes() == (tmp_path / "run" / name).read_bytes(), name
+
+
 def test_report_missing_file_exits_2(tmp_path, capsys):
     assert run_cli("report", "--report", str(tmp_path / "none.json")) == 2
     assert "error: io:" in capsys.readouterr().err

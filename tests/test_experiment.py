@@ -413,7 +413,7 @@ README_SECTIONS = {
 
 
 def test_readme_configuration_names_every_key_the_reader_accepts(scenario_dir):
-    readme = (scenario_dir.parent / "README.md").read_text()
+    readme = (scenario_dir.parent / "README.md").read_text("utf-8")
     section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
     for name, kinds in README_SECTIONS.items():
         keys = [name] + [key for kind in kinds for key in json_fields(kind)]

@@ -1,5 +1,8 @@
 """The report writers against the standard library's writers: same text for every frame read_report reads back.
 
+The CSV reference is csv.writer ending each row with CR LF, the row's last CR
+LF then written as LF: what every Python version from 3.10 on writes alike.
+
 A frame is written only when read_report reads it back as it was (str keys,
 finite non-negative floats, a latency for each accepted SFC); any other frame
 is a ValueError naming it, and no file is written.
@@ -28,20 +31,26 @@ from rasesim.topology import HostSpec, NetworkSpec, build_network
 
 from helpers import sfcr, small_catalog, star_net
 
-# a quote, a comma, line breaks, a backslash, a control character and non-ASCII text
-AWKWARD = ['plain', 'a,b', 'say "hi"', 'two\nlines', 'cr\rlf\r\n', 'back\\slash', 'tab\t\x00',
+# a quote, a comma, line breaks, a lone CR, a backslash, control characters and non-ASCII text
+AWKWARD = ['plain', 'a,b', 'say "hi"', 'two\nlines', 'cr\rlf\r\n', 'cr\r', 'back\\slash', 'tab\t\x00',
            'ünïcødé', '雪', '😀', '']
 
 # finite, non-negative floats, -0.0, subnormals and the largest float among them
 FLOATS = [0.0, -0.0, 0.1, 2.5, 1e-7, 1e16, 1e22, 1e300, 1.7976931348623157e308, 5e-324, 1e-310]
 
 
+# stands in for NUL, which csv.writer refuses before Python 3.11 and writes as it is since
+NUL_STAND_IN = "\ue000"
+
+
 def _csv_reference(header, rows) -> str:
-    buffer = StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
+    lines = []
+    for row in [header, *rows]:
+        buffer = StringIO()
+        csv.writer(buffer, lineterminator="\r\n").writerow(
+            [value.replace("\0", NUL_STAND_IN) if type(value) is str else value for value in row])
+        lines.append(buffer.getvalue().removesuffix("\r\n").replace(NUL_STAND_IN, "\0") + "\n")
+    return "".join(lines)
 
 
 def _report(rng: random.Random) -> ExperimentReport:
@@ -78,18 +87,36 @@ def test_latency_and_cpu_csv_equal_csv_writer():
 
 
 def test_csv_text_equals_csv_writer_on_random_rows():
-    """Rows of plain fields are joined without csv.writer, and must read as it writes them on this version."""
+    """Rows of two or more fields, as the writers write them (csv.writer writes a row of one empty field as "")."""
     alphabet = ['a', ' ', '\t', ',', '"', '\r', '\n', '\x00', '\x0b', 'é', '雪', '😀', "'", '\\', '']
     rng = random.Random(7)
     for _ in range(3000):
-        width = rng.randrange(1, 4)
+        width = rng.randrange(2, 4)
         header, *rows = [["".join(rng.choices(alphabet, k=rng.randrange(4))) for _ in range(width)]
                          for _ in range(rng.randrange(1, 4))]
-        try:
-            expected = _csv_reference(header, rows)
-        except csv.Error:  # a NUL before Python 3.11
-            continue
-        assert experiment._csv_text(header, rows) == expected, (header, rows)
+        assert experiment._csv_text(header, rows) == _csv_reference(header, rows), (header, rows)
+
+
+# each field's text on every Python version: quoted, with each quote doubled, if it holds a comma, a quote, CR
+# or LF; a number is its str, which is repr for a float
+CSV_FIELDS = [
+    ("a,b", '"a,b"'),
+    ('say "hi"', '"say ""hi"""'),
+    ("two\nlines", '"two\nlines"'),
+    ("cr\r", '"cr\r"'),
+    ("a\x00x", "a\x00x"),
+    ("a\x00,x", '"a\x00,x"'),
+    ("", ""),
+    (-0.0, "-0.0"),
+    (5e-324, "5e-324"),
+    (7, "7"),
+]
+
+
+@pytest.mark.parametrize("value, text", CSV_FIELDS)
+def test_csv_field_writes_the_same_text_on_every_version(value, text):
+    assert experiment._csv_field(value) == text
+    assert experiment._csv_text(["x", "y"], [[value, value]]) == f"x,y\n{text},{text}\n"
 
 
 # Values equal to another but not the same object, whose texts differ or must be written afresh: a writer
@@ -532,12 +559,12 @@ def test_a_frame_mutated_after_simulate_is_written_as_it_is_now(scenario_dir, tm
 def test_an_os_error_partway_through_a_chunked_write_leaves_no_temporary_file(tmp_path):
     (tmp_path / "b.csv").write_text("old\n")
 
-    def chunks():
-        yield "x" * 100_000  # beyond the text layer's buffer, so part of the file reaches the disk
+    def fill(writes):
+        writes["b.csv"]("x" * 100_000)  # beyond the text layer's buffer, so part of the file reaches the disk
         raise OSError(errno.ENOSPC, "No space left on device")
 
     with pytest.raises(IoError, match="No space left on device"):
-        write_atomically(tmp_path, {"a.csv": ["a\n", "b\n"], "b.csv": chunks()})
+        write_atomically(tmp_path, {"a.csv": "a\nb\n", "b.csv": ""}, fill)
     # the files land together: a.csv, written whole before b.csv failed, is not moved into place either
     assert sorted(path.name for path in tmp_path.iterdir()) == ["b.csv"]
     assert (tmp_path / "b.csv").read_text() == "old\n"
