@@ -169,6 +169,24 @@ def _reader(kind):
     raise TypeError(f"no JSON reader for {kind!r}")
 
 
+_JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def to_json(value):
+    """value as a JSON document holds it: the mirror of from_json, whose kind reads the result back as value.
+
+    Dataclasses become dicts by json_fields key, tuples lists, a TrafficPattern its segments; dicts are shared.
+    """
+    kind = type(value)
+    if kind is tuple:
+        return [to_json(item) for item in value]
+    if kind in _JSON_SCALARS or not dataclasses.is_dataclass(value):
+        return value
+    if kind is TrafficPattern:  # a template's traffic is the segment list itself
+        return to_json(value.segments)
+    return {key: to_json(getattr(value, f.name)) for key, f in json_fields(kind).items()}
+
+
 @functools.cache
 def json_fields(kind) -> dict[str, dataclasses.Field]:
     """A dataclass's fields by document key, under TEMPLATE_KEYS for SFCRequest; TypeError for any other type.

@@ -10,15 +10,17 @@ Errors print a single line `error: <stage>: <message>` to stderr.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
 import sys
 from pathlib import Path
 
+from .catalog import to_json
 from .errors import ConfigError, RaseSimError
 from .experiment import (
-    _report_parts,
+    _report_chunks,
     generate_requests,
     histogram_csv,
     load_config,
@@ -26,7 +28,6 @@ from .experiment import (
     resolve_output_dir,
     run_experiment,
     run_solver,
-    template_to_dict,
     write_atomically,
     write_report,
 )
@@ -152,12 +153,9 @@ def _cmd_generate(args) -> int:
     cfg = load_config(args.config, seed_override=args.seed)
     sfcrs = generate_requests(cfg)
     directory = resolve_output_dir(cfg, _pinned_output_dir(args))
-    payload = {
-        "seed": derive_seed(cfg.seed, "sfcrs"),
-        "sfcrs": [template_to_dict(s) for s in sfcrs],
-    }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    for target in write_atomically(directory, {"sfcrs_generated.json": text}):
+    payload = {"seed": derive_seed(cfg.seed, "sfcrs"), "sfcrs": sfcrs}
+    text = json.dumps(payload, indent=2, sort_keys=True, default=to_json) + "\n"
+    for target in write_atomically(directory, [("sfcrs_generated.json", text)]):
         _say(args, f"wrote {target}")
     return 0
 
@@ -166,9 +164,8 @@ def _cmd_report(args) -> int:
     report_path = Path(args.report)
     report = read_report(report_path)
     directory = _pinned_output_dir(args) or report_path.parent
-    files, fill = _report_parts(report, ("csv",))
-    files["histogram.csv"] = histogram_csv(report, args.bin_width)
-    for target in write_atomically(directory, files, fill):
+    histogram = ("histogram.csv", histogram_csv(report, args.bin_width))
+    for target in write_atomically(directory, itertools.chain(_report_chunks(report, ("csv",)), [histogram])):
         _say(args, f"wrote {target}")
     return 0
 

@@ -17,7 +17,7 @@ import os
 import struct
 import time
 from contextlib import ExitStack, suppress
-from dataclasses import dataclass, field, is_dataclass, replace
+from dataclasses import dataclass, field, replace
 from datetime import datetime
 from json.encoder import encode_basestring_ascii
 from operator import is_
@@ -30,9 +30,9 @@ from .catalog import (
     check_keys,
     from_json,
     generate_sfcrs,
-    json_fields,
     load_catalog,
     parse_sfcr_templates,
+    to_json,
 )
 from .engine import Chain, EngineConfig, _walk, mean_chain_latency, simulate
 from .errors import ConfigError, IoError
@@ -51,7 +51,7 @@ from .solver import (
     ga_solve,
     solve_simple_dijkstra,
 )
-from .telemetry import TelemetryFrame, bin_latencies, mean_latency
+from .telemetry import TelemetryFrame, latency_histograms, mean_latency
 from .topology import NetworkSpec, SubstrateNetwork, build_network
 
 REPORT_FILENAME = "report.json"
@@ -168,43 +168,19 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
     return ExperimentConfig(network, catalog, templates, duplicates, solver, engine, output, seed, digest)
 
 
-_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
-
-
-def _jsonable(value):
-    """Dataclasses as dicts by document key and tuples as lists, recursively; dicts and scalars are shared.
-
-    Unlike dataclasses.asdict nothing is deep-copied, which matters for a
-    report's frames.
-    """
-    kind = type(value)
-    if kind is tuple:
-        return [_jsonable(item) for item in value]
-    if kind in _SCALAR_TYPES or not is_dataclass(value):
-        return value
-    return {key: _jsonable(getattr(value, f.name)) for key, f in json_fields(kind).items()}
-
-
 def _config_digest(network, catalog, templates, duplicates, solver, engine, seed) -> str:
     """Digest of everything that determines results; output settings excluded."""
     payload = {
         "network": network,
         "catalog": catalog.vnfs,
-        "sfcrs": [template_to_dict(t) for t in templates],
+        "sfcrs": templates,
         "duplicates": duplicates,
         "solver": solver,
         "engine": engine,
         "seed": seed,
     }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=_jsonable)
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=to_json)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def template_to_dict(template: SFCRequest) -> dict:
-    """A template as an SFCR document holds it, the form from_json reads: traffic is the segment list."""
-    data = _jsonable(template)
-    data["traffic"] = data["traffic"]["segments"]
-    return data
 
 
 def build_ga_evaluator(base_net: SubstrateNetwork, sfcrs, catalog: Catalog, engine_cfg: EngineConfig):
@@ -320,11 +296,6 @@ def resolve_output_dir(cfg: ExperimentConfig, pinned: str | None) -> Path:
 
 
 # -- report serialization ------------------------------------------------------
-
-
-def report_to_dict(report: ExperimentReport) -> dict:
-    """JSON-ready form of a report; solve_seconds is deliberately omitted."""
-    return _jsonable(report)
 
 
 def _same_objects(last: list, now: list) -> bool:
@@ -453,17 +424,16 @@ def _map_items(memo: dict, kind: str, mapping, where: str):
     return last
 
 
-def _render_frames(report: ExperimentReport, json_write=None, latency_write=None, cpu_write=None) -> None:
-    """Write each frame's text into the asked files: report.json's item, latency.csv's and cpu.csv's lines.
+def _render_frames(report: ExperimentReport, formats):
+    """Each frame's (name, text) chunks of the asked files: report.json's item, latency.csv's and cpu.csv's lines.
 
-    Each write function is called once per frame, with that frame's text of
-    its file (report.json's item after the line break, and the comma of every
-    item but the first). A file not asked for gets None, and its text is not
-    built; latency.csv and cpu.csv are asked for together. A frame must read
-    back from report.json as it is: a finite, non-negative float timestamp,
-    maps that _check_map accepts and a latency for each accepted SFC; any
-    other is a ValueError naming it, whatever the files asked for. Each
-    number's repr is taken once for all three files.
+    "json" in formats asks for report.json's item (after the line break, and
+    the comma of every item but the first), "csv" for latency.csv's and
+    cpu.csv's lines. A file not asked for gets no chunk, and its text is not
+    built. A frame must read back from report.json as it is: a finite,
+    non-negative float timestamp, maps that _check_map accepts and a latency
+    for each accepted SFC; any other is a ValueError naming it, whatever the
+    files asked for. Each number's repr is taken once for all three files.
     The last frame's very host_cpu or link_bw_mbps map reuses its texts and
     cpu.csv rows (see _map_items), as the frames of one traffic epoch do. Per
     run of the same latency key objects, the keys are checked and encoded
@@ -496,18 +466,18 @@ def _render_frames(report: ExperimentReport, json_write=None, latency_write=None
             position = {key: index for index, key in enumerate(keys)}
             columns = [position[sfc_id] for sfc_id in accepted]
         reprs = [*map(repr, latency.values())]
-        if json_write is not None:
+        if "json" in formats:
             items[1::2] = map(reprs.__getitem__, order)
-            json_write("".join((separator, _FRAME_JSON[0], cpu[3], _FRAME_JSON[1], links[3], _FRAME_JSON[2],
-                                "".join(items), _FRAME_JSON[3], stamp, _FRAME_JSON[4])))
+            yield REPORT_FILENAME, "".join((separator, _FRAME_JSON[0], cpu[3], _FRAME_JSON[1], links[3],
+                                            _FRAME_JSON[2], "".join(items), _FRAME_JSON[3], stamp, _FRAME_JSON[4]))
             separator = _FRAME_SEPARATOR
-        if latency_write is not None:
+        if "csv" in formats:
             rows[0::4] = [stamp] * len(accepted)
             rows[2::4] = map(reprs.__getitem__, columns)
-            latency_write("".join(rows))
+            yield "latency.csv", "".join(rows)
             if cpu is not cpu_entry:
                 cpu_entry, cpu_rows = cpu, [f",{_csv_field(host)},{text}\n" for host, text in zip(cpu[1], cpu[2])]
-            cpu_write(stamp.join(["", *cpu_rows]))
+            yield "cpu.csv", stamp.join(["", *cpu_rows])
 
 
 def trace_csv(report: ExperimentReport) -> str:
@@ -527,28 +497,24 @@ def trace_csv(report: ExperimentReport) -> str:
 
 def histogram_csv(report: ExperimentReport, bin_width_ms: float) -> str:
     """Binned latency counts per accepted SFC, in outcome order."""
-    rows = []
-    for outcome in report.outcomes:
-        if not outcome.accepted:
-            continue
-        histogram = bin_latencies(report.frames, outcome.sfcr_id, bin_width_ms)
-        for lower_edge, count in histogram.bins:
-            rows.append([outcome.sfcr_id, lower_edge, count])
+    accepted = [o.sfcr_id for o in report.outcomes if o.accepted]
+    rows = [[sfc_id, lower_edge, count]
+            for sfc_id, histogram in zip(accepted, latency_histograms(report.frames, accepted, bin_width_ms))
+            for lower_edge, count in histogram.bins]
     return _csv_text(["sfc_id", "bin_lower_ms", "count"], rows)
 
 
-def write_atomically(directory, files: dict[str, str], fill=None) -> list[Path]:
-    """Write name -> text files into directory, each through a temporary file, and os.replace them all at the end.
+def write_atomically(directory, chunks) -> list[Path]:
+    """Append each (name, text) chunk, in order, to directory/name; return the files' paths, sorted.
 
-    fill, if given, is then called with each name's write function and
-    writes the rest of the files, so no file's whole text need be held in
-    memory. Every temporary file stays open until all are written, and
-    only then is each moved into place, so a reader never sees a partial
-    file and the files land together: an exception while writing (an
+    A name's temporary file is opened at its first chunk, so no file's whole
+    text need be in memory, and stays open until the last chunk is written;
+    only then is each os.replace'd into place, so a reader never sees a
+    partial file and the files land together. An exception while writing (an
     OSError, raised as an IoError, or any other, such as a refused frame's
     ValueError) leaves no new file, no temporary file and no directory this
-    call made, as far as their removal is possible. Only an error between
-    two of the final renames can leave the files renamed before it.
+    call made, as far as their removal is possible. Only an error between two
+    of the final renames can leave the files renamed before it.
     """
     directory = Path(directory)
     temps: dict[str, Path] = {}
@@ -560,14 +526,12 @@ def write_atomically(directory, files: dict[str, str], fill=None) -> list[Path]:
             made.append(path)
         directory.mkdir(parents=True, exist_ok=True)
         with ExitStack() as stack:
-            writes = {}
-            for name, text in files.items():
-                temps[name] = directory / (name + ".tmp")
-                file = stack.enter_context(open(temps[name], "w", encoding="utf-8"))
-                file.write(text)
-                writes[name] = file.write
-            if fill is not None:
-                fill(writes)
+            opened = {}
+            for name, text in chunks:
+                if name not in opened:
+                    temps[name] = directory / (name + ".tmp")
+                    opened[name] = stack.enter_context(open(temps[name], "w", encoding="utf-8"))
+                opened[name].write(text)
         for name, temp in temps.items():
             os.replace(temp, directory / name)
     except BaseException as exc:
@@ -580,55 +544,48 @@ def write_atomically(directory, files: dict[str, str], fill=None) -> list[Path]:
         if isinstance(exc, OSError):
             raise IoError(f"cannot write into {directory}: {exc}") from None
         raise
-    return sorted(directory / name for name in files)
+    return sorted(directory / name for name in temps)
 
 
-def _report_parts(report: ExperimentReport, formats):
-    """The asked files' texts before their frames, by name, and a fill that writes the rest (see write_atomically).
+def _report_chunks(report: ExperimentReport, formats):
+    """The asked files' (name, text) chunks: their heads, the frames' (see _render_frames), report.json's tail.
 
-    fill(writes) renders the frames once, into report.json, latency.csv and
-    cpu.csv through their write functions (see _render_frames), and ends
-    report.json; the other files are whole before it.
+    outcomes.csv and trace.csv are whole in their head; the frames are
+    rendered once, for report.json, latency.csv and cpu.csv.
     """
-    heads: dict[str, str] = {}
     tail = ""
     if "json" in formats:
-        text = json.dumps(report_to_dict(replace(report, frames=())), indent=2, sort_keys=True)
+        text = json.dumps(to_json(replace(report, frames=())), indent=2, sort_keys=True)
         if report.frames:
             # the one top-level line of the frames: a JSON string holds no raw line break, a deeper line more indent
             head, rest = text.split('\n  "frames": []')
             text, tail = head + '\n  "frames": [', "\n  ]" + rest
-        heads[REPORT_FILENAME] = text
+        yield REPORT_FILENAME, text
     if "csv" in formats:
-        heads["outcomes.csv"] = outcomes_csv(report)
-        heads["latency.csv"] = "timestamp_s,sfc_id,latency_ms\n"
-        heads["cpu.csv"] = "timestamp_s,host_id,utilization\n"
+        yield "outcomes.csv", outcomes_csv(report)
+        yield "latency.csv", "timestamp_s,sfc_id,latency_ms\n"
+        yield "cpu.csv", "timestamp_s,host_id,utilization\n"
         if report.trace is not None:
-            heads["trace.csv"] = trace_csv(report)
-
-    def fill(writes):
-        _render_frames(report, writes.get(REPORT_FILENAME), writes.get("latency.csv"), writes.get("cpu.csv"))
-        if REPORT_FILENAME in writes:
-            writes[REPORT_FILENAME](tail + "\n")
-
-    return heads, fill
+            yield "trace.csv", trace_csv(report)
+    yield from _render_frames(report, formats)
+    if "json" in formats:
+        yield REPORT_FILENAME, tail + "\n"
 
 
-def report_files(report: ExperimentReport, formats=("json", "csv")) -> dict[str, str | list[str]]:
-    """A report's files by name, for the asked formats: write_report's in memory.
+def report_files(report: ExperimentReport, formats=("json", "csv")) -> dict[str, str]:
+    """A report's files by name, for the asked formats: write_report's texts in memory.
 
     "json" gives report.json; "csv" gives outcomes.csv, latency.csv (one row
     per frame and accepted SFC, in outcome order), cpu.csv (one row per frame
     and host, hosts sorted) and, for a GA run, trace.csv. The frames are
     rendered once, in one pass, for report.json, latency.csv and cpu.csv
-    (see _render_frames), and those three files are lists of chunks, one per
-    frame. A frame that read_report could not read back as it is raises a
-    ValueError.
+    (see _render_frames). A frame that read_report could not read back as it
+    is raises a ValueError.
     """
-    heads, fill = _report_parts(report, formats)
-    chunks = {name: [heads[name]] for name in (REPORT_FILENAME, "latency.csv", "cpu.csv") if name in heads}
-    fill({name: lines.append for name, lines in chunks.items()})
-    return {**heads, **chunks}
+    texts: dict[str, list[str]] = {}
+    for name, text in _report_chunks(report, formats):
+        texts.setdefault(name, []).append(text)
+    return {name: "".join(parts) for name, parts in texts.items()}
 
 
 def write_report(report: ExperimentReport, directory, formats=("json", "csv")) -> list[Path]:
@@ -637,4 +594,4 @@ def write_report(report: ExperimentReport, directory, formats=("json", "csv")) -
     The files land together or not at all (see write_atomically): a frame
     report_files refuses is a ValueError, and no file is written.
     """
-    return write_atomically(directory, *_report_parts(report, formats))
+    return write_atomically(directory, _report_chunks(report, formats))

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -60,20 +61,32 @@ class LatencyHistogram:
 
 def bin_latencies(frames: Sequence[TelemetryFrame], sfc_id: str, bin_width_ms: float) -> LatencyHistogram:
     """Histogram one SFC's latency samples across all frames."""
+    return latency_histograms(frames, [sfc_id], bin_width_ms)[0]
+
+
+def latency_histograms(frames: Sequence[TelemetryFrame], sfc_ids, bin_width_ms: float) -> list[LatencyHistogram]:
+    """bin_latencies of each SFC id, in order, from one pass over the frames."""
     if not 0 < bin_width_ms < math.inf:
         raise ValueError(f"bin_width_ms must be a finite number > 0, got {bin_width_ms}")
-    samples = [f.sfc_latency_ms[sfc_id] for f in frames if sfc_id in f.sfc_latency_ms]
-    if frames and not samples:
-        raise UnknownSfcError(f"SFC {sfc_id!r} has no latency samples in these frames")
-    counts: dict[int, int] = {}
-    for value in samples:
-        scaled = value / bin_width_ms
-        if not math.isfinite(scaled):
+    samples: dict[str, list] = {sfc_id: [] for sfc_id in sfc_ids}
+    for frame in frames:
+        latency = frame.sfc_latency_ms
+        for sfc_id, values in samples.items():
+            if sfc_id in latency:
+                values.append(latency[sfc_id])
+    histograms = []
+    for sfc_id in sfc_ids:
+        values = samples[sfc_id]
+        if frames and not values:
+            raise UnknownSfcError(f"SFC {sfc_id!r} has no latency samples in these frames")
+        scaled = [value / bin_width_ms for value in values]
+        if not all(map(math.isfinite, scaled)):
+            value = next(value for value, ratio in zip(values, scaled) if not math.isfinite(ratio))
             raise ValueError(f"bin width {bin_width_ms} ms is too small for a latency of {value} ms")
-        index = int(math.floor(scaled))
-        counts[index] = counts.get(index, 0) + 1
-    bins = tuple((index * bin_width_ms, counts[index]) for index in sorted(counts))
-    return LatencyHistogram(bin_width_ms, bins, len(samples))
+        counts = Counter(map(math.floor, scaled))
+        bins = tuple((index * bin_width_ms, counts[index]) for index in sorted(counts))
+        histograms.append(LatencyHistogram(bin_width_ms, bins, len(values)))
+    return histograms
 
 
 def cpu_series(frames: Sequence[TelemetryFrame], host_id: str) -> list[tuple[float, float]]:

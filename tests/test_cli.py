@@ -10,7 +10,8 @@ import pytest
 
 import rasesim
 from rasesim.cli import main
-from rasesim.experiment import _jsonable, generate_requests, load_config, template_to_dict
+from rasesim.catalog import parse_sfcr_templates, to_json
+from rasesim.experiment import generate_requests, load_config
 from rasesim.seeding import derive_seed
 
 from helpers import ladder_spec
@@ -173,8 +174,9 @@ def test_generate_materializes_sfcrs(exp1, tmp_path):
     assert "seed" in data
     assert [s["id"] for s in data["sfcrs"]] == ["web-basic-1", "secure-web-1", "media-cdn-1", "deep-inspect-1"]
     cfg = load_config(exp1)
-    payload = {"seed": derive_seed(cfg.seed, "sfcrs"), "sfcrs": [template_to_dict(s) for s in generate_requests(cfg)]}
+    payload = {"seed": derive_seed(cfg.seed, "sfcrs"), "sfcrs": [to_json(s) for s in generate_requests(cfg)]}
     assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert parse_sfcr_templates(text) == tuple(generate_requests(cfg))
 
 
 def test_report_command_reaggregates(exp1, tmp_path):
@@ -488,7 +490,7 @@ SOLVERS = pytest.mark.parametrize("solver", [{"kind": "simple-dijkstra"},
 
 def _overflow_config(tmp_path, solver, link_mbps, request_mbps, request_bits, duration_s) -> Path:
     """The shipped templates on a 4-host ladder, with every link and request at the given sizes."""
-    network = _jsonable(ladder_spec(4))
+    network = to_json(ladder_spec(4))
     for link in network["links"]:
         link["bandwidth_mbps"] = link_mbps
     sfcrs = _shipped("default_sfcrs.json")

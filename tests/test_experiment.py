@@ -6,7 +6,7 @@ import pytest
 import rasesim.engine
 import rasesim.experiment
 import rasesim.solver
-from rasesim.catalog import Catalog, SFCRequest, TrafficSegment, VNFDescriptor, from_json, json_fields
+from rasesim.catalog import Catalog, SFCRequest, TrafficSegment, VNFDescriptor, from_json, json_fields, to_json
 from rasesim.engine import EngineConfig
 from rasesim.errors import ConfigError
 from rasesim.experiment import (
@@ -18,10 +18,8 @@ from rasesim.experiment import (
     read_report,
     report_files,
     report_from_dict,
-    report_to_dict,
     run_experiment,
     run_solver,
-    template_to_dict,
     write_report,
 )
 from rasesim.solver import GAParams, _demand_table, _unit_table, acceptance_ratio, decode_chromosome, verify_scheme
@@ -318,7 +316,7 @@ def test_report_round_trips_through_json(scenario_dir, tmp_path):
     loaded = read_report(tmp_path / "report.json")
     assert loaded == report
     assert loaded.solve_seconds is None
-    assert report_from_dict(report_to_dict(report)) == report
+    assert report_from_dict(to_json(report)) == report
 
 
 def test_reloaded_report_rewrites_byte_identically(scenario_dir, tmp_path):
@@ -392,14 +390,16 @@ def test_config_dataclasses_round_trip_through_from_json(scenario_dir):
         sections = [(NetworkSpec, cfg.network), (Catalog, cfg.catalog), (SolverSettings, cfg.solver),
                     (EngineConfig, cfg.engine), (OutputSettings, cfg.output)]
         for kind, value in sections:
-            written = rasesim.experiment._jsonable(value)
+            written = to_json(value)
             read = from_json(kind, json.loads(json.dumps(written)), kind.__name__)
             assert read == value
-            assert json.dumps(rasesim.experiment._jsonable(read)) == json.dumps(written)  # an int stays an int
-        for template in cfg.templates:
-            written = template_to_dict(template)
+            assert json.dumps(to_json(read)) == json.dumps(written)  # an int stays an int
+        requests = generate_requests(cfg)
+        assert requests or cfg.duplicates == 0
+        for template in (*cfg.templates, *requests):
+            written = to_json(template)
             read = from_json(SFCRequest, json.loads(json.dumps(written)), "template")
-            assert read == template and template_to_dict(read) == written
+            assert read == template and to_json(read) == written
 
 
 README_SECTIONS = {

@@ -20,11 +20,12 @@ from io import StringIO
 import pytest
 
 from rasesim import experiment
-from rasesim.errors import IoError
+from rasesim.catalog import to_json
 from rasesim.cli import main
 from rasesim.engine import EngineConfig, simulate
+from rasesim.errors import IoError
 from rasesim.experiment import (ExperimentReport, SfcOutcome, load_config, read_report, report_files,
-                                report_from_dict, report_to_dict, run_experiment, write_atomically, write_report)
+                                report_from_dict, run_experiment, write_atomically, write_report)
 from rasesim.solver import solve_simple_dijkstra
 from rasesim.telemetry import TelemetryFrame, mean_latency
 from rasesim.topology import HostSpec, NetworkSpec, build_network
@@ -149,7 +150,7 @@ def _shared_frames(rng: random.Random, count: int) -> list[TelemetryFrame]:
 
 
 def _json_reference(report: ExperimentReport) -> str:
-    return json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n"
+    return json.dumps(to_json(report), sort_keys=True, indent=2) + "\n"
 
 
 def _assert_report_json_equals_json_dumps(report: ExperimentReport, note=None) -> None:
@@ -311,6 +312,21 @@ def test_write_report_equals_json_dumps_and_csv_writer(tmp_path, formats):
         if "csv" in formats:
             expected.update(_csv_references(report))
         assert files == expected, seed
+
+
+SCENARIOS = ["exp1", "exp2", "exp3", "exp4", "exp5", "exp6", "exp7", "exp8", "ga_small"]
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_report_files_are_the_texts_write_report_writes(scenario_dir, tmp_path, scenario):
+    """Each report_files value is one str, the very bytes write_report writes, for each format."""
+    report = run_experiment(load_config(scenario_dir / f"{scenario}.json"))
+    for formats in (("json",), ("csv",), ("json", "csv")):
+        files = report_files(report, formats)
+        assert all(type(text) is str for text in files.values()), formats
+        written = write_report(report, tmp_path / "-".join(formats), formats)
+        assert {name: text.encode("utf-8") for name, text in files.items()} == \
+            {path.name: path.read_bytes() for path in written}, formats
 
 
 def test_each_writer_called_alone_equals_the_standard_library():
@@ -559,12 +575,14 @@ def test_a_frame_mutated_after_simulate_is_written_as_it_is_now(scenario_dir, tm
 def test_an_os_error_partway_through_a_chunked_write_leaves_no_temporary_file(tmp_path):
     (tmp_path / "b.csv").write_text("old\n")
 
-    def fill(writes):
-        writes["b.csv"]("x" * 100_000)  # beyond the text layer's buffer, so part of the file reaches the disk
+    def chunks():
+        yield "a.csv", "a\nb\n"
+        yield "b.csv", ""
+        yield "b.csv", "x" * 100_000  # beyond the text layer's buffer, so part of the file reaches the disk
         raise OSError(errno.ENOSPC, "No space left on device")
 
     with pytest.raises(IoError, match="No space left on device"):
-        write_atomically(tmp_path, {"a.csv": "a\nb\n", "b.csv": ""}, fill)
+        write_atomically(tmp_path, chunks())
     # the files land together: a.csv, written whole before b.csv failed, is not moved into place either
     assert sorted(path.name for path in tmp_path.iterdir()) == ["b.csv"]
     assert (tmp_path / "b.csv").read_text() == "old\n"
@@ -620,12 +638,13 @@ def test_a_refused_frame_or_an_os_error_leaves_no_file_and_no_directory_it_made(
     assert [path.name for path in (tmp_path / "kept").iterdir()] == ["cpu.csv"]
     assert (tmp_path / "kept" / "cpu.csv").read_text() == "old\n"
 
-    def fill(writes):
-        writes["a.csv"]("more\n")
+    def chunks():
+        yield "a.csv", "a\n"
+        yield "b.csv", "x" * 100_000
         raise OSError(errno.ENOSPC, "No space left on device")
 
     with pytest.raises(IoError, match="No space left on device"):
-        write_atomically(tmp_path / "x" / "y", {"a.csv": "a\n", "b.csv": ""}, fill)
+        write_atomically(tmp_path / "x" / "y", chunks())
     assert [path.name for path in tmp_path.iterdir()] == ["kept"]
 
 
@@ -642,7 +661,7 @@ def test_the_reader_shares_a_map_that_repeats_the_last_frame_s_bit_for_bit(scena
          {"h2": 0.5, "h1": -0.0}, {"h1": 0.0, "h2": 0.5}, {}, {}])]
     by_hand = ExperimentReport("digest", (), None, None, tuple(frames), None)
     for report, back in ((simulated, read_report(tmp_path / "report.json")),
-                         (by_hand, report_from_dict(report_to_dict(by_hand)))):
+                         (by_hand, report_from_dict(to_json(by_hand)))):
         assert back == report
         for kind in ("host_cpu", "link_bw_mbps"):
             maps = [getattr(frame, kind) for frame in back.frames]
