@@ -11,6 +11,7 @@ import reprlib
 import sys
 import types
 import typing
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from importlib import resources
 
@@ -152,7 +153,7 @@ def _reader(kind):
                     raise exc.at(f"[{index}]")
             return tuple(items)
         return read_list
-    if origin is dict and args[0] is str:
+    if origin in (dict, Mapping) and args[0] is str:  # read as a dict
         read_item = _reader(args[1])
 
         def read_dict(value):
@@ -175,13 +176,16 @@ _JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
 def to_json(value):
     """value as a JSON document holds it: the mirror of from_json, whose kind reads the result back as value.
 
-    Dataclasses become dicts by json_fields key, tuples lists, a TrafficPattern its segments; dicts are shared.
+    Dataclasses become dicts by json_fields key, tuples lists, a TrafficPattern its segments, any other
+    Mapping (a frame's LatencyMap) a dict of its items; dicts are shared.
     """
     kind = type(value)
     if kind is tuple:
         return [to_json(item) for item in value]
-    if kind in _JSON_SCALARS or not dataclasses.is_dataclass(value):
+    if kind in _JSON_SCALARS or kind is dict:
         return value
+    if not dataclasses.is_dataclass(value):
+        return dict(value) if isinstance(value, Mapping) else value
     if kind is TrafficPattern:  # a template's traffic is the segment list itself
         return to_json(value.segments)
     return {key: to_json(getattr(value, f.name)) for key, f in json_fields(kind).items()}

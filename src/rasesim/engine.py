@@ -12,15 +12,17 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping, Sequence
 
 from .catalog import Catalog, SFCRequest, TrafficPattern, VNFDescriptor
 from .errors import RaseSimError
 from .seeding import plain_sum
 from .solver import EmbeddingScheme, InconsistentSchemeError, SfcPlacement, verify_scheme
-from .telemetry import NoSamplesError, TelemetryFrame, finite_mean
+from .telemetry import LatencyMap, NoSamplesError, TelemetryFrame, finite_mean
 from .topology import NetworkSpec, SubstrateNetwork
 
 __all__ = [
@@ -184,9 +186,12 @@ def simulate(net: SubstrateNetwork, scheme: EmbeddingScheme, sfcrs: Sequence[SFC
     maps: every frame holds the epoch's link_bw_mbps dict, and every tick
     without an idle spike holds the epoch's utilization dict as host_cpu,
     so the report writers encode such a map once; a spiked tick gets a copy
-    with its spikes applied. Each frame has its own sfc_latency_ms. The
-    frames and their maps are read-only. An EngineError names the first
-    link whose use is beyond the float range. Deterministic given seed.
+    with its spikes applied. Each frame's sfc_latency_ms is a read-only
+    LatencyMap, not a dict: every frame shares the run's one tuple of
+    accepted ids and its index, and holds only its own array('d') of
+    latencies. The frames and their maps are read-only. An EngineError
+    names the first link whose use is beyond the float range. Deterministic
+    given seed.
     """
     # verify_scheme also guarantees that the outcomes line up with sfcrs
     verify_scheme(net.spec, sfcrs, catalog, scheme)
@@ -203,6 +208,9 @@ def simulate(net: SubstrateNetwork, scheme: EmbeddingScheme, sfcrs: Sequence[SFC
             chains.append((sfcr.offered_load, link_term, positions))
             sfcr_ids.append(sfcr.sfcr_id)
 
+    # every frame's latency map shares one id tuple and index; verify_scheme refused a repeated id
+    ids = tuple(sfcr_ids)
+    index = {sfc_id: position for position, sfc_id in enumerate(ids)}
     frames: list[TelemetryFrame] = []
     epoch = None
     for t, rates, true_cpu, spikes, latencies in _ticks(net.spec, chains, cfg, seed):
@@ -217,7 +225,7 @@ def simulate(net: SubstrateNetwork, scheme: EmbeddingScheme, sfcrs: Sequence[SFC
                     raise EngineError(f"the use of link {link!r} at {t} s is beyond the float range: {use} Mbps")
         # spikes are observation noise only; latency uses true_cpu
         host_cpu = {**true_cpu, **dict(spikes)} if spikes else true_cpu
-        frames.append(TelemetryFrame(t, host_cpu, link_bw, dict(zip(sfcr_ids, latencies))))
+        frames.append(TelemetryFrame(t, host_cpu, link_bw, LatencyMap(ids, index, array("d", latencies))))
     return frames
 
 
@@ -228,13 +236,14 @@ def mean_chain_latency(spec: NetworkSpec, chains: Sequence[Chain], cfg: EngineCo
     as (offered load, round-trip link ms, [(host, VNF)]). The random draws
     are simulate's under the same seed, so the result equals mean_latency
     over simulate's frames bit for bit when the accepted ids are distinct,
-    and raises the same
-    LatencyOverflowError where that mean is beyond the float range.
+    and raises the same LatencyOverflowError where that mean is beyond the
+    float range. The samples stream into one math.fsum; no list of them is
+    built.
     """
     if not chains:
         raise NoSamplesError("no accepted chains to take a mean latency over")
-    samples = [latency for _, _, _, _, latencies in _ticks(spec, chains, cfg, seed) for latency in latencies]
-    return finite_mean(samples)
+    samples = chain.from_iterable(latencies for _, _, _, _, latencies in _ticks(spec, chains, cfg, seed))
+    return finite_mean(samples, len(chains) * cfg.ticks)
 
 
 def _ticks(spec: NetworkSpec, chains: Sequence[Chain], cfg: EngineConfig, seed: int):

@@ -7,8 +7,11 @@ from __future__ import annotations
 
 import math
 import sys
+from array import array
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import RaseSimError
@@ -36,18 +39,58 @@ class LatencyOverflowError(TelemetryError):
     stage = "engine"  # the engine's latencies overflowed, not the aggregation over them
 
 
+class LatencyMap(Mapping):
+    """One frame's read-only SFC id -> latency ms map, stored by column.
+
+    The id tuple and the id -> position index are shared by every frame of
+    one engine.simulate run; a frame owns only its array('d') of values, 8
+    bytes a sample. Iteration yields the shared id objects, values() is the
+    array itself (read it, never change it), and lookups go through the
+    index. Equal to a dict of the same items, either way round.
+    """
+
+    __slots__ = ("_ids", "_index", "_values")
+
+    def __init__(self, ids: tuple[str, ...], index: dict[str, int], values: array):
+        self._ids, self._index, self._values = ids, index, values
+
+    def __getitem__(self, sfc_id):
+        return self._values[self._index[sfc_id]]
+
+    def __iter__(self):
+        return iter(self._ids)
+
+    def __len__(self):
+        return len(self._ids)
+
+    def __contains__(self, sfc_id):
+        return sfc_id in self._index
+
+    def get(self, sfc_id, default=None):
+        position = self._index.get(sfc_id)
+        return default if position is None else self._values[position]
+
+    def values(self):
+        return self._values
+
+    def __repr__(self):
+        return f"{type(self).__name__}({dict(self)!r})"
+
+
 @dataclass(frozen=True)
 class TelemetryFrame:
     """One sampling tick: per-host CPU, per-link bandwidth, per-SFC latency.
 
     Read-only, maps included: the frames of one traffic epoch from
-    engine.simulate share their host_cpu and link_bw_mbps dicts.
+    engine.simulate share their host_cpu and link_bw_mbps dicts, and its
+    frames' sfc_latency_ms are LatencyMaps sharing one id tuple. A frame a
+    caller builds may hold a dict, or any Mapping, as sfc_latency_ms.
     """
 
     timestamp_s: float
     host_cpu: dict[str, float]
     link_bw_mbps: dict[str, float]
-    sfc_latency_ms: dict[str, float]
+    sfc_latency_ms: Mapping[str, float]
 
 
 @dataclass(frozen=True)
@@ -65,15 +108,15 @@ def bin_latencies(frames: Sequence[TelemetryFrame], sfc_id: str, bin_width_ms: f
 
 
 def latency_histograms(frames: Sequence[TelemetryFrame], sfc_ids, bin_width_ms: float) -> list[LatencyHistogram]:
-    """bin_latencies of each SFC id, in order, from one pass over the frames."""
+    """bin_latencies of each SFC id, in order, from one pass over the frames, read by column (see _runs)."""
     if not 0 < bin_width_ms < math.inf:
         raise ValueError(f"bin_width_ms must be a finite number > 0, got {bin_width_ms}")
     samples: dict[str, list] = {sfc_id: [] for sfc_id in sfc_ids}
-    for frame in frames:
-        latency = frame.sfc_latency_ms
+    for position, rows in _runs(frames):
+        columns = [*zip(*rows)]  # the run's samples per key position, in frame order
         for sfc_id, values in samples.items():
-            if sfc_id in latency:
-                values.append(latency[sfc_id])
+            if sfc_id in position:
+                values += columns[position[sfc_id]]
     histograms = []
     for sfc_id in sfc_ids:
         values = samples[sfc_id]
@@ -97,24 +140,59 @@ def cpu_series(frames: Sequence[TelemetryFrame], host_id: str) -> list[tuple[flo
 
 
 def mean_latency(frames: Sequence[TelemetryFrame], accepted_sfc_ids: Iterable[str]) -> float:
-    """Arithmetic mean over every (frame, accepted SFC) latency sample.
+    """Arithmetic mean over every (frame, accepted SFC) latency sample; an id asked twice counts twice.
 
-    math.fsum keeps the result exact under any frame ordering.
+    The ids' positions are looked up once per run of frames whose maps hold
+    the same keys (see _runs), and the samples stream from the frames'
+    values() into one math.fsum, which keeps the result exact under any
+    order; no list of them is built.
     """
     ids = list(accepted_sfc_ids)
-    samples = [latency[i] for f in frames for latency in (f.sfc_latency_ms,) for i in ids if i in latency]
-    if not samples:
+    samples, count = [], 0  # an iterator of the samples per run
+    for position, rows in _runs(frames):
+        picks = [position[sfc_id] for sfc_id in ids if sfc_id in position]
+        count += len(picks) * len(rows)
+        samples.append(_picked(rows, picks))
+    if not count:
         raise NoSamplesError("no latency samples for the requested SFCs")
-    return finite_mean(samples)
+    return finite_mean(chain.from_iterable(samples), count)
 
 
-def finite_mean(samples: Sequence[float]) -> float:
-    """math.fsum(samples) / len(samples) of non-negative samples; a LatencyOverflowError past the float range."""
+def _picked(rows, picks: list[int]):
+    """The values at picks of each row, row by row; the rows themselves where picks take each place of a row once."""
+    if sorted(picks) == [*range(len(rows[0]))]:
+        return chain.from_iterable(rows)
+    return chain.from_iterable(map([*row].__getitem__, picks) for row in rows)
+
+
+def _runs(frames: Iterable[TelemetryFrame]) -> list[tuple[dict, list]]:
+    """The frames' latency values per run of frames whose maps hold the same keys in the same order.
+
+    One (key -> position, [each frame's sfc_latency_ms.values()]) per run:
+    a consumer looks positions up once per run and reads the values by
+    column, whatever Mapping holds them. simulate's frames, like the frames
+    read back from one report.json, share their key objects, so comparing
+    two frames' keys compares pointers.
+    """
+    runs: list[tuple[dict, list]] = []
+    keys = None
+    for frame in frames:
+        latency = frame.sfc_latency_ms
+        now = [*latency]
+        if now != keys:
+            keys = now
+            runs.append(({key: index for index, key in enumerate(keys)}, []))
+        runs[-1][1].append(latency.values())
+    return runs
+
+
+def finite_mean(samples: Iterable[float], count: int) -> float:
+    """math.fsum(samples) / count of count non-negative samples; a LatencyOverflowError past the float range."""
     try:
         total = math.fsum(samples)
     except OverflowError:  # finite samples whose exact sum is beyond the float range
         total = math.inf
     if total == math.inf:
-        raise LatencyOverflowError(f"the mean of {len(samples)} latency samples is beyond the float range: a "
+        raise LatencyOverflowError(f"the mean of {count} latency samples is beyond the float range: a "
                                    f"chain's round trip, or the sum of all of them, exceeds {sys.float_info.max:g} ms")
-    return total / len(samples)
+    return total / count

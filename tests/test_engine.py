@@ -1,5 +1,8 @@
+import gc
 import math
 import random
+import tracemalloc
+from array import array
 from dataclasses import replace
 
 import pytest
@@ -18,7 +21,7 @@ from rasesim.routing import Path
 from rasesim.solver import EmbeddingScheme, SfcPlacement, SfcRejection, solve_simple_dijkstra
 from rasesim.topology import build_network
 
-from helpers import random_scenario, sfcr, small_catalog, spec_of, star_net
+from helpers import ladder_spec, random_scenario, sfcr, small_catalog, spec_of, star_net
 from oracles import per_tick_simulate
 
 
@@ -450,8 +453,72 @@ def test_calm_frames_of_one_traffic_epoch_share_their_maps():
     # a new epoch gets new map objects
     assert frames[10].host_cpu is not frames[9].host_cpu and frames[10].link_bw_mbps is not frames[9].link_bw_mbps
     assert frames[10].host_cpu != frames[9].host_cpu and frames[10].link_bw_mbps != frames[9].link_bw_mbps
-    # the frames alive together, so distinct ids are distinct dicts
+    # the frames alive together, so distinct ids are distinct latency maps, though they share one id tuple
     assert len({id(f.sfc_latency_ms) for f in frames}) == len(frames)
+
+
+def test_the_frames_of_one_run_share_one_id_tuple_and_each_hold_an_array_of_latencies():
+    """Column-store latencies: one tuple of the accepted ids and one index per run, one array('d') per frame."""
+    net, catalog, requests, scheme = _two_epoch_setup()
+    frames = simulate(net, scheme, requests, catalog, quiet_engine(duration_s=20.0, jitter_sigma=0.05))
+    first = frames[0].sfc_latency_ms
+    assert first._ids == ("r1", "r2") and all(a is r.sfcr_id for a, r in zip(first, requests))
+    for frame in frames:
+        latency = frame.sfc_latency_ms
+        assert latency._ids is first._ids and latency._index is first._index
+        values = latency.values()
+        assert type(values) is array and values.typecode == "d" and len(values) == len(latency) == 2
+        # a read-only Mapping equal to the dict the frame used to hold, either way round
+        as_dict = dict(zip(latency._ids, values))
+        assert latency == as_dict and as_dict == latency and dict(latency) == as_dict
+        assert [*latency.items()] == [*as_dict.items()] and [*latency.keys()] == ["r1", "r2"]
+        assert latency.get("r2") == latency["r2"] == values[1] and "r1" in latency
+    assert len({id(f.sfc_latency_ms.values()) for f in frames}) == len(frames)
+
+
+def test_a_frame_s_latency_map_refuses_every_change():
+    net, catalog, requests, scheme = _two_epoch_setup()
+    latency = simulate(net, scheme, requests, catalog, quiet_engine())[0].sfc_latency_ms
+    before = dict(latency)
+    with pytest.raises(TypeError):
+        latency["r1"] = 1.0
+    with pytest.raises(TypeError):
+        latency["added"] = 1.0
+    with pytest.raises(TypeError):
+        del latency["r1"]
+    with pytest.raises(AttributeError):
+        latency.values_of_another_run = ()  # __slots__: no attribute can be added
+    assert dict(latency) == before
+    assert "absent" not in latency and latency.get("absent") is None and latency.get("absent", 0.5) == 0.5
+    with pytest.raises(KeyError):
+        latency["absent"]
+
+
+def test_the_frames_hold_at_most_20_bytes_per_latency_sample():
+    """48 chains over 600 ticks: the frames cost about 16 bytes a sample, where a dict of floats per frame cost 62.
+
+    The bytes are those that dropping the frames frees under tracemalloc, the
+    frame objects and the spiked ticks' host_cpu copies included.
+    """
+    net = build_network(ladder_spec(50))
+    catalog = small_catalog()
+    chains = (["alpha"], ["alpha", "beta"], ["gamma", "alpha", "beta"])
+    requests = [sfcr(f"r{i:02d}", chains[i % 3], rps=2.0 + i % 5, duration_s=600.0) for i in range(48)]
+    scheme = solve_simple_dijkstra(net, requests, catalog)
+    assert all(scheme.accept_flags())
+    cfg = EngineConfig(duration_s=600.0, sample_interval_s=1.0)
+    tracemalloc.start()
+    try:
+        frames = simulate(net, scheme, requests, catalog, cfg, 1)
+        samples = sum(map(len, (f.sfc_latency_ms for f in frames)))
+        held = tracemalloc.get_traced_memory()[0]
+        del frames
+        gc.collect()
+        held -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert samples == 600 * 48
+    assert held <= 20 * samples, held / samples
 
 
 def test_a_spiked_tick_gets_its_own_host_cpu():

@@ -1,9 +1,14 @@
 import math
 import random
+import sys
+import tracemalloc
+from array import array
+from collections import Counter
 
 import pytest
 
 from rasesim.telemetry import (
+    LatencyMap,
     LatencyOverflowError,
     NoSamplesError,
     TelemetryFrame,
@@ -11,12 +16,19 @@ from rasesim.telemetry import (
     UnknownSfcError,
     bin_latencies,
     cpu_series,
+    latency_histograms,
     mean_latency,
 )
 
 
 def frame(t, cpu=None, latency=None):
     return TelemetryFrame(t, cpu or {}, {}, latency or {})
+
+
+def compact(latency: dict) -> LatencyMap:
+    """latency as simulate's frames hold it: an id tuple, an id -> position index and an array('d') of values."""
+    ids = tuple(latency)
+    return LatencyMap(ids, {sfc_id: index for index, sfc_id in enumerate(ids)}, array("d", latency.values()))
 
 
 def test_bin_latencies_direct():
@@ -146,3 +158,102 @@ def test_mean_latency_is_the_fsum_mean_of_the_present_samples():
             continue
         assert mean_latency(frames, (i for i in asked)) == math.fsum(samples) / len(samples), seed
     assert min(covered.values()) >= 10, covered
+
+
+def _random_frames(rng: random.Random, ids: list[str]) -> list[TelemetryFrame]:
+    """Frames of dicts and LatencyMaps mixed: runs that share key objects, id subsets, reordered keys, missing ids."""
+    frames = []
+    while len(frames) < rng.randint(0, 30):
+        # equal ids, but new str objects unless the run reuses the last run's
+        names = ids if rng.random() < 0.5 else ["".join(["", *name]) for name in ids]
+        present = [name for name in names if rng.random() < 0.7]
+        rng.shuffle(present)
+        shared = compact({name: 0.0 for name in present})
+        for _ in range(rng.randint(1, 4)):
+            values = {name: rng.choice((0.0, rng.uniform(0, 1e3), rng.uniform(0, 1e-3))) for name in present}
+            if rng.random() < 0.5:
+                latency = values
+            else:  # a LatencyMap of this run's one id tuple and index, as simulate makes them
+                latency = LatencyMap(shared._ids, shared._index, array("d", values.values()))
+            frames.append(frame(len(frames), latency=latency))
+    return frames
+
+
+def test_mean_latency_and_latency_histograms_equal_a_per_id_reference_on_mixed_frames():
+    """Whatever Mapping the frames hold, the column reads give the per-id formula: fsum over present samples, binned counts."""
+    covered = Counter()
+    for seed in range(300):
+        rng = random.Random(seed)
+        ids = [f"s{i}" for i in range(rng.randint(1, 5))]
+        frames = _random_frames(rng, ids)
+        asked = rng.choices(ids + ["absent"], k=rng.randint(0, 6))  # an id asked twice counts twice
+        samples = [f.sfc_latency_ms[i] for f in frames for i in asked if i in f.sfc_latency_ms]
+        covered["compact"] += any(isinstance(f.sfc_latency_ms, LatencyMap) for f in frames)
+        covered["dict"] += any(type(f.sfc_latency_ms) is dict for f in frames)
+        covered["missing"] += len(samples) < len(asked) * len(frames)
+        if not samples:
+            covered["no samples"] += 1
+            with pytest.raises(NoSamplesError, match="^no latency samples for the requested SFCs$"):
+                mean_latency(frames, iter(asked))
+        else:
+            assert mean_latency(frames, iter(asked)) == math.fsum(samples) / len(samples), seed
+        width = rng.choice((0.5, 7.25, 100.0))
+        for sfc_id in dict.fromkeys(asked):
+            values = [f.sfc_latency_ms[sfc_id] for f in frames if sfc_id in f.sfc_latency_ms]
+            if frames and not values:
+                covered["unknown"] += 1
+                with pytest.raises(UnknownSfcError, match=f"^SFC {sfc_id!r} has no latency samples in these frames$"):
+                    latency_histograms(frames, [sfc_id], width)
+                continue
+            counts = Counter(math.floor(value / width) for value in values)
+            expected = tuple((index * width, counts[index]) for index in sorted(counts))
+            (histogram,) = latency_histograms(frames, [sfc_id], width)
+            assert (histogram.bins, histogram.total) == (expected, len(values)), (seed, sfc_id)
+            assert bin_latencies(frames, sfc_id, width) == histogram
+        known = [sfc_id for sfc_id in dict.fromkeys(asked) if any(sfc_id in f.sfc_latency_ms for f in frames)]
+        # one pass over the frames for several ids gives each id's own histogram
+        assert latency_histograms(frames, known, width) == [bin_latencies(frames, i, width) for i in known]
+    assert min(covered.values()) >= 10, covered
+
+
+@pytest.mark.parametrize("holder", [dict, compact], ids=["dict", "compact"])
+def test_the_aggregation_errors_keep_their_messages(holder):
+    frames = [frame(0, latency=holder({"a": 1.0})), frame(1, latency=holder({"a": 2.0, "b": 3.0}))]
+    with pytest.raises(NoSamplesError, match="^no latency samples for the requested SFCs$"):
+        mean_latency(frames, ["c"])
+    with pytest.raises(UnknownSfcError, match="^SFC 'c' has no latency samples in these frames$"):
+        latency_histograms(frames, ["a", "c"], 1.0)
+    with pytest.raises(ValueError, match="^bin width 1e-320 ms is too small for a latency of 1.0 ms$"):
+        bin_latencies(frames, "a", 1e-320)
+    for values in ([float("inf"), 1.0], [1e308, 1e308]):
+        overflowing = [frame(t, latency=holder({"s": value, "x": 1.0})) for t, value in enumerate(values)]
+        with pytest.raises(LatencyOverflowError, match="^the mean of 2 latency samples is beyond the float range: a "
+                           "chain's round trip, or the sum of all of them, exceeds 1.79769e[+]308 ms$"):
+            mean_latency(overflowing, ["s"])
+    assert mean_latency(frames, ["b", "a", "a"]) == (3.0 + 1.0 + 1.0 + 2.0 + 2.0) / 5
+
+
+def test_mean_latency_builds_no_list_of_its_samples():
+    """Over engine-long-sized frames (600 ticks x 48 SFCs), the traced peak is below the size of one samples list.
+
+    A list of the samples would take sys.getsizeof(list) bytes for its
+    pointers alone, and 24 bytes more for each float made from an array.
+    """
+    rng = random.Random(3)
+    ids = tuple(f"r{i:02d}" for i in range(48))
+    index = {sfc_id: position for position, sfc_id in enumerate(ids)}
+    frames = [frame(t, latency=LatencyMap(ids, index, array("d", (rng.uniform(1, 50) for _ in ids))))
+              for t in range(600)]
+    one_list = sys.getsizeof([0.0] * (600 * 48))
+    accepted = list(ids)
+    # a subset in another order too, which reads each frame's values by position
+    for asked in (accepted, accepted[::-2]):
+        expected = math.fsum(f.sfc_latency_ms[i] for f in frames for i in asked) / (600 * len(asked))
+        mean_latency(frames, asked)  # untraced first: one-time caches are not the call's memory
+        tracemalloc.start()
+        try:
+            assert mean_latency(frames, asked) == expected
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < one_list * len(asked) / 48, (len(asked), peak, one_list)
