@@ -271,7 +271,7 @@ class Catalog:
         by_name = {}
         for vnf in self.vnfs:
             if vnf.name in by_name:
-                raise DuplicateVnfTypeError(f"duplicate VNF type {vnf.name!r}")
+                raise DuplicateVnfTypeError(f"catalog: duplicate VNF type {vnf.name!r}")
             by_name[vnf.name] = vnf
         # a lookup table, not a field: equality, hashing and repr still see only vnfs
         object.__setattr__(self, "_by_name", by_name)
@@ -368,12 +368,12 @@ def parse_sfcr_templates(document) -> tuple[SFCRequest, ...]:
     for i, template in enumerate(templates):
         first = first_index.setdefault(template.sfcr_id, i)
         if first != i:
-            raise InvalidRequestError(f"sfcrs[{i}]: id {template.sfcr_id!r} is already used by sfcrs[{first}]")
+            raise InvalidRequestError(f"sfcrs: sfcrs[{i}]: id {template.sfcr_id!r} is already used by sfcrs[{first}]")
     return templates
 
 
 def _read_list(document, what: str, key: str, optional: set[str], kind, error) -> tuple:
-    """document[key] as a tuple of kind; a ParseError for a malformed document, error for a bad entry."""
+    """document[key] as a tuple; a ParseError for a malformed document, error for a bad entry, each naming what."""
     if isinstance(document, (str, bytes)):
         try:
             document = json.loads(document)
@@ -384,7 +384,7 @@ def _read_list(document, what: str, key: str, optional: set[str], kind, error) -
     except ValueError as exc:
         raise ParseError(str(exc)) from None
     try:
-        return from_json(tuple[kind, ...], document[key], key)
+        return from_json(tuple[kind, ...], document[key], f"{what}: {key}")
     except ValueError as exc:
         raise error(str(exc)) from None
 

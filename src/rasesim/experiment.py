@@ -14,13 +14,14 @@ import hashlib
 import json
 import math
 import os
+import reprlib
 import struct
 import time
+from collections.abc import Mapping
 from contextlib import ExitStack, suppress
 from dataclasses import dataclass, field, replace
 from datetime import datetime
 from json.encoder import encode_basestring_ascii
-from operator import is_
 from pathlib import Path
 
 from .catalog import (
@@ -111,7 +112,7 @@ class ExperimentReport:
 
 
 def _resolve_section(value, base_dir: Path, parser, what: str):
-    """A section given inline as an object, or as a path relative to the config."""
+    """A section given inline as an object, or as a path relative to the config; the parser's errors name it."""
     if isinstance(value, str):
         target = base_dir / value
         if not target.is_file():
@@ -124,7 +125,7 @@ def _resolve_section(value, base_dir: Path, parser, what: str):
     try:
         return parser(value)
     except CatalogError as exc:
-        raise ConfigError(f"{what}: {exc}") from None
+        raise ConfigError(str(exc)) from None
 
 
 def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
@@ -298,11 +299,6 @@ def resolve_output_dir(cfg: ExperimentConfig, pinned: str | None) -> Path:
 # -- report serialization ------------------------------------------------------
 
 
-def _same_objects(last: list, now: list) -> bool:
-    """Whether two frames' latency key lists hold the very same objects in the same order; equal keys do not count."""
-    return len(last) == len(now) and all(map(is_, last, now))
-
-
 def report_from_dict(data) -> ExperimentReport:
     """Rebuild a report, checking every value the CSV and histogram writers read.
 
@@ -318,7 +314,8 @@ def report_from_dict(data) -> ExperimentReport:
         _check_map({"timestamp_s": frame.timestamp_s}, f"report.frames[{i}]")
         _check_map(frame.host_cpu, f"report.frames[{i}].host_cpu")
         _check_map(frame.link_bw_mbps, f"report.frames[{i}].link_bw_mbps")
-        _check_map(frame.sfc_latency_ms, f"report.frames[{i}].sfc_latency_ms", accepted)
+        _check_map(frame.sfc_latency_ms, f"report.frames[{i}].sfc_latency_ms")
+        _check_accepted(frame.sfc_latency_ms, f"report.frames[{i}].sfc_latency_ms", accepted)
         frames.append(TelemetryFrame(frame.timestamp_s, _shared(memo, "host_cpu", frame.host_cpu),
                                      _shared(memo, "link_bw_mbps", frame.link_bw_mbps), frame.sfc_latency_ms))
     return replace(report, frames=tuple(frames))
@@ -387,20 +384,26 @@ def _map_json(items) -> str:
     return "{\n        " + ",\n        ".join(items) + "\n      }" if items else "{}"
 
 
-def _check_map(mapping, where: str, accepted=()) -> None:
-    """A ValueError naming where unless mapping maps str keys to finite, non-negative floats and has each accepted id.
+def _check_map(mapping, where: str) -> None:
+    """A ValueError naming where unless mapping is a Mapping of str keys to finite, non-negative floats.
 
-    The frame contract of the writer and the reader. A finite sum means
-    finite values, so each value is looked at only when the sum is not
-    finite (finite floats can overflow it) or something else is off.
+    The one test of what a frame map is, for the writer and the reader. A
+    finite sum means finite values, so each value is looked at only when the
+    sum is not finite (finite floats can overflow it) or something else is off.
     """
+    if not isinstance(mapping, Mapping):
+        raise ValueError(f"{where} is {reprlib.repr(mapping)}, not a map of str keys to finite, non-negative floats")
     values = mapping.values()
     if not (set(map(type, mapping)) <= {str} and set(map(type, values)) <= {float}
             and math.isfinite(sum(values)) and (not values or min(values) >= 0)):
         for key, value in mapping.items():
             if type(key) is not str or type(value) is not float or not 0 <= value < math.inf:
                 raise ValueError(f"{where} holds {key!r}: {value!r}, not a str key and a finite, non-negative float")
-    missing = [key for key in accepted if key not in mapping]
+
+
+def _check_accepted(latency, where: str, accepted) -> None:
+    """A ValueError naming where unless the latency map, checked by _check_map, has each accepted id."""
+    missing = [key for key in accepted if key not in latency]
     if missing:
         raise ValueError(f"{where} has no entry for accepted SFC {missing[0]!r}")
 
@@ -435,10 +438,10 @@ def _render_frames(report: ExperimentReport, formats):
     for each accepted SFC; any other is a ValueError naming it, whatever the
     files asked for. Each number's repr is taken once for all three files.
     The last frame's very host_cpu or link_bw_mbps map reuses its texts and
-    cpu.csv rows (see _map_items), as the frames of one traffic epoch do. Per
-    run of the same latency key objects, the keys are checked and encoded
-    once, into report.json's and latency.csv's texts with a slot per number,
-    which each frame fills.
+    cpu.csv rows (see _map_items), as the frames of one traffic epoch do. A
+    run is consecutive frames with equal latency key lists; per run, the keys
+    are checked against the accepted ids and encoded once, into report.json's
+    and latency.csv's texts with a slot per number, which each frame fills.
     """
     accepted = [o.sfcr_id for o in report.outcomes if o.accepted]
     # latency.csv's rows of a frame: its timestamp, an id field and a latency in each row's slots
@@ -454,10 +457,11 @@ def _render_frames(report: ExperimentReport, formats):
         cpu = _map_items(memo, "host_cpu", frame.host_cpu, where)
         links = _map_items(memo, "link_bw_mbps", frame.link_bw_mbps, where)
         latency, stamp = frame.sfc_latency_ms, repr(stamp)
-        fresh = keys is None or not _same_objects(keys, [*latency])
-        _check_map(latency, where + ".sfc_latency_ms", accepted if fresh else ())
-        if fresh:
-            keys = [*latency]
+        _check_map(latency, where + ".sfc_latency_ms")
+        now = [*latency]
+        if now != keys:  # a new run of latency keys (see telemetry._runs)
+            keys = now
+            _check_accepted(latency, where + ".sfc_latency_ms", accepted)
             order = sorted(range(len(keys)), key=keys.__getitem__)
             # the map's text in key order with a slot for each latency; an encoded key holds no NUL
             parts = _map_json([encode_basestring_ascii(keys[index]) + ": \0" for index in order]).split("\0")

@@ -45,8 +45,9 @@ class LatencyMap(Mapping):
     The id tuple and the id -> position index are shared by every frame of
     one engine.simulate run; a frame owns only its array('d') of values, 8
     bytes a sample. Iteration yields the shared id objects, values() is the
-    array itself (read it, never change it), and lookups go through the
-    index. Equal to a dict of the same items, either way round.
+    array itself (read it, never change it), and [] goes through the index;
+    in, get and the rest are the Mapping mixins over []. Equal to a dict of
+    the same items, either way round.
     """
 
     __slots__ = ("_ids", "_index", "_values")
@@ -63,13 +64,6 @@ class LatencyMap(Mapping):
     def __len__(self):
         return len(self._ids)
 
-    def __contains__(self, sfc_id):
-        return sfc_id in self._index
-
-    def get(self, sfc_id, default=None):
-        position = self._index.get(sfc_id)
-        return default if position is None else self._values[position]
-
     def values(self):
         return self._values
 
@@ -77,14 +71,15 @@ class LatencyMap(Mapping):
         return f"{type(self).__name__}({dict(self)!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TelemetryFrame:
     """One sampling tick: per-host CPU, per-link bandwidth, per-SFC latency.
 
-    Read-only, maps included: the frames of one traffic epoch from
-    engine.simulate share their host_cpu and link_bw_mbps dicts, and its
-    frames' sfc_latency_ms are LatencyMaps sharing one id tuple. A frame a
-    caller builds may hold a dict, or any Mapping, as sfc_latency_ms.
+    Read-only, maps included, and slotted, so no attribute can be added: the
+    frames of one traffic epoch from engine.simulate share their host_cpu
+    and link_bw_mbps dicts, and its frames' sfc_latency_ms are LatencyMaps
+    sharing one id tuple. A frame a caller builds may hold a dict, or any
+    Mapping, as sfc_latency_ms.
     """
 
     timestamp_s: float
@@ -166,7 +161,7 @@ def _picked(rows, picks: list[int]):
 
 
 def _runs(frames: Iterable[TelemetryFrame]) -> list[tuple[dict, list]]:
-    """The frames' latency values per run of frames whose maps hold the same keys in the same order.
+    """The frames' latency values per run: consecutive frames with equal latency key lists, as the writer splits them.
 
     One (key -> position, [each frame's sfc_latency_ms.values()]) per run:
     a consumer looks positions up once per run and reads the values by

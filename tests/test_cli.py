@@ -260,6 +260,26 @@ def test_referenced_file_that_is_not_utf8_is_one_line_config_error(scenario_dir,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("section", ["catalog", "sfcrs"])
+@pytest.mark.parametrize("document,problem", [
+    (lambda text: text[:len(text) // 2], ": invalid JSON: "),
+    (lambda text: "[" + text + "]", " must be an object"),
+    (lambda text: text.replace("{", '{"bogus": 1, ', 1), ": unknown key(s): bogus"),
+], ids=["truncated", "top-level-list", "unknown-key"])
+def test_a_malformed_referenced_file_names_its_section_once(scenario_dir, tmp_path, capsys,
+                                                           command, section, document, problem):
+    config = _edited_exp1(scenario_dir, tmp_path, lambda data: None)
+    target = tmp_path / f"{section}.json"
+    target.write_text(document(target.read_text("utf-8")), "utf-8")
+    extra = ["--output-dir", str(tmp_path / "out")] if command == "run" else []
+    assert run_cli(command, "--config", config, *extra) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config: {section}{problem}") and err.count("\n") == 1
+    assert err.count(section) == 1, err
+    assert not (tmp_path / "out").exists()
+
+
 def test_report_that_is_not_utf8_is_one_line_io_error(tmp_path, capsys):
     report = tmp_path / "report.json"
     report.write_bytes(NOT_UTF8)

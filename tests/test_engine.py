@@ -478,7 +478,8 @@ def test_the_frames_of_one_run_share_one_id_tuple_and_each_hold_an_array_of_late
 
 def test_a_frame_s_latency_map_refuses_every_change():
     net, catalog, requests, scheme = _two_epoch_setup()
-    latency = simulate(net, scheme, requests, catalog, quiet_engine())[0].sfc_latency_ms
+    frame = simulate(net, scheme, requests, catalog, quiet_engine())[0]
+    latency = frame.sfc_latency_ms
     before = dict(latency)
     with pytest.raises(TypeError):
         latency["r1"] = 1.0
@@ -492,6 +493,16 @@ def test_a_frame_s_latency_map_refuses_every_change():
     assert "absent" not in latency and latency.get("absent") is None and latency.get("absent", 0.5) == 0.5
     with pytest.raises(KeyError):
         latency["absent"]
+    # an unhashable key is a TypeError, as a dict's is
+    for look_up in (latency.__getitem__, latency.get, latency.__contains__):
+        with pytest.raises(TypeError):
+            look_up([])
+    # the frame is read-only and slotted: it refuses new attributes, as its LatencyMap does; a frozen slotted
+    # dataclass's __setattr__ raises TypeError for a name that is not a field on Python 3.10-3.13
+    with pytest.raises((AttributeError, TypeError)):
+        frame.extra = 1
+    with pytest.raises(AttributeError):
+        object.__setattr__(frame, "extra", 1)
 
 
 def test_the_frames_hold_at_most_20_bytes_per_latency_sample():

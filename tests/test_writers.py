@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import errno
 import json
+import operator
 import random
 import tracemalloc
 from fractions import Fraction
@@ -386,9 +387,13 @@ def test_new_and_shared_maps_mixed_in_one_traffic_epoch(scenario_dir, tmp_path):
         10: {"link_bw_mbps": {}},  # an empty map is written as "{}"
         12: {"host_cpu": {**frames[12].host_cpu, host: -0.0}},  # equal to 0.0, but not the shared object
         13: {"sfc_latency_ms": {**frames[13].sfc_latency_ms, sfc_id: 5e-324}},
+        # keys equal to the last frame's, but other objects: the same run of latency keys
+        14: {"sfc_latency_ms": {"".join(key): value for key, value in frames[14].sfc_latency_ms.items()}},
     }
     for tick, change in variants.items():
         frames[tick] = dataclasses.replace(frames[tick], **change)
+    assert [*frames[14].sfc_latency_ms] == [*frames[15].sfc_latency_ms]
+    assert not any(map(operator.is_, frames[14].sfc_latency_ms, frames[15].sfc_latency_ms))
     report = dataclasses.replace(report, frames=tuple(frames))
     files = _assert_written_as_the_standard_library_writes(report, tmp_path)
     assert f"4.0,{host},0.5\n" in files["cpu.csv"] and f"12.0,{host},-0.0\n" in files["cpu.csv"]
@@ -413,6 +418,9 @@ REFUSED = {
     "nested-dict": {"link_bw_mbps": {"h1--sw": {"x": 0.16}}},
     "float-subclass": {"host_cpu": {"h1": Millis(0.25)}},
     "missing-accepted-latency": {"sfc_latency_ms": {}},
+    # a map that is not a Mapping
+    **{f"{field}-{name}": {field: value} for field in ("host_cpu", "link_bw_mbps", "sfc_latency_ms")
+       for name, value in (("none", None), ("pairs", [("r1", 3.5)]), ("float", 0.25))},
 }
 
 
@@ -420,12 +428,14 @@ REFUSED = {
 def test_a_frame_outside_the_contract_is_refused_before_any_file(tmp_path, case):
     """The writer's side of test_cli.py::test_malformed_report_is_one_line_io_error: a ValueError naming the frame."""
     report = _with_second_frame(**REFUSED[case])
+    (field,) = REFUSED[case]
+    where = r"^report\.frames\[1\]" + ("" if field == "timestamp_s" else rf"\.{field}\b")
     for formats in (("json",), ("csv",), ("json", "csv")):
-        with pytest.raises(ValueError, match=r"^report\.frames\[1\]") as refused:
+        with pytest.raises(ValueError, match=where) as refused:
             report_files(report, formats)
     (tmp_path / "kept").mkdir()
     for directory in (tmp_path / "kept", tmp_path / "new"):
-        with pytest.raises(ValueError, match=r"^report\.frames\[1\]"):
+        with pytest.raises(ValueError, match=where):
             write_report(report, directory)
     assert not list((tmp_path / "kept").iterdir()) and not (tmp_path / "new").exists()
     if case in ("negative", "missing-accepted-latency"):  # a document can hold these; the reader says the same
