@@ -177,7 +177,7 @@ def to_json(value):
     """value as a JSON document holds it: the mirror of from_json, whose kind reads the result back as value.
 
     Dataclasses become dicts by json_fields key, tuples lists, a TrafficPattern its segments, any other
-    Mapping (a frame's LatencyMap) a dict of its items; dicts are shared.
+    Mapping (a simulated frame's FrameMap) a dict of its items; dicts are shared.
     """
     kind = type(value)
     if kind is tuple:

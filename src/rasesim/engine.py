@@ -22,7 +22,7 @@ from .catalog import Catalog, SFCRequest, TrafficPattern, VNFDescriptor
 from .errors import RaseSimError
 from .seeding import plain_sum
 from .solver import EmbeddingScheme, InconsistentSchemeError, SfcPlacement, verify_scheme
-from .telemetry import LatencyMap, NoSamplesError, TelemetryFrame, finite_mean
+from .telemetry import FrameMap, NoSamplesError, TelemetryFrame, finite_mean
 from .topology import NetworkSpec, SubstrateNetwork
 
 __all__ = [
@@ -182,16 +182,16 @@ def simulate(net: SubstrateNetwork, scheme: EmbeddingScheme, sfcrs: Sequence[SFC
     once, and the tick loop (_ticks, which the GA's frame-free fitness runs
     too) supplies every tick's utilizations, idle-spike draws and latencies.
     Per-link bandwidth use, counting both directions, is recomputed only when
-    the offered rates change. The frames of one traffic epoch share their
-    maps: every frame holds the epoch's link_bw_mbps dict, and every tick
-    without an idle spike holds the epoch's utilization dict as host_cpu,
-    so the report writers encode such a map once; a spiked tick gets a copy
-    with its spikes applied. Each frame's sfc_latency_ms is a read-only
-    LatencyMap, not a dict: every frame shares the run's one tuple of
-    accepted ids and its index, and holds only its own array('d') of
-    latencies. The frames and their maps are read-only. An EngineError
-    names the first link whose use is beyond the float range. Deterministic
-    given seed.
+    the offered rates change. Every map of a frame is a read-only FrameMap,
+    stored by column: the maps of each kind share the run's one key tuple and
+    index (accepted ids in submission order, hosts and links in spec order)
+    and hold only their own array('d') of values. The frames of one traffic
+    epoch share their maps: every frame holds the epoch's link_bw_mbps map,
+    and every tick without an idle spike holds the epoch's host_cpu map, so
+    the report writers encode such a map once; a spiked tick gets a copy of
+    the epoch's array with its spiked hosts' values set. Each frame holds
+    its own sfc_latency_ms. An EngineError names the first link whose use is
+    beyond the float range. Deterministic given seed.
     """
     # verify_scheme also guarantees that the outcomes line up with sfcrs
     verify_scheme(net.spec, sfcrs, catalog, scheme)
@@ -208,24 +208,28 @@ def simulate(net: SubstrateNetwork, scheme: EmbeddingScheme, sfcrs: Sequence[SFC
             chains.append((sfcr.offered_load, link_term, positions))
             sfcr_ids.append(sfcr.sfcr_id)
 
-    # every frame's latency map shares one id tuple and index; verify_scheme refused a repeated id
-    ids = tuple(sfcr_ids)
-    index = {sfc_id: position for position, sfc_id in enumerate(ids)}
+    # (key tuple, key -> position) of each kind's maps; verify_scheme refused a repeated id
+    latency_keys, host_keys, link_keys = [(keys := tuple(ids), {key: at for at, key in enumerate(keys)})
+                                          for ids in (sfcr_ids, [h.id for h in net.spec.hosts], link_ids)]
     frames: list[TelemetryFrame] = []
     epoch = None
     for t, rates, true_cpu, spikes, latencies in _ticks(net.spec, chains, cfg, seed):
         if rates is not epoch:
             epoch = rates
-            link_bw = {
-                link: 2.0 * plain_sum(rates[index] * bits for index, bits in link_traversals[link]) / 1e6
-                for link in link_ids
-            }
+            link_bw = FrameMap(*link_keys, array("d", (
+                2.0 * plain_sum(rates[index] * bits for index, bits in link_traversals[link]) / 1e6
+                for link in link_ids)))
             for link, use in link_bw.items():
                 if not math.isfinite(use):
                     raise EngineError(f"the use of link {link!r} at {t} s is beyond the float range: {use} Mbps")
-        # spikes are observation noise only; latency uses true_cpu
-        host_cpu = {**true_cpu, **dict(spikes)} if spikes else true_cpu
-        frames.append(TelemetryFrame(t, host_cpu, link_bw, LatencyMap(ids, index, array("d", latencies))))
+            calm = FrameMap(*host_keys, array("d", true_cpu.values()))  # true_cpu holds the hosts in spec order
+        host_cpu = calm
+        if spikes:  # observation noise only; latency uses true_cpu
+            values = calm.values()[:]  # a copy of the epoch's array
+            for host, value in spikes:
+                values[host_keys[1][host]] = value
+            host_cpu = FrameMap(*host_keys, values)
+        frames.append(TelemetryFrame(t, host_cpu, link_bw, FrameMap(*latency_keys, array("d", latencies))))
     return frames
 
 
@@ -252,9 +256,9 @@ def _ticks(spec: NetworkSpec, chains: Sequence[Chain], cfg: EngineConfig, seed: 
     True host utilizations and each chain's latency before jitter depend on
     the offered rates alone, so they are computed once per traffic epoch (a
     run of ticks whose rates are all equal), and the rates are looked up only
-    when a tick passes a segment edge; the rates list and the
-    utilization dict are the same objects for every tick of an epoch, and
-    the caller must not change them: simulate's frames hold the dict. The
+    when a tick passes a segment edge; the rates list and the utilization
+    dict (hosts in declaration order, whose values simulate copies into the
+    epoch's host map) are the same objects for every tick of an epoch. The
     random draws stay per tick, in fixed order: idle-spike noise for hosts
     at exactly zero load (hosts in declaration order) as [(host, observed
     utilization)], then one jitter draw per chain. The jitter draws are rng.gauss's values, taken from one

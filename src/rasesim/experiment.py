@@ -326,7 +326,7 @@ def _shared(memo: dict, kind: str, mapping: dict) -> dict:
 
     0.0 and -0.0 are told apart. memo holds the last map of each kind, so the
     frames read back share their maps per traffic epoch, as simulate's do,
-    and the writer renders such a map once (see _map_items).
+    and the writer renders such a map once (see _render_map).
     """
     content = [*mapping], struct.pack(f"{len(mapping)}d", *mapping.values())
     last = memo.get(kind)
@@ -408,22 +408,39 @@ def _check_accepted(latency, where: str, accepted) -> None:
         raise ValueError(f"{where} has no entry for accepted SFC {missing[0]!r}")
 
 
-def _map_items(memo: dict, kind: str, mapping, where: str):
-    """(map, sorted keys, values' reprs in that order, JSON text) of a frame's kind map.
+def _render_map(memo: dict, kind: str, mapping, where: str, accepted=None):
+    """(map, report.json text, CSV rows, keys, JSON slots, key order, CSV columns): the one renderer of frame maps.
 
-    memo holds the last map of each kind, checked (see _check_map); the very
-    same map object, as the frames of one traffic epoch hold, gets its entry.
-    Only identity counts: an equal map of other objects is rendered anew.
-    The entry holds the map, so its id is not reused while the entry lives.
+    memo holds each kind's last entry. The very same map object, as the
+    frames of one traffic epoch hold, gets that entry back. Any other map is
+    checked (see _check_map); if its key list equals the last entry's, its
+    values' reprs fill that entry's slots, and otherwise its keys are checked
+    (_check_accepted too, for the latencies, whose accepted ids are given),
+    sorted and encoded once, for the run of maps with equal key lists it
+    starts. The filled JSON slots are the map's report.json text in key
+    order. The CSV rows are cpu.csv's, a row per key in key order, or
+    latency.csv's, a row per accepted id, each with a timestamp slot first.
     """
     last = memo.get(kind)
     if last is not None and last[0] is mapping:
         return last
     _check_map(mapping, f"{where}.{kind}")
-    keys = sorted(mapping)
-    reprs = [repr(mapping[key]) for key in keys]
-    text = _map_json([f"{encode_basestring_ascii(key)}: {value}" for key, value in zip(keys, reprs)])
-    memo[kind] = last = mapping, keys, reprs, text
+    keys = [*mapping]
+    if last is not None and keys == last[3]:
+        rows, keys, items, order, columns = last[2:]
+    else:
+        if accepted is not None:
+            _check_accepted(mapping, f"{where}.{kind}", accepted)
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        position = {key: index for index, key in enumerate(keys)}
+        columns = order if accepted is None else [position[sfc_id] for sfc_id in accepted]
+        # the map's text in key order with a slot for each value; an encoded key holds no NUL
+        parts = _map_json([encode_basestring_ascii(keys[index]) + ": \0" for index in order]).split("\0")
+        items, rows = [None] * (2 * len(parts) - 1), [None, None, None, "\n"] * len(columns)
+        items[::2], rows[1::4] = parts, [f",{_csv_field(keys[index])}," for index in columns]
+    reprs = [*map(repr, mapping.values())]
+    items[1::2], rows[2::4] = map(reprs.__getitem__, order), map(reprs.__getitem__, columns)
+    memo[kind] = last = mapping, "".join(items), rows, keys, items, order, columns
     return last
 
 
@@ -432,56 +449,33 @@ def _render_frames(report: ExperimentReport, formats):
 
     "json" in formats asks for report.json's item (after the line break, and
     the comma of every item but the first), "csv" for latency.csv's and
-    cpu.csv's lines. A file not asked for gets no chunk, and its text is not
-    built. A frame must read back from report.json as it is: a finite,
-    non-negative float timestamp, maps that _check_map accepts and a latency
-    for each accepted SFC; any other is a ValueError naming it, whatever the
-    files asked for. Each number's repr is taken once for all three files.
-    The last frame's very host_cpu or link_bw_mbps map reuses its texts and
-    cpu.csv rows (see _map_items), as the frames of one traffic epoch do. A
-    run is consecutive frames with equal latency key lists; per run, the keys
-    are checked against the accepted ids and encoded once, into report.json's
-    and latency.csv's texts with a slot per number, which each frame fills.
+    cpu.csv's lines. A file not asked for gets no chunk. A frame must read
+    back from report.json as it is: a finite, non-negative float timestamp,
+    maps that _check_map accepts and a latency for each accepted SFC; any
+    other is a ValueError naming it, whatever the files asked for. Each
+    number's repr is taken once for all three files: every map, of every
+    kind, is rendered by _render_map, whose entry both the JSON item and the
+    CSV lines read.
     """
     accepted = [o.sfcr_id for o in report.outcomes if o.accepted]
-    # latency.csv's rows of a frame: its timestamp, an id field and a latency in each row's slots
-    rows = [None, None, None, "\n"] * len(accepted)
-    rows[1::4] = [f",{_csv_field(sfc_id)}," for sfc_id in accepted]
     memo: dict = {}
-    cpu_entry = cpu_rows = keys = None  # keys: the last frame's latency keys
     separator = "\n    "  # before the first frame's item in report.json; _FRAME_SEPARATOR before each later one
     for i, frame in enumerate(report.frames):
         where, stamp = f"report.frames[{i}]", frame.timestamp_s
         if type(stamp) is not float or not 0 <= stamp < math.inf:
             _check_map({"timestamp_s": stamp}, where)
-        cpu = _map_items(memo, "host_cpu", frame.host_cpu, where)
-        links = _map_items(memo, "link_bw_mbps", frame.link_bw_mbps, where)
-        latency, stamp = frame.sfc_latency_ms, repr(stamp)
-        _check_map(latency, where + ".sfc_latency_ms")
-        now = [*latency]
-        if now != keys:  # a new run of latency keys (see telemetry._runs)
-            keys = now
-            _check_accepted(latency, where + ".sfc_latency_ms", accepted)
-            order = sorted(range(len(keys)), key=keys.__getitem__)
-            # the map's text in key order with a slot for each latency; an encoded key holds no NUL
-            parts = _map_json([encode_basestring_ascii(keys[index]) + ": \0" for index in order]).split("\0")
-            items = [None] * (2 * len(parts) - 1)
-            items[::2] = parts
-            position = {key: index for index, key in enumerate(keys)}
-            columns = [position[sfc_id] for sfc_id in accepted]
-        reprs = [*map(repr, latency.values())]
+        cpu = _render_map(memo, "host_cpu", frame.host_cpu, where)
+        links = _render_map(memo, "link_bw_mbps", frame.link_bw_mbps, where)
+        latency = _render_map(memo, "sfc_latency_ms", frame.sfc_latency_ms, where, accepted)
+        stamp = repr(stamp)
         if "json" in formats:
-            items[1::2] = map(reprs.__getitem__, order)
-            yield REPORT_FILENAME, "".join((separator, _FRAME_JSON[0], cpu[3], _FRAME_JSON[1], links[3],
-                                            _FRAME_JSON[2], "".join(items), _FRAME_JSON[3], stamp, _FRAME_JSON[4]))
+            yield REPORT_FILENAME, "".join((separator, _FRAME_JSON[0], cpu[1], _FRAME_JSON[1], links[1],
+                                            _FRAME_JSON[2], latency[1], _FRAME_JSON[3], stamp, _FRAME_JSON[4]))
             separator = _FRAME_SEPARATOR
         if "csv" in formats:
-            rows[0::4] = [stamp] * len(accepted)
-            rows[2::4] = map(reprs.__getitem__, columns)
-            yield "latency.csv", "".join(rows)
-            if cpu is not cpu_entry:
-                cpu_entry, cpu_rows = cpu, [f",{_csv_field(host)},{text}\n" for host, text in zip(cpu[1], cpu[2])]
-            yield "cpu.csv", stamp.join(["", *cpu_rows])
+            for name, rows in (("latency.csv", latency[2]), ("cpu.csv", cpu[2])):
+                rows[::4] = [stamp] * (len(rows) // 4)
+                yield name, "".join(rows)
 
 
 def trace_csv(report: ExperimentReport) -> str:

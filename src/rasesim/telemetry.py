@@ -39,15 +39,15 @@ class LatencyOverflowError(TelemetryError):
     stage = "engine"  # the engine's latencies overflowed, not the aggregation over them
 
 
-class LatencyMap(Mapping):
-    """One frame's read-only SFC id -> latency ms map, stored by column.
+class FrameMap(Mapping):
+    """One frame's read-only str -> float map, stored by column.
 
-    The id tuple and the id -> position index are shared by every frame of
-    one engine.simulate run; a frame owns only its array('d') of values, 8
-    bytes a sample. Iteration yields the shared id objects, values() is the
-    array itself (read it, never change it), and [] goes through the index;
-    in, get and the rest are the Mapping mixins over []. Equal to a dict of
-    the same items, either way round.
+    The key tuple and the key -> position index are shared by the maps of one
+    kind in one engine.simulate run; a map owns only its array('d') of
+    values, 8 bytes a value. Iteration yields the shared key objects,
+    values() is the array itself (read it, never change it), and [] goes
+    through the index; in, get and the rest are the Mapping mixins over [].
+    Equal to a dict of the same items, either way round.
     """
 
     __slots__ = ("_ids", "_index", "_values")
@@ -55,8 +55,8 @@ class LatencyMap(Mapping):
     def __init__(self, ids: tuple[str, ...], index: dict[str, int], values: array):
         self._ids, self._index, self._values = ids, index, values
 
-    def __getitem__(self, sfc_id):
-        return self._values[self._index[sfc_id]]
+    def __getitem__(self, key):
+        return self._values[self._index[key]]
 
     def __iter__(self):
         return iter(self._ids)
@@ -75,16 +75,16 @@ class LatencyMap(Mapping):
 class TelemetryFrame:
     """One sampling tick: per-host CPU, per-link bandwidth, per-SFC latency.
 
-    Read-only, maps included, and slotted, so no attribute can be added: the
-    frames of one traffic epoch from engine.simulate share their host_cpu
-    and link_bw_mbps dicts, and its frames' sfc_latency_ms are LatencyMaps
-    sharing one id tuple. A frame a caller builds may hold a dict, or any
-    Mapping, as sfc_latency_ms.
+    Read-only, maps included, and slotted, so no attribute can be added.
+    engine.simulate's maps are FrameMaps: its frames of one traffic epoch
+    share their link_bw_mbps map, and their host_cpu map on each tick
+    without an idle spike. A frame a caller builds may hold a dict, or any
+    Mapping, in each field.
     """
 
     timestamp_s: float
-    host_cpu: dict[str, float]
-    link_bw_mbps: dict[str, float]
+    host_cpu: Mapping[str, float]
+    link_bw_mbps: Mapping[str, float]
     sfc_latency_ms: Mapping[str, float]
 
 

@@ -1,5 +1,7 @@
+import copy
 import gc
 import math
+import pickle
 import random
 import tracemalloc
 from array import array
@@ -19,6 +21,7 @@ from rasesim.engine import (
 )
 from rasesim.routing import Path
 from rasesim.solver import EmbeddingScheme, SfcPlacement, SfcRejection, solve_simple_dijkstra
+from rasesim.telemetry import FrameMap
 from rasesim.topology import build_network
 
 from helpers import ladder_spec, random_scenario, sfcr, small_catalog, spec_of, star_net
@@ -497,12 +500,68 @@ def test_a_frame_s_latency_map_refuses_every_change():
     for look_up in (latency.__getitem__, latency.get, latency.__contains__):
         with pytest.raises(TypeError):
             look_up([])
-    # the frame is read-only and slotted: it refuses new attributes, as its LatencyMap does; a frozen slotted
-    # dataclass's __setattr__ raises TypeError for a name that is not a field on Python 3.10-3.13
+    # the frame is read-only and slotted: it refuses new attributes, as its FrameMaps do. A frozen slotted
+    # dataclass's __setattr__ raises TypeError, not FrozenInstanceError, for a name that is not a field on
+    # Python 3.10-3.13, and that stays: __slots__ declared by hand on a frozen dataclass would raise
+    # FrozenInstanceError here, but makes pickle and copy.deepcopy of a frame raise it too (see
+    # test_a_simulated_frame_round_trips_through_pickle_and_deepcopy)
     with pytest.raises((AttributeError, TypeError)):
         frame.extra = 1
     with pytest.raises(AttributeError):
         object.__setattr__(frame, "extra", 1)
+
+
+def _spiking_frames():
+    """_two_epoch_setup's run with an idle host that spikes on about half the ticks."""
+    net, catalog, requests, scheme = _two_epoch_setup()
+    cfg = EngineConfig(duration_s=20.0, sample_interval_s=1.0, jitter_sigma=0.05, idle_spike_prob=0.5)
+    return net, simulate(net, scheme, requests, catalog, cfg, 3)
+
+
+def test_every_map_of_a_run_is_a_frame_map_sharing_its_kind_s_one_key_tuple():
+    """Hosts and links are stored by column too: one key tuple and index per kind and run, in spec order."""
+    net, frames = _spiking_frames()
+    assert 2 < len({id(f.host_cpu) for f in frames}) < len(frames), "spiked ticks among calm ones"
+    kinds = {"host_cpu": tuple(h.id for h in net.spec.hosts),
+             "link_bw_mbps": tuple(l.link_id for l in net.spec.links), "sfc_latency_ms": ("r1", "r2")}
+    for kind, keys in kinds.items():
+        maps = [getattr(frame, kind) for frame in frames]
+        first = maps[0]
+        assert first._ids == keys and first._index == {key: index for index, key in enumerate(keys)}, kind
+        for mapping in maps:
+            assert type(mapping) is FrameMap and mapping._ids is first._ids and mapping._index is first._index
+            assert type(mapping.values()) is array and mapping.values().typecode == "d"
+            assert dict(zip(keys, mapping.values())) == mapping
+    for mapping in (frames[0].host_cpu, frames[0].link_bw_mbps):
+        key = next(iter(mapping))
+        with pytest.raises(TypeError):
+            mapping[key] = 1.0
+        with pytest.raises(TypeError):
+            mapping["added"] = 1.0
+        with pytest.raises(TypeError):
+            del mapping[key]
+        with pytest.raises(AttributeError):
+            mapping.extra = ()
+
+
+def test_a_simulated_frame_round_trips_through_pickle_and_deepcopy():
+    """Why TelemetryFrame's slots come from dataclass(slots=True), not a hand-written __slots__.
+
+    Declared by hand on a frozen dataclass, __slots__ would make a new
+    attribute a FrozenInstanceError, but unpickling and deepcopy set the
+    slots through the frozen __setattr__ and raise it too (Python 3.10-3.13).
+    """
+    _, frames = _spiking_frames()
+    for copied in (pickle.loads(pickle.dumps(frames)), copy.deepcopy(frames)):
+        assert copied == frames
+        for back, frame in zip(copied, frames):
+            for kind in ("host_cpu", "link_bw_mbps", "sfc_latency_ms"):
+                mapping = getattr(back, kind)
+                assert type(mapping) is FrameMap and [*mapping.items()] == [*getattr(frame, kind).items()], kind
+        # one pickle or deepcopy of the frames keeps the maps they share shared
+        for back, last, frame, before in zip(copied[1:], copied, frames[1:], frames):
+            assert (back.host_cpu is last.host_cpu) == (frame.host_cpu is before.host_cpu)
+            assert (back.link_bw_mbps is last.link_bw_mbps) == (frame.link_bw_mbps is before.link_bw_mbps)
 
 
 def test_the_frames_hold_at_most_20_bytes_per_latency_sample():

@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 from rasesim.telemetry import (
-    LatencyMap,
+    FrameMap,
     LatencyOverflowError,
     NoSamplesError,
     TelemetryFrame,
@@ -25,10 +25,10 @@ def frame(t, cpu=None, latency=None):
     return TelemetryFrame(t, cpu or {}, {}, latency or {})
 
 
-def compact(latency: dict) -> LatencyMap:
+def compact(latency: dict) -> FrameMap:
     """latency as simulate's frames hold it: an id tuple, an id -> position index and an array('d') of values."""
     ids = tuple(latency)
-    return LatencyMap(ids, {sfc_id: index for index, sfc_id in enumerate(ids)}, array("d", latency.values()))
+    return FrameMap(ids, {sfc_id: index for index, sfc_id in enumerate(ids)}, array("d", latency.values()))
 
 
 def test_bin_latencies_direct():
@@ -161,7 +161,7 @@ def test_mean_latency_is_the_fsum_mean_of_the_present_samples():
 
 
 def _random_frames(rng: random.Random, ids: list[str]) -> list[TelemetryFrame]:
-    """Frames of dicts and LatencyMaps mixed: runs that share key objects, id subsets, reordered keys, missing ids."""
+    """Frames of dicts and FrameMaps mixed: runs that share key objects, id subsets, reordered keys, missing ids."""
     frames = []
     while len(frames) < rng.randint(0, 30):
         # equal ids, but new str objects unless the run reuses the last run's
@@ -173,8 +173,8 @@ def _random_frames(rng: random.Random, ids: list[str]) -> list[TelemetryFrame]:
             values = {name: rng.choice((0.0, rng.uniform(0, 1e3), rng.uniform(0, 1e-3))) for name in present}
             if rng.random() < 0.5:
                 latency = values
-            else:  # a LatencyMap of this run's one id tuple and index, as simulate makes them
-                latency = LatencyMap(shared._ids, shared._index, array("d", values.values()))
+            else:  # a FrameMap of this run's one id tuple and index, as simulate makes them
+                latency = FrameMap(shared._ids, shared._index, array("d", values.values()))
             frames.append(frame(len(frames), latency=latency))
     return frames
 
@@ -188,7 +188,7 @@ def test_mean_latency_and_latency_histograms_equal_a_per_id_reference_on_mixed_f
         frames = _random_frames(rng, ids)
         asked = rng.choices(ids + ["absent"], k=rng.randint(0, 6))  # an id asked twice counts twice
         samples = [f.sfc_latency_ms[i] for f in frames for i in asked if i in f.sfc_latency_ms]
-        covered["compact"] += any(isinstance(f.sfc_latency_ms, LatencyMap) for f in frames)
+        covered["compact"] += any(isinstance(f.sfc_latency_ms, FrameMap) for f in frames)
         covered["dict"] += any(type(f.sfc_latency_ms) is dict for f in frames)
         covered["missing"] += len(samples) < len(asked) * len(frames)
         if not samples:
@@ -242,7 +242,7 @@ def test_mean_latency_builds_no_list_of_its_samples():
     rng = random.Random(3)
     ids = tuple(f"r{i:02d}" for i in range(48))
     index = {sfc_id: position for position, sfc_id in enumerate(ids)}
-    frames = [frame(t, latency=LatencyMap(ids, index, array("d", (rng.uniform(1, 50) for _ in ids))))
+    frames = [frame(t, latency=FrameMap(ids, index, array("d", (rng.uniform(1, 50) for _ in ids))))
               for t in range(600)]
     one_list = sys.getsizeof([0.0] * (600 * 48))
     accepted = list(ids)

@@ -378,7 +378,7 @@ def test_new_and_shared_maps_mixed_in_one_traffic_epoch(scenario_dir, tmp_path):
     frames = list(report.frames)
     first = frames[0]
     host, link, sfc_id = next(iter(first.host_cpu)), next(iter(first.link_bw_mbps)), next(iter(first.sfc_latency_ms))
-    assert all(frame.host_cpu[host] is first.host_cpu[host] for frame in frames[:20]), "one epoch shares objects"
+    assert all(frame.host_cpu is first.host_cpu for frame in frames[:20]), "one epoch shares its host map"
     variants = {
         2: {"sfc_latency_ms": {**frames[2].sfc_latency_ms, sfc_id: 7.0}},
         4: {"host_cpu": {**frames[4].host_cpu, host: 0.5}},
@@ -492,6 +492,30 @@ def test_shared_copied_and_read_back_maps_are_written_alike(spike_prob, tmp_path
         assert host_maps == [3 if spike_prob == 0.0 else 12] * 6
     else:
         assert min(host_maps) > 3 and sum(count < 12 for count in host_maps) >= 3, host_maps
+
+
+@pytest.mark.parametrize("spike_prob", [0.0, 0.3, 1.0])
+def test_each_kind_s_keys_are_encoded_once_per_run_of_equal_key_lists(spike_prob, monkeypatch):
+    """A counted contract: _map_json runs once per map kind and run of equal key lists, however many maps there are.
+
+    Every frame holds a latency map of its own, and spiked ticks host maps of
+    their own, yet each kind's keys are sorted and encoded once; the maps
+    after the first of a run only fill its slots.
+    """
+    calls = []
+    map_json = experiment._map_json
+    monkeypatch.setattr(experiment, "_map_json", lambda items: calls.append(items) or map_json(items))
+    report = _spiking_run(4, spike_prob, 1)
+    runs = objects = 0
+    for kind in ("host_cpu", "link_bw_mbps", "sfc_latency_ms"):
+        maps = [getattr(frame, kind) for frame in report.frames]
+        runs += 1 + sum(map(operator.ne, map(list, maps), map(list, maps[1:])))
+        objects += len({id(mapping) for mapping in maps})
+    assert runs == 3 and objects >= 3 + 3 + 12
+    for formats in (("json",), ("csv",), ("json", "csv")):
+        calls.clear()
+        report_files(report, formats)
+        assert len(calls) == runs, (formats, objects)
 
 
 def test_a_report_read_back_equals_it_and_is_written_to_the_same_bytes(scenario_dir, tmp_path):
