@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 from importlib import resources
 
 from .errors import RaseSimError
+from .telemetry import TelemetryFrame
 
 
 class CatalogError(RaseSimError):
@@ -104,7 +105,8 @@ def from_json(kind, value, where: str):
 
     kind is a dataclass (an object keyed by json_fields; a field with a default
     or a "json_default" in its metadata may be left out), tuple[X, ...] or
-    tuple[X, Y] (a list), dict[str, X], X | None, str, bool, int or float.
+    tuple[X, Y] (a list), X | None, str, bool, int or float. A TelemetryFrame
+    is an object of its four keys, whose values are taken as they are.
     """
     try:
         return _reader(kind)(value)
@@ -131,6 +133,13 @@ def _reader(kind):
     if kind is TrafficPattern:  # a template's traffic is the segment list itself
         read_segments = _reader(tuple[TrafficSegment, ...])
         return lambda value: _built(TrafficPattern, {"segments": read_segments(value)})
+    if kind is TelemetryFrame:  # a frame's values as they are: experiment.report_from_dict checks and builds its maps
+        keys = json_fields(TelemetryFrame).keys()
+
+        def read_frame(value):
+            check_keys(value, keys, keys)
+            return TelemetryFrame(**value)
+        return read_frame
     if dataclasses.is_dataclass(kind):
         return _object_reader(kind)
     origin, args = typing.get_origin(kind), typing.get_args(kind)
@@ -153,20 +162,6 @@ def _reader(kind):
                     raise exc.at(f"[{index}]")
             return tuple(items)
         return read_list
-    if origin in (dict, Mapping) and args[0] is str:  # read as a dict
-        read_item = _reader(args[1])
-
-        def read_dict(value):
-            if type(value) is not dict:
-                raise _Shape(f" must be an object, got {reprlib.repr(value)}")
-            items = {}
-            for key, item in value.items():  # a parsed JSON object's keys are strings
-                try:
-                    items[key] = read_item(item)
-                except _Shape as exc:
-                    raise exc.at(f"[{key!r}]")
-            return items
-        return read_dict
     raise TypeError(f"no JSON reader for {kind!r}")
 
 
@@ -177,7 +172,7 @@ def to_json(value):
     """value as a JSON document holds it: the mirror of from_json, whose kind reads the result back as value.
 
     Dataclasses become dicts by json_fields key, tuples lists, a TrafficPattern its segments, any other
-    Mapping (a simulated frame's FrameMap) a dict of its items; dicts are shared.
+    Mapping (a frame's FrameMap, simulated or read back) a dict of its items; dicts are shared.
     """
     kind = type(value)
     if kind is tuple:

@@ -15,8 +15,8 @@ import json
 import math
 import os
 import reprlib
-import struct
 import time
+from array import array
 from collections.abc import Mapping
 from contextlib import ExitStack, suppress
 from dataclasses import dataclass, field, replace
@@ -52,7 +52,7 @@ from .solver import (
     ga_solve,
     solve_simple_dijkstra,
 )
-from .telemetry import TelemetryFrame, latency_histograms, mean_latency
+from .telemetry import FrameMap, TelemetryFrame, latency_histograms, mean_latency
 from .topology import NetworkSpec, SubstrateNetwork, build_network
 
 REPORT_FILENAME = "report.json"
@@ -303,37 +303,40 @@ def report_from_dict(data) -> ExperimentReport:
     """Rebuild a report, checking every value the CSV and histogram writers read.
 
     A ValueError for a document of another shape, and for a frame the
-    writers would refuse, with their message (see _check_map).
+    writers would refuse, with their message (see _check_map and _read_map).
     """
     report = from_json(ExperimentReport, data, "report")
     if min(report.acceptance_ratio or 0.0, report.mean_latency_ms or 0.0) < 0:
         raise ValueError("report: acceptance_ratio and mean_latency_ms must be non-negative")
     accepted = [o.sfcr_id for o in report.outcomes if o.accepted]
-    frames, memo = [], {}
-    for i, frame in enumerate(report.frames):
+    frames, memo, kinds = [], {}, ("host_cpu", "link_bw_mbps", "sfc_latency_ms")
+    for i, frame in enumerate(report.frames):  # the writer's checks, in its order (see _render_frames)
         _check_map({"timestamp_s": frame.timestamp_s}, f"report.frames[{i}]")
-        _check_map(frame.host_cpu, f"report.frames[{i}].host_cpu")
-        _check_map(frame.link_bw_mbps, f"report.frames[{i}].link_bw_mbps")
-        _check_map(frame.sfc_latency_ms, f"report.frames[{i}].sfc_latency_ms")
+        for kind in kinds:
+            _check_map(getattr(frame, kind), f"report.frames[{i}].{kind}")
         _check_accepted(frame.sfc_latency_ms, f"report.frames[{i}].sfc_latency_ms", accepted)
-        frames.append(TelemetryFrame(frame.timestamp_s, _shared(memo, "host_cpu", frame.host_cpu),
-                                     _shared(memo, "link_bw_mbps", frame.link_bw_mbps), frame.sfc_latency_ms))
+        maps = [_read_map(memo, kind, getattr(frame, kind)) for kind in kinds]
+        frames.append(TelemetryFrame(frame.timestamp_s, *maps))
     return replace(report, frames=tuple(frames))
 
 
-def _shared(memo: dict, kind: str, mapping: dict) -> dict:
-    """The last map of kind if mapping holds its keys in the same order and its floats bit for bit, else mapping.
+def _read_map(memo: dict, kind: str, mapping: dict) -> FrameMap:
+    """mapping, which _check_map accepts, as a FrameMap that shares what it can with the last map of kind in memo.
 
-    0.0 and -0.0 are told apart. memo holds the last map of each kind, so the
-    frames read back share their maps per traffic epoch, as simulate's do,
-    and the writer renders such a map once (see _render_map).
+    If its key list equals the last map's, it shares that map's key tuple and
+    index, as simulate's maps of one kind do; if its floats are also the same
+    bit for bit (0.0 and -0.0 told apart), it is the last map itself, so the
+    frames of one traffic epoch share their maps, and the writer renders such
+    a map once (see _render_map).
     """
-    content = [*mapping], struct.pack(f"{len(mapping)}d", *mapping.values())
+    keys, values = tuple(mapping), array("d", mapping.values())
     last = memo.get(kind)
-    if last is not None and last[1] == content:
-        return last[0]
-    memo[kind] = mapping, content
-    return mapping
+    if last is None or keys != last[0][0]:
+        last = (keys, {key: at for at, key in enumerate(keys)}), None
+    elif values.tobytes() == last[1].values().tobytes():
+        return last[1]
+    memo[kind] = last = last[0], FrameMap(*last[0], values)
+    return last[1]
 
 
 def read_report(path) -> ExperimentReport:

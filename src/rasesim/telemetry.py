@@ -43,11 +43,12 @@ class FrameMap(Mapping):
     """One frame's read-only str -> float map, stored by column.
 
     The key tuple and the key -> position index are shared by the maps of one
-    kind in one engine.simulate run; a map owns only its array('d') of
-    values, 8 bytes a value. Iteration yields the shared key objects,
-    values() is the array itself (read it, never change it), and [] goes
-    through the index; in, get and the rest are the Mapping mixins over [].
-    Equal to a dict of the same items, either way round.
+    kind in one engine.simulate run, and by the consecutive maps of one kind
+    with equal key lists that experiment.read_report builds; a map owns only
+    its array('d') of values, 8 bytes a value. Iteration yields the shared
+    key objects, values() is the array itself (read it, never change it),
+    and [] goes through the index; in, get and the rest are the Mapping
+    mixins over []. Equal to a dict of the same items, either way round.
     """
 
     __slots__ = ("_ids", "_index", "_values")
@@ -76,10 +77,10 @@ class TelemetryFrame:
     """One sampling tick: per-host CPU, per-link bandwidth, per-SFC latency.
 
     Read-only, maps included, and slotted, so no attribute can be added.
-    engine.simulate's maps are FrameMaps: its frames of one traffic epoch
-    share their link_bw_mbps map, and their host_cpu map on each tick
-    without an idle spike. A frame a caller builds may hold a dict, or any
-    Mapping, in each field.
+    The maps of engine.simulate and experiment.read_report are FrameMaps, and
+    frames of one traffic epoch share their link_bw_mbps map, and their
+    host_cpu map on each tick without an idle spike. A frame a caller builds
+    may hold a dict, or any Mapping, in each field.
     """
 
     timestamp_s: float

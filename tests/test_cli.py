@@ -323,6 +323,8 @@ def test_a_frame_of_empty_maps_is_read_back(tmp_path):
     _small_report(frame={"sfc_latency_ms": {"r1": float("nan")}}),
     _small_report(outcome={"accepted": "yes"}),
     _small_report(frame={"sfc_latency_ms": {"r1": -5}}),
+    _small_report(frame={"host_cpu": {"h1": 1}}),  # an int, which the writer refuses too
+    _small_report(frame={"timestamp_s": 0}),
 ])
 def test_malformed_report_is_one_line_io_error(tmp_path, capsys, content):
     report = tmp_path / "report.json"

@@ -317,11 +317,12 @@ def test_report_round_trips_through_json(scenario_dir, tmp_path):
     assert loaded == report
     assert loaded.solve_seconds is None
     assert report_from_dict(to_json(report)) == report
-    # the simulated frames' latency maps encode as JSON objects and read back as dicts, equal either way round
+    # the simulated frames' latency maps encode as JSON objects and read back as the FrameMaps simulate builds
     document = json.loads(json.dumps(to_json(report)))
     assert report_from_dict(document) == report and report == report_from_dict(document)
     simulated, read = report.frames[0].sfc_latency_ms, loaded.frames[0].sfc_latency_ms
-    assert type(read) is dict and type(to_json(simulated)) is dict and read == simulated and simulated == read
+    assert type(read) is type(simulated) and type(to_json(simulated)) is dict
+    assert read == simulated and simulated == read
 
 
 def test_reloaded_report_rewrites_byte_identically(scenario_dir, tmp_path):
