@@ -133,7 +133,7 @@ def _reader(kind):
     if kind is TrafficPattern:  # a template's traffic is the segment list itself
         read_segments = _reader(tuple[TrafficSegment, ...])
         return lambda value: _built(TrafficPattern, {"segments": read_segments(value)})
-    if kind is TelemetryFrame:  # a frame's values as they are: experiment.report_from_dict checks and builds its maps
+    if kind is TelemetryFrame:  # a frame's values as they are: experiment._frame checks and builds its maps
         keys = json_fields(TelemetryFrame).keys()
 
         def read_frame(value):

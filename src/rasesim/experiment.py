@@ -303,40 +303,14 @@ def report_from_dict(data) -> ExperimentReport:
     """Rebuild a report, checking every value the CSV and histogram writers read.
 
     A ValueError for a document of another shape, and for a frame the
-    writers would refuse, with their message (see _check_map and _read_map).
+    writers would refuse, with their message (see _frame).
     """
     report = from_json(ExperimentReport, data, "report")
     if min(report.acceptance_ratio or 0.0, report.mean_latency_ms or 0.0) < 0:
         raise ValueError("report: acceptance_ratio and mean_latency_ms must be non-negative")
-    accepted = [o.sfcr_id for o in report.outcomes if o.accepted]
-    frames, memo, kinds = [], {}, ("host_cpu", "link_bw_mbps", "sfc_latency_ms")
-    for i, frame in enumerate(report.frames):  # the writer's checks, in its order (see _render_frames)
-        _check_map({"timestamp_s": frame.timestamp_s}, f"report.frames[{i}]")
-        for kind in kinds:
-            _check_map(getattr(frame, kind), f"report.frames[{i}].{kind}")
-        _check_accepted(frame.sfc_latency_ms, f"report.frames[{i}].sfc_latency_ms", accepted)
-        maps = [_read_map(memo, kind, getattr(frame, kind)) for kind in kinds]
-        frames.append(TelemetryFrame(frame.timestamp_s, *maps))
-    return replace(report, frames=tuple(frames))
-
-
-def _read_map(memo: dict, kind: str, mapping: dict) -> FrameMap:
-    """mapping, which _check_map accepts, as a FrameMap that shares what it can with the last map of kind in memo.
-
-    If its key list equals the last map's, it shares that map's key tuple and
-    index, as simulate's maps of one kind do; if its floats are also the same
-    bit for bit (0.0 and -0.0 told apart), it is the last map itself, so the
-    frames of one traffic epoch share their maps, and the writer renders such
-    a map once (see _render_map).
-    """
-    keys, values = tuple(mapping), array("d", mapping.values())
-    last = memo.get(kind)
-    if last is None or keys != last[0][0]:
-        last = (keys, {key: at for at, key in enumerate(keys)}), None
-    elif values.tobytes() == last[1].values().tobytes():
-        return last[1]
-    memo[kind] = last = last[0], FrameMap(*last[0], values)
-    return last[1]
+    accepted, memo = [o.sfcr_id for o in report.outcomes if o.accepted], {}
+    return replace(report, frames=tuple(_frame(memo, frame, f"report.frames[{i}]", accepted)
+                                        for i, frame in enumerate(report.frames)))
 
 
 def read_report(path) -> ExperimentReport:
@@ -390,9 +364,10 @@ def _map_json(items) -> str:
 def _check_map(mapping, where: str) -> None:
     """A ValueError naming where unless mapping is a Mapping of str keys to finite, non-negative floats.
 
-    The one test of what a frame map is, for the writer and the reader. A
-    finite sum means finite values, so each value is looked at only when the
-    sum is not finite (finite floats can overflow it) or something else is off.
+    The one test of what a frame map is, made by _frame for the writer and
+    the reader. A finite sum means finite values, so each value is looked at
+    only when the sum is not finite (finite floats can overflow it) or
+    something else is off.
     """
     if not isinstance(mapping, Mapping):
         raise ValueError(f"{where} is {reprlib.repr(mapping)}, not a map of str keys to finite, non-negative floats")
@@ -404,46 +379,69 @@ def _check_map(mapping, where: str) -> None:
                 raise ValueError(f"{where} holds {key!r}: {value!r}, not a str key and a finite, non-negative float")
 
 
-def _check_accepted(latency, where: str, accepted) -> None:
-    """A ValueError naming where unless the latency map, checked by _check_map, has each accepted id."""
-    missing = [key for key in accepted if key not in latency]
-    if missing:
-        raise ValueError(f"{where} has no entry for accepted SFC {missing[0]!r}")
+def _frame(memo: dict, frame: TelemetryFrame, where: str, accepted) -> TelemetryFrame:
+    """frame as read_report reads it back, its maps FrameMaps that share what they can, or a ValueError naming where.
+
+    The one builder of frames, for the writer and the reader. It checks the
+    timestamp, then each map (see _check_map) but the one memo holds as its
+    kind's last. A FrameMap is kept as it is; any other map becomes a
+    FrameMap that shares the last one's key tuple and index if its key list
+    is equal, and is the last one itself if its floats are also the same bit
+    for bit (0.0 and -0.0 told apart). A latency map that starts a new key
+    tuple must hold each accepted id.
+    """
+    stamp = frame.timestamp_s
+    if type(stamp) is not float or not 0 <= stamp < math.inf:
+        _check_map({"timestamp_s": stamp}, where)
+    maps = []
+    for kind in ("host_cpu", "link_bw_mbps", "sfc_latency_ms"):
+        mapping, last = getattr(frame, kind), memo.get(kind)
+        if last is None or mapping is not last:
+            _check_map(mapping, f"{where}.{kind}")
+            if type(mapping) is not FrameMap:
+                keys, values = tuple(mapping), array("d", mapping.values())
+                if last is None or keys != last._ids:
+                    mapping = FrameMap(keys, {key: at for at, key in enumerate(keys)}, values)
+                elif values.tobytes() != last.values().tobytes():
+                    mapping = FrameMap(last._ids, last._index, values)
+                else:
+                    mapping = last
+            if kind == "sfc_latency_ms" and (last is None or mapping._ids is not last._ids):
+                missing = [key for key in accepted if key not in mapping]
+                if missing:
+                    raise ValueError(f"{where}.{kind} has no entry for accepted SFC {missing[0]!r}")
+            memo[kind] = mapping
+        maps.append(mapping)
+    return TelemetryFrame(stamp, *maps)
 
 
-def _render_map(memo: dict, kind: str, mapping, where: str, accepted=None):
-    """(map, report.json text, CSV rows, keys, JSON slots, key order, CSV columns): the one renderer of frame maps.
+def _render_map(memo: dict, kind: str, mapping: FrameMap, row_ids):
+    """(map, report.json text, CSV rows, JSON slots, key order, CSV columns): the one renderer of FrameMaps.
 
     memo holds each kind's last entry. The very same map object, as the
-    frames of one traffic epoch hold, gets that entry back. Any other map is
-    checked (see _check_map); if its key list equals the last entry's, its
-    values' reprs fill that entry's slots, and otherwise its keys are checked
-    (_check_accepted too, for the latencies, whose accepted ids are given),
-    sorted and encoded once, for the run of maps with equal key lists it
-    starts. The filled JSON slots are the map's report.json text in key
-    order. The CSV rows are cpu.csv's, a row per key in key order, or
-    latency.csv's, a row per accepted id, each with a timestamp slot first.
+    frames of one traffic epoch hold, gets that entry back. A map that shares
+    the key tuple of the entry's map fills the entry's slots with its values'
+    reprs; any other starts a run: its keys are sorted and encoded once. The
+    filled JSON slots are the map's report.json text in key order. row_ids
+    are the ids of its CSV rows, each with a timestamp slot first: None for a
+    row per key in key order (cpu.csv), the accepted ids (latency.csv), or ()
+    for none.
     """
-    last = memo.get(kind)
+    last, keys = memo.get(kind), mapping._ids
     if last is not None and last[0] is mapping:
         return last
-    _check_map(mapping, f"{where}.{kind}")
-    keys = [*mapping]
-    if last is not None and keys == last[3]:
-        rows, keys, items, order, columns = last[2:]
+    if last is not None and keys is last[0]._ids:
+        rows, items, order, columns = last[2:]
     else:
-        if accepted is not None:
-            _check_accepted(mapping, f"{where}.{kind}", accepted)
         order = sorted(range(len(keys)), key=keys.__getitem__)
-        position = {key: index for index, key in enumerate(keys)}
-        columns = order if accepted is None else [position[sfc_id] for sfc_id in accepted]
+        columns = order if row_ids is None else [*map(mapping._index.__getitem__, row_ids)]
         # the map's text in key order with a slot for each value; an encoded key holds no NUL
         parts = _map_json([encode_basestring_ascii(keys[index]) + ": \0" for index in order]).split("\0")
         items, rows = [None] * (2 * len(parts) - 1), [None, None, None, "\n"] * len(columns)
         items[::2], rows[1::4] = parts, [f",{_csv_field(keys[index])}," for index in columns]
     reprs = [*map(repr, mapping.values())]
     items[1::2], rows[2::4] = map(reprs.__getitem__, order), map(reprs.__getitem__, columns)
-    memo[kind] = last = mapping, "".join(items), rows, keys, items, order, columns
+    memo[kind] = last = mapping, "".join(items), rows, items, order, columns
     return last
 
 
@@ -452,30 +450,27 @@ def _render_frames(report: ExperimentReport, formats):
 
     "json" in formats asks for report.json's item (after the line break, and
     the comma of every item but the first), "csv" for latency.csv's and
-    cpu.csv's lines. A file not asked for gets no chunk. A frame must read
-    back from report.json as it is: a finite, non-negative float timestamp,
-    maps that _check_map accepts and a latency for each accepted SFC; any
-    other is a ValueError naming it, whatever the files asked for. Each
-    number's repr is taken once for all three files: every map, of every
+    cpu.csv's lines. A file not asked for gets no chunk. Each frame is first
+    built as read_report builds it back (see _frame), so one that would not
+    read back as it is raises its ValueError, whatever the files asked for.
+    Each number's repr is taken once for all three files: every map, of every
     kind, is rendered by _render_map, whose entry both the JSON item and the
-    CSV lines read.
+    CSV lines read, with CSV rows only where a CSV reads them.
     """
     accepted = [o.sfcr_id for o in report.outcomes if o.accepted]
-    memo: dict = {}
+    built, rendered, csv = {}, {}, "csv" in formats
     separator = "\n    "  # before the first frame's item in report.json; _FRAME_SEPARATOR before each later one
     for i, frame in enumerate(report.frames):
-        where, stamp = f"report.frames[{i}]", frame.timestamp_s
-        if type(stamp) is not float or not 0 <= stamp < math.inf:
-            _check_map({"timestamp_s": stamp}, where)
-        cpu = _render_map(memo, "host_cpu", frame.host_cpu, where)
-        links = _render_map(memo, "link_bw_mbps", frame.link_bw_mbps, where)
-        latency = _render_map(memo, "sfc_latency_ms", frame.sfc_latency_ms, where, accepted)
-        stamp = repr(stamp)
+        frame = _frame(built, frame, f"report.frames[{i}]", accepted)
+        cpu = _render_map(rendered, "host_cpu", frame.host_cpu, None if csv else ())
+        links = _render_map(rendered, "link_bw_mbps", frame.link_bw_mbps, ())
+        latency = _render_map(rendered, "sfc_latency_ms", frame.sfc_latency_ms, accepted if csv else ())
+        stamp = repr(frame.timestamp_s)
         if "json" in formats:
             yield REPORT_FILENAME, "".join((separator, _FRAME_JSON[0], cpu[1], _FRAME_JSON[1], links[1],
                                             _FRAME_JSON[2], latency[1], _FRAME_JSON[3], stamp, _FRAME_JSON[4]))
             separator = _FRAME_SEPARATOR
-        if "csv" in formats:
+        if csv:
             for name, rows in (("latency.csv", latency[2]), ("cpu.csv", cpu[2])):
                 rows[::4] = [stamp] * (len(rows) // 4)
                 yield name, "".join(rows)

@@ -44,11 +44,13 @@ class FrameMap(Mapping):
 
     The key tuple and the key -> position index are shared by the maps of one
     kind in one engine.simulate run, and by the consecutive maps of one kind
-    with equal key lists that experiment.read_report builds; a map owns only
-    its array('d') of values, 8 bytes a value. Iteration yields the shared
-    key objects, values() is the array itself (read it, never change it),
-    and [] goes through the index; in, get and the rest are the Mapping
-    mixins over []. Equal to a dict of the same items, either way round.
+    with equal key lists that experiment._frame builds, for the reader and
+    for the writer, which reads a run of maps by that shared key tuple; a
+    map owns only its array('d') of values, 8 bytes a value. Iteration
+    yields the shared key objects, values() is the array itself (read it,
+    never change it), and [] goes through the index; in, get and the rest
+    are the Mapping mixins over []. Equal to a dict of the same items,
+    either way round.
     """
 
     __slots__ = ("_ids", "_index", "_values")
@@ -80,7 +82,8 @@ class TelemetryFrame:
     The maps of engine.simulate and experiment.read_report are FrameMaps, and
     frames of one traffic epoch share their link_bw_mbps map, and their
     host_cpu map on each tick without an idle spike. A frame a caller builds
-    may hold a dict, or any Mapping, in each field.
+    may hold a dict, or any Mapping, in each field; the writers first build
+    it as read_report does (experiment._frame).
     """
 
     timestamp_s: float

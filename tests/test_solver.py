@@ -1,8 +1,13 @@
+import heapq
 import random
+import re
+import types
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from rasesim import solver
 from rasesim.catalog import Catalog, VNFDescriptor, generate_sfcrs
 from rasesim.engine import EngineConfig, simulate
 from rasesim.solver import (
@@ -194,6 +199,44 @@ def test_greedy_routing_failure_rolls_back_everything():
     rejection = scheme.rejected()[0]
     assert rejection.reason == "NoPath(segment=1)"
     assert net.residual_snapshot() == before
+
+
+@pytest.mark.parametrize("host_count", [8, 16, 32])
+def test_greedy_heap_pushes_equal_its_cpu_charges_and_rollbacks(host_count, monkeypatch):
+    """A counted contract: where memory never binds, the greedy heap gets one entry per CPU charge and rollback.
+
+    One-CPU hosts run out of CPU (NoFeasibleHost(position=k) charged
+    positions 0..k-1) and a thin egress link runs out of bandwidth after
+    every position was charged (NoPath); a VNF of no CPU is never charged.
+    """
+    counts = Counter()
+
+    def counted(name):
+        return lambda *args: counts.update([name]) or getattr(heapq, name)(*args)
+
+    monkeypatch.setattr(solver, "heapq", types.SimpleNamespace(
+        heapify=heapq.heapify, heappush=counted("heappush"), heappop=counted("heappop")))
+    rng = random.Random(host_count)
+    catalog = Catalog((VNFDescriptor("light", 0.01, 1.0, 1.0), VNFDescriptor("heavy", 0.05, 1.0, 1.0),
+                       VNFDescriptor("free", 0.0, 1.0, 1.0)))
+    hosts = [(f"h{i:02d}", 1, 1e9) for i in range(host_count)]
+    links = [("sw", host, float(host_count) if host == hosts[-1][0] else 1e6, 0.5) for host, _, _ in hosts]
+    net = build_network(spec_of(hosts, links, switches=("sw",), ingress="sw"))
+    requests = [sfcr(f"r{i}", rng.choices(catalog.names(), k=rng.randint(1, 3)), rps=rng.choice((5.0, 10.0, 20.0)),
+                     bandwidth=rng.choice((0.5, 1.0))) for i in range(3 * host_count)]
+    scheme = solve_simple_dijkstra(net, requests, catalog)
+    charges = rollbacks = 0
+    for outcome, request in zip(scheme.outcomes, requests):
+        placed = re.fullmatch(r"NoFeasibleHost\(position=(\d+)\)", getattr(outcome, "reason", ""))
+        charged = sum(vnf_cpu_demand(catalog, request, k) > 0
+                      for k in range(int(placed[1]) if placed else len(request.chain)))
+        charges += charged
+        rollbacks += charged if isinstance(outcome, SfcRejection) else 0
+    reasons = {outcome.reason for outcome in scheme.rejected()}
+    assert scheme.accepted() and any(reason.startswith("NoPath") for reason in reasons)
+    assert any(reason.startswith("NoFeasibleHost") and reason != "NoFeasibleHost(position=0)" for reason in reasons)
+    assert counts["heappush"] == charges + rollbacks
+    assert counts["heappop"] <= host_count + counts["heappush"]
 
 
 def test_greedy_charges_exactly_the_accepted_demands():

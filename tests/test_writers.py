@@ -15,6 +15,7 @@ import json
 import operator
 import random
 import tracemalloc
+from array import array
 from fractions import Fraction
 from io import StringIO
 
@@ -518,6 +519,88 @@ def test_each_kind_s_keys_are_encoded_once_per_run_of_equal_key_lists(spike_prob
         calls.clear()
         report_files(report, formats)
         assert len(calls) == runs, (formats, objects)
+
+
+def test_csv_fields_are_made_only_for_rows_a_csv_file_holds(scenario_dir, monkeypatch):
+    """A counted contract: a json-only render makes no CSV field, and no render makes one for a link id."""
+    fields = []
+    csv_field = experiment._csv_field
+    monkeypatch.setattr(experiment, "_csv_field", lambda value: fields.append(value) or csv_field(value))
+    report = _simulated(scenario_dir)
+    links = {link for frame in report.frames for link in frame.link_bw_mbps}
+    assert links and report.frames[0].host_cpu and report.frames[0].sfc_latency_ms
+    report_files(report, ("json",))
+    assert fields == []
+    report_files(report, ("json", "csv"))
+    assert fields and not links & {field for field in fields if type(field) is str}
+
+
+# values the writer and the reader refuse in a frame map, each of which a JSON document holds
+BAD_VALUES = [float("nan"), float("inf"), -1.0, 1, True, None, "x", {"x": 0.5}]
+
+
+def _agreement_report(rng: random.Random) -> ExperimentReport:
+    """2-5 frames whose maps mix dicts and FrameMaps: the last frame's very object, equal-key copies (sharing its
+    key tuple or not) and new keys; now and then one bad value, a missing accepted id or an int timestamp."""
+    names = AWKWARD + [SPLICE_LINE]
+    outcomes = tuple(SfcOutcome(i, rng.random() < 0.7, "") for i in rng.sample(names, 3))
+    accepted = [o.sfcr_id for o in outcomes if o.accepted]
+    frames, last = [], {}
+    for tick in range(rng.randint(2, 5)):
+        maps = []
+        for kind in ("host_cpu", "link_bw_mbps", "sfc_latency_ms"):
+            previous, form = last.get(kind), rng.randrange(4)
+            if previous is not None and form == 0:
+                maps.append(previous)
+                continue
+            if previous is not None and rng.random() < 0.6:
+                keys = [*previous]
+            else:
+                keys = rng.sample(names, rng.randrange(4))
+                keys = [*dict.fromkeys(accepted + keys)] if kind == "sfc_latency_ms" else keys
+            items = {key: rng.choice(FLOATS) for key in keys}
+            if form == 1:
+                mapping = items
+            elif form == 2 and type(previous) is FrameMap and keys == [*previous]:
+                mapping = FrameMap(previous._ids, previous._index, array("d", items.values()))
+            else:
+                mapping = FrameMap(tuple(items), {key: at for at, key in enumerate(items)}, array("d", items.values()))
+            maps.append(mapping)
+        last = dict(zip(("host_cpu", "link_bw_mbps", "sfc_latency_ms"), maps))
+        frames.append(TelemetryFrame(float(tick), *maps))
+    fault, at = rng.randrange(6), rng.randrange(len(frames))
+    if fault == 0:
+        kind = rng.choice(("host_cpu", "link_bw_mbps", "sfc_latency_ms"))
+        mapping = dict(getattr(frames[at], kind))
+        mapping[rng.choice([*mapping] or ["k"])] = rng.choice(BAD_VALUES)
+        frames[at] = dataclasses.replace(frames[at], **{kind: mapping})
+    elif fault == 1 and accepted:
+        dropped = rng.choice(accepted)
+        latency = {key: value for key, value in frames[at].sfc_latency_ms.items() if key != dropped}
+        frames[at] = dataclasses.replace(frames[at], sfc_latency_ms=latency)
+    elif fault == 2:
+        frames[at] = dataclasses.replace(frames[at], timestamp_s=at)
+    return ExperimentReport("digest", outcomes, None, None, tuple(frames), None)
+
+
+def test_the_writer_and_the_reader_agree_on_random_reports():
+    """Each report is refused by report_files and by report_from_dict with one message, or reads back equal and is
+    written again to the same bytes."""
+    refused = 0
+    for seed in range(300):
+        report = _agreement_report(random.Random(seed))
+        document = json.loads(json.dumps(to_json(report)))
+        try:
+            written = report_files(report)
+        except ValueError as exc:
+            refused += 1
+            with pytest.raises(ValueError) as read:
+                report_from_dict(document)
+            assert str(read.value) == str(exc), seed
+            continue
+        back = report_from_dict(document)
+        assert back == report and report_files(back) == written, seed
+    assert 50 < refused < 200, refused
 
 
 def test_a_report_read_back_equals_it_and_is_written_to_the_same_bytes(scenario_dir, tmp_path):
